@@ -9,13 +9,13 @@ The ``repro.obs`` contract has three measurable halves:
 * **the telemetry sampler is cheap when on** — a run with
   ``sample_interval_cycles`` set pays only a per-window read of counters
   the engines maintain anyway, so its wall time must stay within 5% of
-  an unsampled run (when off, the scalar engine takes a separate loop
-  with zero added hot-path work, so the 3% bound above covers it);
+  an unsampled run (when off, each engine loop pays one dead integer
+  compare against a sentinel boundary, so the 3% bound above covers it);
 * **observation never changes outcomes** — traced, sampled, and plain
   runs return bit-identical results (spot-checked here; the exhaustive
   versions are the Hypothesis property test in
-  ``tests/test_properties_sim.py`` and the three-engine identity suite
-  in ``tests/test_engine_identity.py``).
+  ``tests/test_properties_sim.py`` and the scalar-vs-array identity
+  suite in ``tests/test_engine_identity.py``).
 
 The overhead comparisons take the min over interleaved repeats, which
 cancels cache-warmup and frequency-scaling drift far better than a single

@@ -19,8 +19,8 @@ packet count or streaming chunk size.
 
 Window semantics: the engines check the sampler at their loop top with a
 single integer comparison (``now >= next_boundary``), so a window closes
-at the first event observation at-or-past its boundary.  Because the two
-array engines batch arrivals, the exact event at which a window closes
+at the first event observation at-or-past its boundary.  Because the
+array engine batches arrivals, the exact event at which a window closes
 can differ *between* engines — the per-window attribution is quantized,
 and cross-engine time series may disagree on which side of a boundary a
 delta lands.  What never differs is the run's outcome: sampling on vs.
@@ -247,14 +247,7 @@ class TimeSeriesSampler:
     * ``fe_backlog_hw`` / ``fabric_backlog_hw`` — cumulative backlog
       high-water marks;
     * ``new_latencies`` — completed-lookup latencies observed since the
-      previous read (the reader keeps its own cursor), **or** ``None``
-      to defer them: allowed only when no monitor is attached (nothing
-      consumes windows mid-run), the engine then supplies the full
-      per-completion latency array once via :meth:`finish_deferred` and
-      the per-window stats are resolved from contiguous slices of it.
-      Deferral exists purely for speed — walking scattered per-packet
-      state per window costs more than the whole sampled run's budget —
-      and is bit-identical to the live path.
+      previous read (the reader keeps its own cursor).
     """
 
     def __init__(self, interval: int, n_lcs: int, monitor=None):
@@ -288,40 +281,6 @@ class TimeSeriesSampler:
             self._close(self.next_boundary)
             self.next_boundary += self.interval
         return self.next_boundary
-
-    def finish_deferred(
-        self,
-        horizon: int,
-        lat_all: np.ndarray,
-        measured: Optional[np.ndarray],
-    ) -> TimeSeries:
-        """Like :meth:`finish`, for runs whose reader deferred latencies
-        (returned ``new_latencies=None``): ``lat_all`` is the latency of
-        every completion in completion order and ``measured`` the aligned
-        warmup mask (``None`` = all measured).  Window ``i``'s latencies
-        are the slice of ``lat_all`` between the cumulative ``completed``
-        cursors, so the resolved stats are bit-identical to what the live
-        path would have computed; idempotent like :meth:`finish`."""
-        if self._series is not None:
-            return self._series
-        end = horizon + 1
-        if self._read is not None and end > self._t_last:
-            self._close(end)
-        rows = self._rows
-        lo = 0
-        for i, d in enumerate(rows["completed"]):
-            hi = lo + d
-            seg = lat_all[lo:hi]
-            if measured is not None:
-                seg = seg[measured[lo:hi]]
-            n = int(seg.size)
-            if n:
-                seg = np.sort(seg)
-                rows["lat_count"][i] = n
-                rows["lat_p50"][i] = _window_percentile(seg, 50)
-                rows["lat_p99"][i] = _window_percentile(seg, 99)
-            lo = hi
-        return self.finish(horizon)
 
     def finish(self, horizon: int) -> TimeSeries:
         """Flush the final partial window (if the horizon passed the last
@@ -380,26 +339,14 @@ class TimeSeriesSampler:
                 int(a) - b
                 for a, b in zip(cur["fe_lookups"], prev["fe_lookups"])
             ]
+        # Engine readers hand over fresh lists of Python ints; anything
+        # else (e.g. a NumPy array from a test harness) is normalized.
         raw_lats = cur["new_latencies"]
-        if raw_lats is None:
-            # Deferred latencies (see finish_deferred): zero placeholders
-            # now, resolved in one vectorized pass at finish time.  A
-            # monitor reads windows mid-run, so it forbids deferral.
-            if self.monitor is not None:
-                raise ObservabilityError(
-                    "reader deferred new_latencies while a monitor is "
-                    "attached; live detection needs per-window latencies"
-                )
-            lats: List[int] = []
-        else:
-            # Engine readers hand over fresh lists of Python ints;
-            # anything else (e.g. a NumPy array from a test harness) is
-            # normalized.
-            lats = (
-                sorted(raw_lats)
-                if type(raw_lats) is list
-                else sorted(int(v) for v in raw_lats)
-            )
+        lats = (
+            sorted(raw_lats)
+            if type(raw_lats) is list
+            else sorted(int(v) for v in raw_lats)
+        )
 
         rows = self._rows
         rows["t_start"].append(self._t_last)

@@ -28,7 +28,8 @@ Event vocabulary (``name`` field):
 ``timeout.retry``   remote timeout fired; failover retry issued
                     (args: ``attempt``, ``next_home``)
 ``reply``           lookup result arrived back at the arrival LC
-``complete``        lookup finished (cycle = completion time)
+``complete``        lookup finished (cycle = completion time; args:
+                    ``hop`` — the next hop served to the packet)
 ``drop``            packet dropped (args: ``reason`` — one of
                     :data:`DROP_REASONS`; the bounded-queue kinds
                     ``queue_full`` and ``shed`` additionally surface as

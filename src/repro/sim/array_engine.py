@@ -4,26 +4,31 @@
 Python-object handlers — correct, but per-packet allocation (``_Packet``,
 ``CacheEntry``) and attribute chasing dominate wall clock.  This module
 replays the *exact same* event timeline over flat parallel lists: packet
-fields live in packed arrays indexed by packet id, cache entries in a
-monotonic entry pool indexed by entry id, and the event loop merges a
-pre-sorted arrival array against a small heap of dynamic events.
+fields live in packed slot arrays, cache entries in an entry pool indexed
+by entry id, and one event loop merges sorted arrival windows against a
+small heap of dynamic events.
+
+There is exactly one array loop, :meth:`ArrayEngine.run_streamed`.  A
+materialized per-LC array enters it as a single-chunk
+:class:`~repro.sim.streaming.PacketStream`, so a whole trace is simply
+the one-window case of the streaming contract.
 
 Determinism contract
 --------------------
 The array engine is bit-identical to the scalar loop — including under
-fault injection (PR 3), tracing/metrics (PR 4) and live churn (PR 5) —
-because it preserves:
+fault injection, tracing/metrics and live churn — because it preserves:
 
 * **event order**: every event carries the scalar engine's ``(cycle,
   sequence)`` key packed into one Python integer ``(cycle << 40) | seq``
-  (arbitrary-precision, so long horizons cannot overflow); the arrival
-  stream is stable-sorted and merged against the heap, reproducing the
-  scalar heap's pop order exactly;
+  (arbitrary-precision, so long horizons cannot overflow); arrival
+  windows are prefixes of the stable global ``(cycle, pid)`` sort and are
+  merged against the heap, reproducing the scalar heap's pop order;
 * **state semantics**: cache sets are ``dict`` address → entry-id in the
-  same insertion order, entry ids are monotonic and never recycled (so
-  identity tests like ``entry is not home_entry`` become integer
-  comparisons), replacement ties resolve through the same ``min``/list
-  order, and replacement-policy RNGs are the caches' own objects;
+  same insertion order; entry and packet slots are reference-counted and
+  an id is reused only once nothing refers to it, so identity tests like
+  ``entry is not home_entry`` stay integer comparisons between live
+  entries; replacement ties resolve through the same ``min``/list order,
+  and replacement-policy RNGs are the caches' own objects;
 * **rare paths**: faults, churn, timeouts and drops are line-by-line
   transliterations of the scalar handlers, touching the same shared
   objects (partition plan, matchers, oracle, fault RNG, tracer, metric
@@ -32,9 +37,12 @@ because it preserves:
 At the end of a run the engine writes the flat state back into the
 simulator's objects (caches, resources, fabric-adjacent counters, event
 queue), so post-run introspection — ``sim.caches[i].stats``,
-``sim.completed``, ``result.metrics_snapshot`` — is indistinguishable
-from a scalar run.  ``tests/test_engine_identity.py`` drives both engines
-over random configurations and asserts field-by-field equality.
+``result.metrics_snapshot`` — matches a scalar run.  Per-packet state is
+recycled as packets retire, so ``sim.completed`` and
+``sim.dropped_packets`` keep counts only; the trace stream (``complete``
+records carry the served next hop) is the per-packet view.
+``tests/test_engine_identity.py`` drives both engines over random
+configurations and asserts field-by-field and trace-stream equality.
 """
 
 from __future__ import annotations
@@ -56,7 +64,7 @@ from ..errors import (
     UnreachablePatternError,
 )
 from ..obs.timeseries import NO_SAMPLE as _NO_SAMPLE
-from ..traffic.packets import ArrivalClock, arrival_times
+from ..traffic.packets import ArrivalClock
 from .shedding import shed_decision
 
 #: Bits reserved for the event sequence number in the packed key
@@ -78,80 +86,15 @@ _K_UPDATE = 8   # live churn update           (update,)
 _K_INVAL = 9    # legacy selective invalidate (prefix,)
 
 
-class _FlatPacketState:
-    """The packed per-packet arrays a finished run leaves behind; the
-    lazy ``_PacketSeq`` views materialize ``_Packet`` objects from it."""
-
-    __slots__ = (
-        "dest", "lc", "at", "ct", "served", "drop",
-        "att", "sent", "home", "hop", "meas", "tracing",
-    )
-
-    def __init__(self, dest, lc, at, ct, served, drop, att, sent,
-                 home, hop, meas, tracing):
-        self.dest = dest
-        self.lc = lc
-        self.at = at
-        self.ct = ct
-        self.served = served
-        self.drop = drop
-        self.att = att
-        self.sent = sent
-        self.home = home
-        self.hop = hop
-        self.meas = meas
-        self.tracing = tracing
-
-
-class _PacketSeq(_SequenceABC):
-    """Read-only view over ``sim.completed`` / ``sim.dropped_packets``
-    after an array-engine run.
-
-    Materializes ``_Packet`` objects on access so existing consumers
-    (``sorted(sim.completed, key=...)`` and friends) keep working without
-    the engine paying an object per packet up front.  ``entry`` is always
-    ``None`` — reservations are engine-internal state, and no packet holds
-    a live one once the queue has drained.
-    """
-
-    __slots__ = ("_pids", "_st")
-
-    def __init__(self, pids: List[int], st: _FlatPacketState):
-        self._pids = pids
-        self._st = st
-
-    def __len__(self) -> int:
-        return len(self._pids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[j] for j in range(*i.indices(len(self._pids)))]
-        from .spal_sim import _Packet
-
-        st = self._st
-        p = self._pids[i]
-        pkt = _Packet(st.dest[p], st.lc[p], st.at[p])
-        pkt.complete_time = st.ct[p]
-        pkt.measured = st.meas[p]
-        pkt.home = st.home[p]
-        pkt.hop = st.hop[p]
-        pkt.attempt = st.att[p]
-        pkt.dropped = st.drop[p]
-        pkt.sent_at = st.sent[p]
-        pkt.pid = p if st.tracing else -1
-        pkt.served = st.served[p]
-        return pkt
-
-
 class _CountSeq(_SequenceABC):
     """Count-only stand-in for ``sim.completed`` / ``sim.dropped_packets``
-    after a streamed run.
+    after an array-engine run.
 
-    The streaming engine recycles per-packet state as packets retire, so
-    only the totals survive the run.  ``len()`` (and truthiness) work —
-    that is all the conservation check, warmup check and result assembly
-    need — while element access fails loudly so a consumer that wants
-    per-packet introspection is pointed at the materialized engine paths.
+    The array engine recycles per-packet state as packets retire, so only
+    the totals survive the run.  ``len()`` (and truthiness) work — that is
+    all the conservation check, warmup check and result assembly need —
+    while element access fails loudly and points a consumer that wants
+    per-packet introspection at the scalar loop.
     """
 
     __slots__ = ("_n",)
@@ -164,9 +107,9 @@ class _CountSeq(_SequenceABC):
 
     def __getitem__(self, i):
         raise TypeError(
-            "streamed runs retain packet counts only; per-packet state is "
-            "recycled as packets retire (run with materialized streams for "
-            "packet introspection)"
+            "array-engine runs retain packet counts only; per-packet state "
+            "is recycled as packets retire (run with engine='scalar' or "
+            "REPRO_BATCH=0 for packet introspection, or attach a Tracer)"
         )
 
 
@@ -175,1440 +118,14 @@ class ArrayEngine:
 
     Constructed by ``SpalSimulator.run`` after arming (fault schedule,
     churn pipeline, tracer and instruments are already attached to the
-    simulator); :meth:`run` executes the schedule+run phases and writes
-    every observable side effect back into the simulator.
+    simulator); :meth:`run_streamed` — the one array event loop, for
+    materialized and chunked input alike — executes the schedule+run
+    phases and writes every observable side effect back into the
+    simulator.
     """
 
     def __init__(self, sim) -> None:
         self.sim = sim
-
-    def run(
-        self,
-        streams: Sequence[np.ndarray],
-        speeds: Sequence[int],
-        precomputed: Optional[List[tuple]],
-        flush_cycles: Optional[Sequence[int]],
-        update_events: Optional[Sequence[tuple]],
-        warmup_packets: int,
-        sampler=None,
-    ) -> Dict[str, object]:
-        sim = self.sim
-        config = sim.config
-        n_lcs = config.n_lcs
-        tr = sim._trace
-        tracing = tr is not None
-        plan = sim.plan
-        epoch0 = sim._plan_epoch
-        home_fn = sim._home
-        matchers = sim._matchers
-        oracle = sim._oracle
-        fabric = sim.fabric
-        fabric_transfer = fabric.transfer
-        # Stock fabrics (crossbar/multistage) share the base transfer:
-        # port serialization plus a fixed transit.  With no degradation
-        # windows armed that arithmetic can run inline on aliased lists
-        # (the fabric's own, so mutations stay visible to the writeback).
-        inline_fab = (
-            type(fabric).transfer is Fabric.transfer
-            and not fabric._degradations
-        )
-        fab_out = fabric._out_free
-        fab_in = fabric._in_free
-        fab_lat = fabric.latency_cycles()
-        fab_msgs = 0
-        fil = config.fil_overhead_cycles
-        fe_cycles = config.fe_lookup_cycles
-        early_recording = config.early_recording
-        cache_remote = config.cache_remote_results
-        max_retries = config.rem_max_retries
-        on_unreachable = config.on_unreachable
-        partitioned = sim.partitioned
-        timeout = sim._timeout
-        faults = sim._faults
-        frand = sim._fault_rng.random if sim._fault_rng is not None else None
-        ci = sim._churn_invalidated
-        update_policy = sim._update_policy
-        drops_dict = sim.drops
-        m_drops = sim._m_drops
-        m_rem_rt_vals: List[int] = []
-        # Bounded-queue / gray-failure knobs (None / False = legacy paths,
-        # keeping unbounded runs bit-identical to older engines).
-        fe_cap = config.fe_queue_capacity
-        fab_cap = config.fabric_queue_capacity
-        shed_policy = config.shed_policy
-        srand = sim._shed_rng.random if sim._shed_rng is not None else None
-        has_slow = faults is not None and bool(faults.slowdowns)
-        has_flap = faults is not None and bool(faults.link_flaps)
-        has_gray = faults is not None and bool(faults.cache_degradations)
-        max_fab_backlog = 0
-
-        # -- flat fault state (written back at the end) -------------------
-        failed = list(sim._failed)
-        fail_at = list(sim._fail_at)
-        down_cycles = list(sim._down_cycles)
-
-        # -- flat resources ----------------------------------------------
-        port_free = [0] * n_lcs
-        port_busy = [0] * n_lcs
-        fe_free = [0] * n_lcs
-        fe_busy = [0] * n_lcs
-        fe_lookups = [0] * n_lcs
-        max_backlog = [0] * n_lcs
-
-        # -- flat cache state --------------------------------------------
-        # One entry pool across all caches; ids are monotonic and never
-        # recycled, preserving the scalar engine's identity semantics.
-        has_cache = config.cache is not None
-        e_addr: List[int] = []
-        e_idx: List[int] = []
-        e_hop: List[Optional[int]] = []
-        e_mix: List[int] = []
-        e_wait: List[bool] = []
-        e_waiters: List[list] = []
-        e_last: List[int] = []
-        e_ins: List[int] = []
-        if has_cache:
-            c0 = sim.caches[0]
-            n_sets = c0.n_sets
-            assoc = c0.associativity
-            rem_target = c0.rem_target
-            loc_target = c0.loc_target
-            xor_index = c0.index == "xor"
-            policy_name = c0._policy.name
-            has_victim = c0.victim is not None
-            vc_cap = c0.victim.capacity if has_victim else 0
-            # The caches' own RNG objects: draws advance the state the
-            # writeback leaves behind, exactly as the scalar loop would.
-            rng_main = [
-                c._policy._rng.randrange if policy_name == "random" else None
-                for c in sim.caches
-            ]
-            rng_vict = [
-                c.victim._policy._rng.randrange
-                if has_victim and policy_name == "random"
-                else None
-                for c in sim.caches
-            ]
-            # One flat list of set-dicts over all LCs: cache ``c``'s set
-            # ``i`` lives at ``c * n_sets + i``, so the hot probe is a
-            # single subscript on a precomputed flat index.
-            fsets: List[Dict[int, int]] = [
-                {} for _ in range(n_lcs * n_sets)
-            ]
-            vc: List[Optional[Dict[int, int]]] = [
-                {} if has_victim else None for _ in range(n_lcs)
-            ]
-            stamp = [0] * n_lcs
-            vc_stamp = [0] * n_lcs
-            vc_ins = [0] * n_lcs
-            vc_hits = [0] * n_lcs
-            st_hits = [0] * n_lcs
-            st_whits = [0] * n_lcs
-            st_vhits = [0] * n_lcs
-            st_misses = [0] * n_lcs
-            st_ins = [0] * n_lcs
-            st_evict = [0] * n_lcs
-            st_bypass = [0] * n_lcs
-            st_flush = [0] * n_lcs
-            ev_cnt = [[0, 0] for _ in range(n_lcs)]
-        else:
-            n_sets = assoc = rem_target = loc_target = 0
-            xor_index = has_victim = False
-            policy_name = "lru"
-
-        # -- pre-scheduled events (faults, churn) -------------------------
-        # run() armed them into sim.queue with scalar sequence numbers;
-        # drain and translate, keeping each event's exact (cycle, seq) key.
-        heap: List[tuple] = []
-        fault_h = sim._apply_lc_fault
-        churn_h = sim._apply_churn_update
-        for (t, s, handler, args) in sim.queue.drain():
-            if handler == fault_h:
-                heap.append(((t << _SEQ_BITS) | s, _K_FAULT, args[0], args[1], 0, 0))
-            elif handler == churn_h:
-                heap.append(((t << _SEQ_BITS) | s, _K_UPDATE, args[0], 0, 0, 0))
-            else:
-                raise SimulationError(
-                    f"array engine cannot replay pre-scheduled event {handler!r}; "
-                    "use engine='scalar' for hand-scheduled queues"
-                )
-        seq = sim.queue._seq
-
-        # -- packet arrays (the scalar scheduling loop, vectorized) -------
-        t0 = time.perf_counter()
-        p_dest: List[int] = []
-        p_idx: List[int] = []
-        p_set: List[int] = []
-        p_lc: List[int] = []
-        p_at: List[int] = []
-        p_meas: List[bool] = []
-        p_home: List[int] = []
-        p_hop: List[Optional[int]] = []
-        times_cat = []
-        for lc, stream in enumerate(streams):
-            n = len(stream)
-            times = arrival_times(n, speed_gbps=speeds[lc], seed=1000 + lc)
-            times_cat.append(times)
-            p_dest.extend(np.asarray(stream).tolist())
-            if has_cache and n:
-                # Set indices are a pure function of the address; computing
-                # them once here keeps big-int xor/mod off the probe paths.
-                # ``p_idx`` is the raw in-cache index (remote probes add the
-                # home LC's offset); ``p_set`` is the arrival LC's flat slot.
-                a = np.asarray(stream)
-                v = ((a ^ (a >> 16)) if xor_index else a) % n_sets
-                p_idx.extend(v.tolist())
-                p_set.extend((v + lc * n_sets).tolist())
-            p_lc.extend([lc] * n)
-            p_at.extend(times.tolist())
-            if warmup_packets <= 0:
-                p_meas.extend([True] * n)
-            else:
-                w = min(warmup_packets, n)
-                p_meas.extend([False] * w)
-                p_meas.extend([True] * (n - w))
-            if precomputed is not None:
-                homes, hops = precomputed[lc]
-                p_home.extend(homes)
-                p_hop.extend(hops if hops is not None else [None] * n)
-            else:
-                p_home.extend([-1] * n)
-                p_hop.extend([None] * n)
-        total = len(p_dest)
-        p_ct = [-1] * total
-        p_eid = [-1] * total
-        p_att = [0] * total
-        p_drop: List[Optional[str]] = [None] * total
-        p_sent = [-1] * total
-        p_served: List[Optional[int]] = [None] * total
-        completed_order: List[int] = []
-        dropped_order: List[int] = []
-
-        # Arrival keys mirror the scalar scheduling loop: packet p (global
-        # lc-major index) got sequence number ``seq + 1 + p``; a stable
-        # sort by time then reproduces the heap's (time, seq) pop order.
-        if total:
-            all_t = np.concatenate(times_cat)
-            order = np.argsort(all_t, kind="stable")
-            st_arr = all_t[order]
-            sorted_t = st_arr.tolist()
-            arr_pid = order.tolist()
-            base = seq + 1
-            if (
-                int(st_arr[-1]) < (1 << 23)
-                and base + total < (1 << _SEQ_BITS)
-            ):
-                # Keys fit in int64: build them vectorized.  (The generic
-                # path below handles arbitrarily long horizons.)
-                arr_key = (
-                    (st_arr.astype(np.int64) << _SEQ_BITS)
-                    | (order.astype(np.int64) + base)
-                ).tolist()
-            else:
-                arr_key = [
-                    (t << _SEQ_BITS) | (base + p)
-                    for t, p in zip(sorted_t, arr_pid)
-                ]
-            seq += total
-        else:
-            sorted_t = []
-            arr_key = []
-            arr_pid = []
-        if flush_cycles:
-            for t in flush_cycles:
-                t = int(t)
-                if t < 0:
-                    raise SimulationError(
-                        f"cannot schedule at {t}; current time is 0"
-                    )
-                seq += 1
-                heap.append(((t << _SEQ_BITS) | seq, _K_FLUSH, 0, 0, 0, 0))
-        if update_events:
-            for t, prefix in update_events:
-                t = int(t)
-                if t < 0:
-                    raise SimulationError(
-                        f"cannot schedule at {t}; current time is 0"
-                    )
-                seq += 1
-                heap.append(((t << _SEQ_BITS) | seq, _K_INVAL, prefix, 0, 0, 0))
-        heapify(heap)
-        sim.phase_seconds["schedule"] = time.perf_counter() - t0
-
-        # -- cache primitives (LRCache/VictimCache transliterations) ------
-
-        def choose_victim(lc: int, s: Dict[int, int], incoming_mix: int):
-            vals = list(s.values())
-            evictable = [e for e in vals if not e_wait[e]]
-            if not evictable:
-                return None
-            rem = [e for e in evictable if e_mix[e] == REM]
-            loc = [e for e in evictable if e_mix[e] == LOC]
-            n_rem = sum(1 for e in vals if e_mix[e] == REM)
-            n_loc = len(vals) - n_rem
-            candidates: List[int] = []
-            if n_rem > rem_target and rem:
-                candidates = rem
-            elif n_loc > loc_target and loc:
-                candidates = loc
-            if not candidates:
-                candidates = rem if incoming_mix == REM else loc
-            if not candidates:
-                return None
-            if policy_name == "lru":
-                return min(candidates, key=e_last.__getitem__)
-            if policy_name == "fifo":
-                return min(candidates, key=e_ins.__getitem__)
-            return candidates[rng_main[lc](len(candidates))]
-
-        def vc_insert(lc: int, eid: int) -> None:
-            vc_stamp[lc] = st = vc_stamp[lc] + 1
-            e_last[eid] = st
-            e_ins[eid] = st
-            d = vc[lc]
-            addr = e_addr[eid]
-            if addr in d:
-                d[addr] = eid
-                return
-            if len(d) >= vc_cap:
-                vals = list(d.values())
-                if policy_name == "lru":
-                    victim = min(vals, key=e_last.__getitem__)
-                elif policy_name == "fifo":
-                    victim = min(vals, key=e_ins.__getitem__)
-                else:
-                    victim = vals[rng_vict[lc](len(vals))]
-                del d[e_addr[victim]]
-            d[addr] = eid
-            vc_ins[lc] += 1
-
-        def place(lc: int, eid: int) -> bool:
-            addr = e_addr[eid]
-            s = fsets[e_idx[eid]]
-            existing = s.get(addr)
-            if existing is not None:
-                if e_wait[existing]:
-                    return False
-                s[addr] = eid
-                return True
-            if len(s) < assoc:
-                s[addr] = eid
-                return True
-            victim = choose_victim(lc, s, e_mix[eid])
-            if victim is None:
-                return False
-            del s[e_addr[victim]]
-            st_evict[lc] += 1
-            ev_cnt[lc][e_mix[victim]] += 1
-            if has_victim and not e_wait[victim]:
-                vc_insert(lc, victim)
-            s[addr] = eid
-            return True
-
-        def allocate(lc: int, addr: int, mix: int, idx: int) -> int:
-            existing = fsets[idx].get(addr)
-            if existing is not None and e_wait[existing]:
-                return existing
-            stamp[lc] = st = stamp[lc] + 1
-            eid = len(e_addr)
-            e_addr.append(addr)
-            e_idx.append(idx)
-            e_hop.append(None)
-            e_mix.append(mix)
-            e_wait.append(True)
-            e_waiters.append([])
-            e_last.append(st)
-            e_ins.append(st)
-            if place(lc, eid):
-                st_ins[lc] += 1
-                return eid
-            st_bypass[lc] += 1
-            return -1
-
-        def fill(eid: int, hop: int) -> list:
-            e_hop[eid] = hop
-            e_wait[eid] = False
-            w = e_waiters[eid]
-            e_waiters[eid] = []
-            return w
-
-        def insert_complete(lc: int, addr: int, hop: int, mix: int,
-                            idx: int) -> None:
-            stamp[lc] = st = stamp[lc] + 1
-            eid = len(e_addr)
-            e_addr.append(addr)
-            e_idx.append(idx)
-            e_hop.append(hop)
-            e_mix.append(mix)
-            e_wait.append(False)
-            e_waiters.append([])
-            e_last.append(st)
-            e_ins.append(st)
-            if place(lc, eid):
-                st_ins[lc] += 1
-            else:
-                st_bypass[lc] += 1
-
-        def flush_cache(lc: int) -> None:
-            for s in fsets[lc * n_sets:(lc + 1) * n_sets]:
-                s.clear()
-            if has_victim:
-                vc[lc].clear()
-            st_flush[lc] += 1
-
-        def take_waiting(lc: int) -> List[int]:
-            out: List[int] = []
-            for s in fsets[lc * n_sets:(lc + 1) * n_sets]:
-                waiting = [a for a, e in s.items() if e_wait[e]]
-                for a in waiting:
-                    out.append(s.pop(a))
-            return out
-
-        def inval_remote(lc: int, predicate, sink) -> int:
-            dropped = 0
-            for s in fsets[lc * n_sets:(lc + 1) * n_sets]:
-                stale = [
-                    a for a, e in s.items()
-                    if e_mix[e] == REM and not e_wait[e] and predicate(a)
-                ]
-                for a in stale:
-                    del s[a]
-                if sink is not None:
-                    sink.extend(stale)
-                dropped += len(stale)
-            if has_victim:
-                d = vc[lc]
-                stale = [
-                    a for a, e in d.items()
-                    if e_mix[e] == REM and predicate(a)
-                ]
-                for a in stale:
-                    del d[a]
-                if sink is not None:
-                    sink.extend(stale)
-                dropped += len(stale)
-            return dropped
-
-        def inval_matching(lc: int, prefix, sink) -> int:
-            matches = prefix.matches
-            dropped = 0
-            for s in fsets[lc * n_sets:(lc + 1) * n_sets]:
-                stale = [
-                    a for a, e in s.items()
-                    if not e_wait[e] and matches(a)
-                ]
-                for a in stale:
-                    del s[a]
-                if sink is not None:
-                    sink.extend(stale)
-                dropped += len(stale)
-            if has_victim:
-                d = vc[lc]
-                stale = [a for a in d if matches(a)]
-                for a in stale:
-                    del d[a]
-                if sink is not None:
-                    sink.extend(stale)
-                dropped += len(stale)
-            return dropped
-
-        def resident_addrs(lc: int) -> List[int]:
-            out = [
-                a
-                for s in fsets[lc * n_sets:(lc + 1) * n_sets]
-                for a, e in s.items()
-                if not e_wait[e]
-            ]
-            if has_victim:
-                out.extend(vc[lc])
-            return out
-
-        # -- packet-flow handlers (scalar transliterations) ---------------
-
-        def home_of(p: int, lc: int) -> int:
-            h = p_home[p]
-            if h >= 0 and (plan is None or plan.epoch == epoch0):
-                return h
-            if home_fn is None:
-                return lc
-            return home_fn(p_dest[p])
-
-        def note_churn(dest: int, lc: int) -> None:
-            if ci is not None:
-                s = ci[lc]
-                if dest in s:
-                    s.discard(dest)
-                    sim.churn_misses += 1
-                    sim._m_churn_miss.value += 1
-
-        def complete(p: int, when: int, now: int) -> None:
-            if p_ct[p] >= 0 or p_drop[p] is not None:
-                return
-            alc = p_lc[p]
-            if failed[alc]:
-                drop(p, "crash", now)
-                return
-            p_ct[p] = when
-            completed_order.append(p)
-            if tr is not None:
-                tr.record("complete", when, lc=alc, pid=p)
-
-        def drop(p: int, reason: str, now: int) -> None:
-            if p_ct[p] >= 0 or p_drop[p] is not None:
-                return
-            p_drop[p] = reason
-            drops_dict[reason] += 1
-            m_drops[reason].value += 1
-            dropped_order.append(p)
-            if tr is not None:
-                tr.record("drop", now, lc=p_lc[p], pid=p, reason=reason)
-            eid = p_eid[p]
-            if eid >= 0 and e_wait[eid]:
-                if has_cache:
-                    addr = e_addr[eid]
-                    s = fsets[e_idx[eid]]
-                    if s.get(addr) == eid:
-                        del s[addr]
-                w = e_waiters[eid]
-                e_waiters[eid] = []
-                for waiter in w:
-                    drop(waiter if waiter >= 0 else ~waiter, reason, now)
-
-        def send(src: int, dst: int, when: int, kind: int, a: int, b) -> None:
-            nonlocal seq, fab_msgs, max_fab_backlog
-            if fab_cap is not None:
-                if inline_fab:
-                    backlog = fab_out[src] - (when + fil)
-                    if backlog < 0:
-                        backlog = 0
-                else:
-                    backlog = fabric.queue_backlog(src, when + fil)
-                reason = shed_decision(
-                    shed_policy, backlog, fab_cap, kind == _K_REMREQ, srand
-                )
-                if reason is not None:
-                    # Scalar _send drops at queue.now; when is always now+1.
-                    drop(a, reason, when - 1)
-                    return
-                if backlog > max_fab_backlog:
-                    max_fab_backlog = backlog
-            if inline_fab:
-                depart = when + fil
-                of = fab_out[src]
-                if of > depart:
-                    depart = of
-                fab_out[src] = depart + 1
-                arrive = depart + fab_lat
-                inf = fab_in[dst]
-                if inf > arrive:
-                    arrive = inf
-                fab_in[dst] = arrive + 1
-                fab_msgs += 1
-                arrive += fil
-            else:
-                arrive = fabric_transfer(src, dst, when + fil) + fil
-            dropped = False
-            if faults is not None:
-                if has_flap and faults.flap_drops(when, src, dst):
-                    sim.fabric_dropped_messages += 1
-                    sim._m_fabric_dropped.value += 1
-                    dropped = True
-                else:
-                    prob = faults.drop_prob_at(when)
-                    if prob > 0.0 and frand() < prob:
-                        sim.fabric_dropped_messages += 1
-                        sim._m_fabric_dropped.value += 1
-                        dropped = True
-            if tr is not None:
-                tr.record(
-                    "fabric.send", when, lc=src, pid=a, src=src, dst=dst,
-                    recv=arrive,
-                    kind="request" if kind == _K_REMREQ else "reply",
-                    dropped=dropped,
-                )
-            if not dropped:
-                seq += 1
-                heappush(heap, ((arrive << _SEQ_BITS) | seq, kind, a, b, 0, 0))
-
-        def shed_fe(p: int, lc: int, reason: str, home_eid: int,
-                    now: int) -> None:
-            # Scalar _shed_fe: discard the home-side reservation this FE
-            # run would have filled, drop everything parked on it, then
-            # drop the packet itself (idempotent).
-            if home_eid >= 0 and e_wait[home_eid]:
-                if has_cache:
-                    addr = e_addr[home_eid]
-                    s = fsets[e_idx[home_eid]]
-                    if s.get(addr) == home_eid:
-                        del s[addr]
-                w = e_waiters[home_eid]
-                e_waiters[home_eid] = []
-                for waiter in w:
-                    drop(waiter if waiter >= 0 else ~waiter, reason, now)
-            drop(p, reason, now)
-
-        def fe_request(p: int, lc: int, now: int, origin: int,
-                       home_eid: int) -> None:
-            nonlocal seq
-            nw = now + 1
-            ff = fe_free[lc]
-            if fe_cap is not None:
-                backlog = (ff - nw) // fe_cycles if ff > nw else 0
-                reason = shed_decision(
-                    shed_policy, backlog, fe_cap, p_lc[p] != lc, srand
-                )
-                if reason is not None:
-                    shed_fe(p, lc, reason, home_eid, now)
-                    return
-            cycles = (
-                faults.fe_service_cycles(now, lc, fe_cycles)
-                if has_slow
-                else fe_cycles
-            )
-            start = ff if ff > nw else nw
-            done = start + cycles
-            fe_free[lc] = done
-            fe_busy[lc] += cycles
-            fe_lookups[lc] += 1
-            if tr is not None:
-                tr.record("fe", now, lc=lc, pid=p, start=start, done=done)
-            backlog = (start - nw) // fe_cycles
-            if backlog > max_backlog[lc]:
-                max_backlog[lc] = backlog
-            seq += 1
-            heappush(
-                heap,
-                ((done << _SEQ_BITS) | seq, _K_FEDONE, p, lc, origin, home_eid),
-            )
-
-        def dispatch(p: int, lc: int, now: int, home: int) -> None:
-            nonlocal seq
-            if home == lc:
-                fe_request(p, lc, now, -1, -1)
-            else:
-                nw = now + 1
-                p_sent[p] = nw
-                send(lc, home, nw, _K_REMREQ, p, home)
-                if timeout is not None:
-                    seq += 1
-                    heappush(
-                        heap,
-                        (
-                            ((nw + (timeout << min(p_att[p], 3))) << _SEQ_BITS)
-                            | seq,
-                            _K_TIMEOUT, p, lc, p_att[p], 0,
-                        ),
-                    )
-
-        def miss(p: int, lc: int, now: int) -> None:
-            if tr is not None:
-                tr.record("cache.miss", now, lc=lc, pid=p)
-            note_churn(p_dest[p], lc)
-            home = home_of(p, lc)
-            if has_cache:
-                local = home == lc
-                if local or (early_recording and cache_remote):
-                    p_eid[p] = allocate(
-                        lc, p_dest[p], LOC if local else REM, p_set[p]
-                    )
-            dispatch(p, lc, now, home)
-
-        def probe_tail(p: int, lc: int, addr: int, now: int) -> None:
-            # Victim probe + miss path, shared by the inline arrival fast
-            # path and the deferred probe handler (main set already missed).
-            if has_victim:
-                d = vc[lc]
-                eid = d.pop(addr, None)
-                if eid is not None:
-                    vc_hits[lc] += 1
-                    st_vhits[lc] += 1
-                    stamp[lc] = tick = stamp[lc] + 1
-                    e_last[eid] = tick
-                    place(lc, eid)
-                    if e_wait[eid]:
-                        if tr is not None:
-                            tr.record("cache.wait", now, lc=lc, pid=p)
-                        e_waiters[eid].append(p)
-                    else:
-                        if tr is not None:
-                            tr.record("cache.hit", now, lc=lc, pid=p)
-                        p_served[p] = e_hop[eid]
-                        complete(p, now + 1, now)
-                    return
-            st_misses[lc] += 1
-            miss(p, lc, now)
-
-        def probe_at(p: int, lc: int, now: int) -> None:
-            if failed[lc]:
-                drop(p, "crash", now)
-                return
-            addr = p_dest[p]
-            fs = fsets[p_set[p]]
-            if has_gray:
-                mf = faults.miss_fraction_at(now, lc)
-                if mf > 0.0:
-                    geid = fs.get(addr)
-                    if geid is not None and not e_wait[geid] and frand() < mf:
-                        del fs[addr]
-            eid = fs.get(addr)
-            if eid is not None:
-                stamp[lc] = tick = stamp[lc] + 1
-                e_last[eid] = tick
-                if e_wait[eid]:
-                    st_whits[lc] += 1
-                    if tr is not None:
-                        tr.record("cache.wait", now, lc=lc, pid=p)
-                    e_waiters[eid].append(p)
-                else:
-                    st_hits[lc] += 1
-                    if tr is not None:
-                        tr.record("cache.hit", now, lc=lc, pid=p)
-                    p_served[p] = e_hop[eid]
-                    complete(p, now + 1, now)
-                return
-            probe_tail(p, lc, addr, now)
-
-        def release(waiters: list, lc: int, hop: int, now: int) -> None:
-            for waiter in waiters:
-                if waiter < 0:
-                    wp = ~waiter
-                    send(lc, p_lc[wp], now + 1, _K_REPLY, wp, hop)
-                else:
-                    p_served[waiter] = hop
-                    complete(waiter, now + 1, now)
-
-        def fe_done(p: int, lc: int, origin: int, home_eid: int,
-                    now: int) -> None:
-            if failed[lc]:
-                if origin < 0 and p_lc[p] == lc:
-                    drop(p, "crash", now)
-                return
-            hop = p_hop[p]
-            if hop is None:
-                hop = matchers[lc].lookup(p_dest[p])
-                if oracle is not None:
-                    expected = oracle.lookup(p_dest[p])
-                    if hop != expected:
-                        raise SimulationError(
-                            f"partition invariant violated at LC {lc}: "
-                            f"lookup({p_dest[p]:#x}) = {hop}, "
-                            f"whole table says {expected}"
-                        )
-            if home_eid >= 0:
-                release(fill(home_eid, hop), lc, hop, now)
-            if origin >= 0:
-                send(lc, origin, now + 1, _K_REPLY, p, hop)
-            elif p_lc[p] == lc:
-                eid = p_eid[p]
-                if eid >= 0 and eid != home_eid and e_wait[eid]:
-                    release(fill(eid, hop), lc, hop, now)
-                p_served[p] = hop
-                complete(p, now + 1, now)
-
-        def remote_request(p: int, home: int, now: int) -> None:
-            nonlocal seq
-            if tr is not None:
-                tr.record("remote.recv", now, lc=home, pid=p)
-            if failed[home]:
-                return
-            if not has_cache:
-                fe_request(p, home, now, p_lc[p], -1)
-                return
-            pf = port_free[home]
-            if pf > now:
-                port_free[home] = pf + 1
-                port_busy[home] += 1
-                seq += 1
-                heappush(
-                    heap, ((pf << _SEQ_BITS) | seq, _K_RPROBE, p, home, pf, 0)
-                )
-            else:
-                port_free[home] = now + 1
-                port_busy[home] += 1
-                remote_probe_at(p, home, now)
-
-        def remote_probe_at(p: int, home: int, now: int) -> None:
-            if failed[home]:
-                return
-            addr = p_dest[p]
-            fidx = home * n_sets + p_idx[p]
-            fs = fsets[fidx]
-            if has_gray:
-                mf = faults.miss_fraction_at(now, home)
-                if mf > 0.0:
-                    geid = fs.get(addr)
-                    if geid is not None and not e_wait[geid] and frand() < mf:
-                        del fs[addr]
-            eid = fs.get(addr)
-            if eid is not None:
-                stamp[home] = tick = stamp[home] + 1
-                e_last[eid] = tick
-                if e_wait[eid]:
-                    st_whits[home] += 1
-                    e_waiters[eid].append(~p)
-                else:
-                    st_hits[home] += 1
-                    send(home, p_lc[p], now + 1, _K_REPLY, p, e_hop[eid])
-                return
-            if has_victim:
-                d = vc[home]
-                eid = d.pop(addr, None)
-                if eid is not None:
-                    vc_hits[home] += 1
-                    st_vhits[home] += 1
-                    stamp[home] = tick = stamp[home] + 1
-                    e_last[eid] = tick
-                    place(home, eid)
-                    if e_wait[eid]:
-                        e_waiters[eid].append(~p)
-                    else:
-                        send(home, p_lc[p], now + 1, _K_REPLY, p, e_hop[eid])
-                    return
-            st_misses[home] += 1
-            note_churn(addr, home)
-            home_eid = allocate(home, addr, LOC, fidx)
-            if home_eid < 0:
-                fe_request(p, home, now, p_lc[p], -1)
-                return
-            e_waiters[home_eid].append(~p)
-            fe_request(p, home, now, -1, home_eid)
-
-        def reply(p: int, hop: int, now: int) -> None:
-            lc = p_lc[p]
-            if p_sent[p] >= 0:
-                m_rem_rt_vals.append(now - p_sent[p])
-                p_sent[p] = -1
-            if tr is not None:
-                tr.record("reply", now, lc=lc, pid=p)
-            if failed[lc]:
-                drop(p, "crash", now)
-                return
-            if has_cache and cache_remote:
-                eid = p_eid[p]
-                if eid >= 0 and e_wait[eid]:
-                    release(fill(eid, hop), lc, hop, now)
-                elif eid < 0 and not early_recording:
-                    insert_complete(lc, p_dest[p], hop, REM, p_set[p])
-            if p_ct[p] < 0:
-                p_served[p] = hop
-                complete(p, now + 1, now)
-
-        def exhausted(p: int, lc: int, now: int) -> None:
-            if on_unreachable == "raise":
-                live = (
-                    plan.live_replicas(p_dest[p]) if plan is not None else []
-                )
-                if live:
-                    raise LookupTimeoutError(
-                        f"lookup({p_dest[p]:#x}) from LC {lc} timed out "
-                        f"{p_att[p]} times with live replicas {live}"
-                    )
-                raise UnreachablePatternError(
-                    f"lookup({p_dest[p]:#x}) from LC {lc}: every replica of "
-                    f"its pattern has failed"
-                )
-            drop(p, "unreachable", now)
-
-        def check_timeout(p: int, lc: int, attempt: int, now: int) -> None:
-            nonlocal seq
-            if (
-                p_ct[p] >= 0
-                or p_drop[p] is not None
-                or p_att[p] != attempt
-            ):
-                return
-            if failed[lc]:
-                drop(p, "crash", now)
-                return
-            p_att[p] += 1
-            if p_att[p] > max_retries:
-                exhausted(p, lc, now)
-                return
-            sim.retries += 1
-            sim._m_retries.value += 1
-            live = (
-                plan.live_replicas(p_dest[p]) if plan is not None else [lc]
-            )
-            if not live:
-                exhausted(p, lc, now)
-                return
-            home = live[(p_dest[p] + p_att[p]) % len(live)]
-            if tr is not None:
-                tr.record("timeout.retry", now, lc=lc, pid=p,
-                          attempt=p_att[p], next_home=home)
-            if home == lc:
-                fe_request(p, lc, now, -1, -1)
-                return
-            nw = now + 1
-            p_sent[p] = nw
-            send(lc, home, nw, _K_REMREQ, p, home)
-            seq += 1
-            heappush(
-                heap,
-                (
-                    ((nw + (timeout << min(p_att[p], 3))) << _SEQ_BITS) | seq,
-                    _K_TIMEOUT, p, lc, p_att[p], 0,
-                ),
-            )
-
-        # -- faults and churn (scalar transliterations) -------------------
-
-        def homed_at(address: int, lc: int) -> bool:
-            try:
-                return plan.home_lc(address) == lc
-            except UnreachablePatternError:
-                return True
-
-        def apply_fault(kind: str, lc: int, now: int) -> None:
-            sim.fault_event_count += 1
-            if tr is not None:
-                tr.record("fault", now, lc=lc, kind=kind)
-            if kind == "fail":
-                if failed[lc]:
-                    return
-                if partitioned and plan is not None:
-                    for i in range(n_lcs):
-                        if i != lc and has_cache and not failed[i]:
-                            inval_remote(
-                                i, lambda addr: homed_at(addr, lc), None
-                            )
-                    plan.fail_lc(lc)
-                failed[lc] = True
-                fail_at[lc] = now
-                if has_cache:
-                    for eid in take_waiting(lc):
-                        w = e_waiters[eid]
-                        e_waiters[eid] = []
-                        for waiter in w:
-                            if waiter < 0:
-                                continue
-                            drop(waiter, "crash", now)
-            else:
-                if not failed[lc]:
-                    return
-                if partitioned and plan is not None:
-                    plan.restore_lc(lc)
-                if has_cache:
-                    flush_cache(lc)
-                failed[lc] = False
-                down_cycles[lc] += now - fail_at[lc]
-
-        def flush_all(now: int) -> None:
-            if has_cache:
-                for i in range(n_lcs):
-                    flush_cache(i)
-            sim.flushes += 1
-            sim._m_flushes.value += 1
-            if tr is not None:
-                tr.record("flush", now, kind="full")
-
-        def inval_prefix(prefix, now: int) -> None:
-            if has_cache:
-                for i in range(n_lcs):
-                    inval_matching(i, prefix, None)
-            sim.flushes += 1
-            sim._m_flushes.value += 1
-            if tr is not None:
-                tr.record("flush", now, kind="selective")
-
-        def apply_update(update, now: int) -> None:
-            prefix = update.prefix
-            hop = update.next_hop
-            sim.update_events_applied += 1
-            sim._m_updates.value += 1
-            touched = apply_route_update(plan, prefix, hop)
-            for lc in touched:
-                res = matchers[lc].apply_update(prefix, hop)
-                cycles = res.service_cycles
-                sim.update_service_cycles += cycles
-                sim._m_update_cycles.value += cycles
-                if res.kind == "patch":
-                    sim.update_patches += 1
-                    sim._m_update_patches.value += 1
-                else:
-                    sim.update_rebuilds += 1
-                    sim._m_update_rebuilds.value += 1
-                ff = fe_free[lc]
-                start = ff if ff > now else now
-                fe_free[lc] = start + cycles
-                fe_busy[lc] += cycles
-            if oracle is not None:
-                oracle.apply_update(prefix, hop)
-            if tr is not None:
-                tr.record(
-                    "update", now, lc=touched[0] if touched else -1,
-                    kind="withdraw" if hop is None else "announce",
-                    prefix=str(prefix), touched=len(touched),
-                )
-            if not touched:
-                return
-            dropped = 0
-            if update_policy == "flush":
-                if has_cache:
-                    for i in range(n_lcs):
-                        resident = resident_addrs(i)
-                        ci[i].update(resident)
-                        dropped += len(resident)
-                        flush_cache(i)
-            else:
-                touched_set = set(touched)
-                if has_cache:
-                    for i in range(n_lcs):
-                        sink: list = []
-                        if update_policy == "selective" or i in touched_set:
-                            inval_matching(i, prefix, sink)
-                        else:
-                            inval_remote(i, prefix.matches, sink)
-                        ci[i].update(sink)
-                        dropped += len(sink)
-            sim.flushes += 1
-            sim._m_flushes.value += 1
-            if tr is not None:
-                tr.record("flush", now, kind=update_policy)
-            sim.invalidation_entries_dropped += dropped
-            sim._m_inval_dropped.value += dropped
-            origin = touched[0]
-            msgs = 0
-            for dst in range(n_lcs):
-                if dst == origin:
-                    continue
-                fabric_transfer(origin, dst, now + fil)
-                msgs += 1
-            sim.invalidation_messages += msgs
-            sim._m_inval_msgs.value += msgs
-
-        # -- the merged event loop ----------------------------------------
-        # -- telemetry sampler (None = off: one dead integer compare per
-        # outer-loop iteration against the _NO_SAMPLE sentinel) ----------
-        smp_next = _NO_SAMPLE
-        defer_lat = False
-        if sampler is not None:
-            comp_seen = 0
-            # Without a monitor nothing consumes windows mid-run, so the
-            # reader defers latencies: walking scattered per-packet lists
-            # per window costs more than the whole sampled-run budget;
-            # finish_deferred() resolves the stats from the writeback's
-            # vectorized latency array instead, bit-identically.
-            defer_lat = sampler.monitor is None
-
-            def smp_read(at_cycle: int) -> Dict[str, object]:
-                # Pure reads over the loop's own counters; shares closure
-                # cells with the handlers, so nonlocal rebinds (e.g.
-                # max_fab_backlog) stay visible.
-                nonlocal comp_seen
-                if has_cache:
-                    smp_hits = sum(st_hits) + sum(st_whits) + sum(st_vhits)
-                    smp_lookups = smp_hits + sum(st_misses)
-                else:
-                    smp_hits = smp_lookups = 0
-                if defer_lat:
-                    new_lat = None
-                else:
-                    new_lat = [
-                        p_ct[p] - p_at[p]
-                        for p in completed_order[comp_seen:]
-                        if p_meas[p]
-                    ]
-                    comp_seen = len(completed_order)
-                return {
-                    "completed": len(completed_order),
-                    "dropped": len(dropped_order),
-                    "shed": drops_dict["shed"],
-                    "hits": smp_hits,
-                    "lookups": smp_lookups,
-                    "fe_busy": fe_busy,
-                    "fe_lookups": fe_lookups,
-                    "fe_backlog": [
-                        max(0, fe_free[i] - at_cycle) // fe_cycles
-                        for i in range(n_lcs)
-                    ],
-                    "fe_backlog_hw": max(max_backlog),
-                    "fabric_backlog_hw": max_fab_backlog,
-                    "new_latencies": new_lat,
-                }
-
-            sampler.bind(smp_read)
-            smp_next = sampler.next_boundary
-
-        t0 = time.perf_counter()
-        processed = 0
-        now = 0
-        ai = 0
-        n_arr = total
-        arr_t = sorted_t
-        while True:
-            if now >= smp_next:
-                smp_next = sampler.advance(now)
-            if ai < n_arr:
-                ak = arr_key[ai]
-                if heap and heap[0][0] < ak:
-                    ev = heappop(heap)
-                elif tracing:
-                    # Inline arrival + local probe (traced runs process
-                    # arrivals one at a time; trace interleaving pins the
-                    # exact per-event order anyway).
-                    now = ak >> _SEQ_BITS
-                    processed += 1
-                    p = arr_pid[ai]
-                    ai += 1
-                    lc = p_lc[p]
-                    tr.record("ingress", now, lc=lc, pid=p, dest=p_dest[p])
-                    if failed[lc]:
-                        drop(p, "ingress", now)
-                        continue
-                    if not has_cache:
-                        dispatch(p, lc, now, home_of(p, lc))
-                        continue
-                    pf = port_free[lc]
-                    if pf > now:
-                        port_free[lc] = pf + 1
-                        port_busy[lc] += 1
-                        seq += 1
-                        heappush(
-                            heap,
-                            ((pf << _SEQ_BITS) | seq, _K_PROBE, p, lc, pf, 0),
-                        )
-                        continue
-                    port_free[lc] = now + 1
-                    port_busy[lc] += 1
-                    addr = p_dest[p]
-                    fs = fsets[p_set[p]]
-                    if has_gray:
-                        mf = faults.miss_fraction_at(now, lc)
-                        if mf > 0.0:
-                            geid = fs.get(addr)
-                            if (
-                                geid is not None
-                                and not e_wait[geid]
-                                and frand() < mf
-                            ):
-                                del fs[addr]
-                    eid = fs.get(addr)
-                    if eid is not None:
-                        stamp[lc] = tick = stamp[lc] + 1
-                        e_last[eid] = tick
-                        if e_wait[eid]:
-                            st_whits[lc] += 1
-                            tr.record("cache.wait", now, lc=lc, pid=p)
-                            e_waiters[eid].append(p)
-                        else:
-                            st_hits[lc] += 1
-                            tr.record("cache.hit", now, lc=lc, pid=p)
-                            p_served[p] = e_hop[eid]
-                            # A fresh arrival can be neither completed nor
-                            # dropped, and failed[lc] was checked above.
-                            p_ct[p] = now + 1
-                            completed_order.append(p)
-                            tr.record("complete", now + 1, lc=lc, pid=p)
-                        continue
-                    probe_tail(p, lc, addr, now)
-                    continue
-                else:
-                    # Batched arrivals: every arrival whose key is below
-                    # the heap minimum forms an uninterrupted ingress run.
-                    # Pure hits and waiting-hits push nothing on the heap
-                    # and never change set membership, so the run boundary
-                    # ``j`` only moves when a deferral or miss schedules
-                    # new work — a bisect then shrinks the run to the new
-                    # heap minimum (pushes can only lower it).
-                    if heap:
-                        hk = heap[0][0]
-                        j = bisect_left(arr_key, hk, ai, n_arr)
-                    else:
-                        hk = -1
-                        j = n_arr
-                    a0 = ai
-                    if has_cache and not any(failed):
-                        # No failed LC: ingress can't drop, and no fault
-                        # event can fire inside the run (faults live on
-                        # the heap, beyond the boundary).  Iterating a
-                        # zipped slice keeps the cursor arithmetic in C;
-                        # any heap push (deferral or miss) may lower the
-                        # run boundary, so those paths break back to the
-                        # outer merge, which re-derives the run.  Pure
-                        # hits and waiting-hits push nothing and stay in
-                        # the loop.
-                        # Chunk the slice so a break (push) near the run's
-                        # start never pays for copying a long tail.
-                        jj = j if j - ai <= 1024 else ai + 1024
-                        for t, p in zip(arr_t[ai:jj], arr_pid[ai:jj]):
-                            ai += 1
-                            lc = p_lc[p]
-                            pf = port_free[lc]
-                            if pf > t:
-                                port_free[lc] = pf + 1
-                                port_busy[lc] += 1
-                                seq += 1
-                                heappush(
-                                    heap,
-                                    ((pf << _SEQ_BITS) | seq,
-                                     _K_PROBE, p, lc, pf, 0),
-                                )
-                                break
-                            port_free[lc] = t1 = t + 1
-                            port_busy[lc] += 1
-                            addr = p_dest[p]
-                            fs = fsets[p_set[p]]
-                            if has_gray:
-                                mf = faults.miss_fraction_at(t, lc)
-                                if mf > 0.0:
-                                    geid = fs.get(addr)
-                                    if (
-                                        geid is not None
-                                        and not e_wait[geid]
-                                        and frand() < mf
-                                    ):
-                                        del fs[addr]
-                            eid = fs.get(addr)
-                            if eid is not None:
-                                stamp[lc] = tick = stamp[lc] + 1
-                                e_last[eid] = tick
-                                if e_wait[eid]:
-                                    st_whits[lc] += 1
-                                    e_waiters[eid].append(p)
-                                else:
-                                    st_hits[lc] += 1
-                                    p_served[p] = e_hop[eid]
-                                    p_ct[p] = t1
-                                    completed_order.append(p)
-                                continue
-                            probe_tail(p, lc, addr, t)
-                            break
-                    else:
-                        while ai < j:
-                            t = arr_t[ai]
-                            p = arr_pid[ai]
-                            ai += 1
-                            lc = p_lc[p]
-                            if failed[lc]:
-                                drop(p, "ingress", t)
-                                continue
-                            if not has_cache:
-                                dispatch(p, lc, t, home_of(p, lc))
-                                if heap:
-                                    nk = heap[0][0]
-                                    if nk != hk:
-                                        hk = nk
-                                        j = bisect_left(arr_key, hk, ai, j)
-                                continue
-                            pf = port_free[lc]
-                            if pf > t:
-                                port_free[lc] = pf + 1
-                                port_busy[lc] += 1
-                                seq += 1
-                                heappush(
-                                    heap,
-                                    ((pf << _SEQ_BITS) | seq,
-                                     _K_PROBE, p, lc, pf, 0),
-                                )
-                                nk = heap[0][0]
-                                if nk != hk:
-                                    hk = nk
-                                    j = bisect_left(arr_key, hk, ai, j)
-                                continue
-                            port_free[lc] = t1 = t + 1
-                            port_busy[lc] += 1
-                            addr = p_dest[p]
-                            fs = fsets[p_set[p]]
-                            if has_gray:
-                                mf = faults.miss_fraction_at(t, lc)
-                                if mf > 0.0:
-                                    geid = fs.get(addr)
-                                    if (
-                                        geid is not None
-                                        and not e_wait[geid]
-                                        and frand() < mf
-                                    ):
-                                        del fs[addr]
-                            eid = fs.get(addr)
-                            if eid is not None:
-                                stamp[lc] = tick = stamp[lc] + 1
-                                e_last[eid] = tick
-                                if e_wait[eid]:
-                                    st_whits[lc] += 1
-                                    e_waiters[eid].append(p)
-                                else:
-                                    st_hits[lc] += 1
-                                    p_served[p] = e_hop[eid]
-                                    p_ct[p] = t1
-                                    completed_order.append(p)
-                                continue
-                            probe_tail(p, lc, addr, t)
-                            if heap:
-                                nk = heap[0][0]
-                                if nk != hk:
-                                    hk = nk
-                                    j = bisect_left(arr_key, hk, ai, j)
-                    now = t
-                    processed += ai - a0
-                    continue
-            elif heap:
-                ev = heappop(heap)
-            else:
-                break
-            key = ev[0]
-            kind = ev[1]
-            now = key >> _SEQ_BITS
-            processed += 1
-            if kind == _K_PROBE:
-                p = ev[2]
-                lc = ev[3]
-                start = ev[4]
-                if now != start:
-                    raise SimulationError(
-                        f"deferred probe at LC {lc} fired at cycle {now}, "
-                        f"but its port slot was reserved for cycle {start}"
-                    )
-                probe_at(p, lc, now)
-            elif kind == _K_FEDONE:
-                fe_done(ev[2], ev[3], ev[4], ev[5], now)
-            elif kind == _K_REPLY:
-                reply(ev[2], ev[3], now)
-            elif kind == _K_REMREQ:
-                remote_request(ev[2], ev[3], now)
-            elif kind == _K_RPROBE:
-                p = ev[2]
-                home = ev[3]
-                start = ev[4]
-                if now != start:
-                    raise SimulationError(
-                        f"deferred remote probe at LC {home} fired at cycle "
-                        f"{now}, but its port slot was reserved for "
-                        f"cycle {start}"
-                    )
-                remote_probe_at(p, home, now)
-            elif kind == _K_TIMEOUT:
-                check_timeout(ev[2], ev[3], ev[4], now)
-            elif kind == _K_FLUSH:
-                flush_all(now)
-            elif kind == _K_FAULT:
-                apply_fault(ev[2], ev[3], now)
-            elif kind == _K_UPDATE:
-                apply_update(ev[2], now)
-            else:
-                inval_prefix(ev[2], now)
-        horizon = now
-        if sampler is not None and not defer_lat:
-            # Pack the series now, while the reader's closure state is
-            # untouched by the writeback; the caller's finish() is a
-            # cached no-op.  (Deferred-latency runs finish after the
-            # latency extraction below instead.)
-            sampler.finish(horizon)
-
-        # -- writeback ----------------------------------------------------
-        if has_cache:
-            for i, cache in enumerate(sim.caches):
-                s = cache.stats
-                # Every probe lands in exactly one bucket, so the
-                # lookup total is derived instead of hot-path counted.
-                s.lookups = (
-                    st_hits[i] + st_whits[i] + st_vhits[i] + st_misses[i]
-                )
-                s.hits = st_hits[i]
-                s.waiting_hits = st_whits[i]
-                s.victim_hits = st_vhits[i]
-                s.misses = st_misses[i]
-                s.insertions = st_ins[i]
-                s.evictions = st_evict[i]
-                s.bypasses = st_bypass[i]
-                s.flushes = st_flush[i]
-                obs_ev = cache._obs_evictions
-                if obs_ev is not None:
-                    obs_ev[LOC].value += ev_cnt[i][LOC]
-                    obs_ev[REM].value += ev_cnt[i][REM]
-                cache.adopt_flat_state(
-                    [
-                        [
-                            (a, e_hop[e], e_mix[e], e_wait[e],
-                             e_last[e], e_ins[e])
-                            for a, e in st_set.items()
-                        ]
-                        for st_set in fsets[i * n_sets:(i + 1) * n_sets]
-                    ],
-                    stamp[i],
-                    victim_entries=(
-                        [
-                            (a, e_hop[e], e_mix[e], e_wait[e],
-                             e_last[e], e_ins[e])
-                            for a, e in vc[i].items()
-                        ]
-                        if has_victim
-                        else None
-                    ),
-                    victim_stamp=vc_stamp[i],
-                    victim_insertions=vc_ins[i],
-                    victim_hits=vc_hits[i],
-                )
-        for i in range(n_lcs):
-            sim.cache_ports[i].free_at = port_free[i]
-            sim.cache_ports[i].busy_cycles = port_busy[i]
-            sim.fes[i].free_at = fe_free[i]
-            sim.fes[i].busy_cycles = fe_busy[i]
-        fabric.messages += fab_msgs
-        sim.fe_lookups = fe_lookups
-        sim.max_fe_backlog = max_backlog
-        sim.max_fabric_backlog = max_fab_backlog
-        sim._failed = failed
-        sim._fail_at = fail_at
-        sim._down_cycles = down_cycles
-        if m_rem_rt_vals:
-            sim._m_rem_rt.observe_many(m_rem_rt_vals)
-        sim.queue.adopt_flat_run(seq, horizon, processed)
-        st = _FlatPacketState(
-            p_dest, p_lc, p_at, p_ct, p_served, p_drop, p_att, p_sent,
-            p_home, p_hop, p_meas, tracing,
-        )
-        sim.completed = _PacketSeq(completed_order, st)
-        sim.dropped_packets = _PacketSeq(dropped_order, st)
-
-        # -- latency / failover extraction (vectorized) -------------------
-        ct_arr = np.array(p_ct, dtype=np.int64)
-        # ``p_at`` is the arrival-time concatenation in pid order — the
-        # same values ``all_t`` already holds as an array.
-        at_arr = (
-            all_t.astype(np.int64, copy=False)
-            if total
-            else np.empty(0, dtype=np.int64)
-        )
-        comp = np.array(completed_order, dtype=np.int64)
-        if comp.size:
-            lat_all = ct_arr[comp] - at_arr[comp]
-            if warmup_packets > 0:
-                meas_arr = np.array(p_meas, dtype=bool)
-                m = meas_arr[comp]
-                latencies = lat_all[m]
-            else:
-                meas_arr = None
-                m = None
-                latencies = lat_all
-        else:
-            meas_arr = None
-            m = None
-            lat_all = latencies = np.empty(0, dtype=np.int64)
-        if sampler is not None and defer_lat:
-            # Per-window latencies are contiguous slices of ``lat_all``
-            # (completion order) between the cumulative completed
-            # cursors; the closure state the final-window read needs is
-            # untouched by the writeback above.
-            sampler.finish_deferred(horizon, lat_all, m)
-        failover: Optional[List[int]] = None
-        if faults is not None or timeout is not None:
-            if comp.size:
-                att_arr = np.array(p_att, dtype=np.int64)
-                sel_m = att_arr[comp] > 0
-                if meas_arr is not None:
-                    sel_m &= meas_arr[comp]
-                sel = comp[sel_m]
-                failover = (ct_arr[sel] - at_arr[sel]).tolist()
-            else:
-                failover = []
-        sim.phase_seconds["run"] = time.perf_counter() - t0
-        return {
-            "horizon": horizon,
-            "latencies": latencies,
-            "failover": failover,
-            "n_events": processed,
-        }
 
     def run_streamed(
         self,
@@ -1619,17 +136,19 @@ class ArrayEngine:
         warmup_packets: int,
         sampler=None,
     ) -> Dict[str, object]:
-        """:meth:`run` with O(window) packet state.
+        """Run the array event loop over per-LC streams with O(window)
+        packet state.
 
-        Arrivals are pulled chunk-by-chunk from
-        :class:`~repro.sim.streaming.PacketStream` sources, merged into
-        bounded windows, and per-packet / per-entry slots are
+        ``streams`` holds one :class:`~repro.sim.streaming.PacketStream`
+        or materialized destination array per LC; an array is wrapped as
+        a single-chunk stream.  Arrivals are pulled chunk-by-chunk, merged
+        into bounded windows, and per-packet / per-entry slots are
         reference-counted and recycled as packets retire — peak memory
         tracks the chunk size and the in-flight population, never the
         total packet count.
 
-        Bit-identity with :meth:`run` over the materialized streams rests
-        on three mechanisms:
+        Bit-identity with the scalar loop over the materialized streams,
+        at every chunk size, rests on three mechanisms:
 
         * **window boundary** — the minimum over feeds of the last
           buffered arrival's ``(cycle, global pid)``; every extracted
@@ -1638,15 +157,15 @@ class ArrayEngine:
         * **pre-assigned sequence block** — arrival sequence numbers are
           reserved up front from the *declared* stream lengths, so
           dynamic events scheduled mid-stream draw the same sequence
-          numbers as in a materialized run;
+          numbers as in the scalar loop's up-front scheduling;
         * **pristine-plan precompute** — per-chunk ``(home, hop)``
           precomputation temporarily restores the partition plan's
           run-start failure view, so a chunk pulled after a fault event
-          resolves exactly like the up-front whole-trace pass.
+          resolves exactly like a whole-trace pass at run start.
 
-        Only ``sim.completed`` / ``sim.dropped_packets`` degrade: they
-        become count-only views (:class:`_CountSeq`) because per-packet
-        state no longer exists once the run finishes.
+        ``sim.completed`` / ``sim.dropped_packets`` become count-only
+        views (:class:`_CountSeq`) because per-packet state no longer
+        exists once the run finishes.
         """
         from .streaming import PacketStream
 
@@ -1684,8 +203,6 @@ class ArrayEngine:
         update_policy = sim._update_policy
         drops_dict = sim.drops
         m_drops = sim._m_drops
-        # Integer observations accumulate exactly, so observing round-trip
-        # times as they happen matches run()'s end-of-run observe_many.
         rem_rt_observe = sim._m_rem_rt.observe
         track_failover = faults is not None or timeout is not None
         # Bounded-queue / gray-failure knobs (None / False = legacy paths,
@@ -1713,7 +230,7 @@ class ArrayEngine:
         max_backlog = [0] * n_lcs
 
         # -- flat cache state --------------------------------------------
-        # Same entry-pool layout as run(), plus a reference count per
+        # One entry pool across all caches, with a reference count per
         # entry so ids can be recycled: an entry is referenced by each
         # set/victim-dict slot holding it, by a packet's reservation
         # (``p_eid``) and by an in-flight FEDONE event's ``home_eid``.
@@ -1809,7 +326,8 @@ class ArrayEngine:
 
         # Reserve the whole arrival sequence block up front (packet p gets
         # ``base + p``, lc-major) so dynamic events scheduled mid-stream
-        # draw the same sequence numbers as in a materialized run.
+        # draw the same sequence numbers as the scalar loop's up-front
+        # scheduling.
         base = seq + 1
         seq += total
         key_fast = base + total < (1 << _SEQ_BITS)
@@ -1851,14 +369,16 @@ class ArrayEngine:
                 self.g0 = 0
                 self.dest: Optional[np.ndarray] = None
                 self.idx: Optional[np.ndarray] = None
-                self.homes: Optional[list] = None
-                self.hops: Optional[list] = None
+                self.homes: Optional[np.ndarray] = None
+                self.hops: Optional[np.ndarray] = None
 
         feeds = [_Feed(lc, s) for lc, s in enumerate(streams)]
+        precompute_s = 0.0
 
         def pull(f: _Feed) -> None:
             # Append the feed's next non-empty chunk to its buffer; marks
             # the feed done (validating the declared length) at the end.
+            nonlocal precompute_s
             while True:
                 try:
                     dests = next(f.it)
@@ -1886,8 +406,12 @@ class ArrayEngine:
             f.got += n
             idx = None
             if has_cache:
-                idx = ((dests ^ (dests >> 16)) if xor_index else dests) % n_sets
+                idx = (
+                    ((dests ^ (dests >> 16)) if xor_index else dests) % n_sets
+                ).astype(np.int64)
+            hops = None
             if use_pre:
+                tp = time.perf_counter()
                 if plan is not None and plan.epoch != epoch0:
                     # A fault/churn event already mutated the plan; chunk
                     # precompute must see the run-start view or its homes
@@ -1904,11 +428,9 @@ class ArrayEngine:
                         plan.epoch = saved_epoch
                 else:
                     homes, hops = sim._precompute_chunk(f.lc, dests)
-                if hops is None:
-                    hops = [None] * n
+                precompute_s += time.perf_counter() - tp
             else:
-                homes = [-1] * n
-                hops = [None] * n
+                homes = np.full(n, -1, dtype=np.int64)
             if f.t is None:
                 f.t = ts
                 f.g0 = g0
@@ -1921,14 +443,16 @@ class ArrayEngine:
                 f.dest = np.concatenate([f.dest, dests])
                 if idx is not None:
                     f.idx = np.concatenate([f.idx, idx])
-                f.homes = f.homes + homes
-                f.hops = f.hops + hops
+                f.homes = np.concatenate([f.homes, homes])
+                if hops is not None:
+                    f.hops = np.concatenate([f.hops, hops])
 
         # -- recycled per-packet slots ------------------------------------
         # Event payloads and waiter lists carry *slot* indices; ``p_gpid``
-        # keeps the true (lc-major) pid for the tracer.  ``p_ref`` counts
-        # outstanding references (in-flight events + waiter-list entries);
-        # a finished packet's slot is recycled once it hits zero.
+        # keeps the true (lc-major) pid for the tracer (filled only when
+        # tracing — nothing else reads it).  ``p_ref`` counts outstanding
+        # references (in-flight events + waiter-list entries); a finished
+        # packet's slot is recycled once it hits zero.
         p_gpid: List[int] = []
         p_dest: List[int] = []
         p_idx: List[int] = []
@@ -1973,8 +497,8 @@ class ArrayEngine:
             parts_d = []
             parts_i = []
             parts_lc = []
-            h_cat: list = []
-            o_cat: list = []
+            parts_h = []
+            parts_o = []
             for f in feeds:
                 if f.t is None:
                     continue
@@ -1998,11 +522,11 @@ class ArrayEngine:
                 if f.idx is not None:
                     parts_i.append(f.idx[:cut])
                 parts_lc.append(np.full(cut, f.lc, dtype=np.int64))
-                h_cat.extend(f.homes[:cut])
-                o_cat.extend(f.hops[:cut])
+                parts_h.append(f.homes[:cut])
+                if f.hops is not None:
+                    parts_o.append(f.hops[:cut])
                 if cut == n:
-                    f.t = f.dest = f.idx = None
-                    f.homes = f.hops = None
+                    f.t = f.dest = f.idx = f.homes = f.hops = None
                 else:
                     f.t = f.t[cut:]
                     f.g0 += cut
@@ -2010,78 +534,82 @@ class ArrayEngine:
                     if f.idx is not None:
                         f.idx = f.idx[cut:]
                     f.homes = f.homes[cut:]
-                    f.hops = f.hops[cut:]
+                    if f.hops is not None:
+                        f.hops = f.hops[cut:]
             if not parts_t:
                 return None
+            # Parts come in feed (LC) order, each with ascending pids, so
+            # the concatenation is pid-ordered and a stable sort by cycle
+            # is the global (cycle, pid) order.
             wt = np.concatenate(parts_t)
-            wp = np.concatenate(parts_p)
-            order = np.lexsort((wp, wt))
+            order = np.argsort(wt, kind="stable")
             wt = wt[order]
-            wp = wp[order]
+            wp = np.concatenate(parts_p)[order]
             wlc = np.concatenate(parts_lc)[order]
             tl = wt.tolist()
-            pl = wp.tolist()
-            dl = np.concatenate(parts_d)[order].tolist()
-            il = (
-                np.concatenate(parts_i)[order].tolist() if parts_i else None
-            )
-            lcl = wlc.tolist()
-            oi = order.tolist()
-            hl = [h_cat[i] for i in oi]
-            opl = [o_cat[i] for i in oi]
-            if warmup_packets > 0:
-                ml = ((wp - pid_base_arr[wlc]) >= warmup_packets).tolist()
-            else:
-                ml = None
             if key_fast and tl[-1] < (1 << 23):
                 wk = ((wt << _SEQ_BITS) | (wp + base)).tolist()
             else:
                 wk = [
                     (t << _SEQ_BITS) | (base + g)
-                    for t, g in zip(tl, pl)
+                    for t, g in zip(tl, wp.tolist())
                 ]
-            slots = []
-            for k in range(len(tl)):
-                if free_slots:
-                    sl = free_slots.pop()
-                else:
-                    sl = len(p_dest)
-                    p_gpid.append(0)
-                    p_dest.append(0)
-                    p_idx.append(0)
-                    p_set.append(0)
-                    p_lc.append(0)
-                    p_at.append(0)
-                    p_meas.append(True)
-                    p_home.append(-1)
-                    p_hop.append(None)
-                    p_ct.append(-1)
-                    p_eid.append(-1)
-                    p_att.append(0)
-                    p_drop.append(None)
-                    p_sent.append(-1)
-                    p_served.append(None)
-                    p_ref.append(0)
-                p_gpid[sl] = pl[k]
-                p_dest[sl] = dl[k]
-                lck = lcl[k]
-                p_lc[sl] = lck
-                p_at[sl] = tl[k]
-                p_meas[sl] = True if ml is None else ml[k]
-                p_home[sl] = hl[k]
-                p_hop[sl] = opl[k]
-                if il is not None:
-                    ik = il[k]
-                    p_idx[sl] = ik
-                    p_set[sl] = ik + lck * n_sets
-                p_ct[sl] = -1
-                p_eid[sl] = -1
-                p_att[sl] = 0
-                p_drop[sl] = None
-                p_sent[sl] = -1
-                p_served[sl] = None
-                p_ref[sl] = 0
-                slots.append(sl)
+            # Per-packet columns: sorted window arrays, or one value for
+            # every packet.
+            cols = [
+                (p_dest, np.concatenate(parts_d)[order]),
+                (p_lc, wlc),
+                (p_at, tl),
+                (p_home, np.concatenate(parts_h)[order]),
+                (p_hop, np.concatenate(parts_o)[order] if parts_o else None),
+                (p_meas, (
+                    (wp - pid_base_arr[wlc]) >= warmup_packets
+                    if warmup_packets > 0 else True
+                )),
+                (p_ct, -1),
+                (p_eid, -1),
+                (p_att, 0),
+                (p_drop, None),
+                (p_sent, -1),
+                (p_served, None),
+                (p_ref, 0),
+            ]
+            if tracing:
+                cols.append((p_gpid, wp))
+            if parts_i:
+                wi = np.concatenate(parts_i)[order]
+                cols.append((p_idx, wi))
+                cols.append((p_set, wi + wlc * n_sets))
+            # The parts pin the pulled chunk buffers; drop them before the
+            # fill so they do not add to the window's peak.
+            del parts_t, parts_p, parts_d, parts_i, parts_lc, parts_h
+            del parts_o, order
+            # Refill retired slots first, then allocate the rest of the
+            # window in bulk: a whole-trace window (materialized input)
+            # is one ``extend`` per column.
+            n = len(tl)
+            k0 = len(free_slots) - n if len(free_slots) > n else 0
+            slots = free_slots[k0:]
+            del free_slots[k0:]
+            r = len(slots)
+            m = n - r
+            new0 = len(p_ref)
+            for col, vals in cols:
+                if isinstance(vals, np.ndarray):
+                    vals = vals.tolist()
+                elif not isinstance(vals, list):
+                    for sl in slots:
+                        col[sl] = vals
+                    if m:
+                        col.extend([vals] * m)
+                    continue
+                for sl, v in zip(slots, vals):
+                    col[sl] = v
+                if m:
+                    col.extend(vals[r:] if r else vals)
+            del cols
+            if m:
+                slots.extend(range(new0, new0 + m))
             return tl, wk, slots
 
         # -- reference counting -------------------------------------------
@@ -2111,7 +639,8 @@ class ArrayEngine:
                     ederef(eid)
                 free_slots.append(p)
 
-        # -- cache primitives (run()'s, with entry refcounts woven in) ----
+        # -- cache primitives (LRCache/VictimCache transliterations, with
+        # entry refcounts woven in) ---------------------------------------
 
         def new_entry(addr, idx, hop, mix, wait, st) -> int:
             if free_eids:
@@ -2329,7 +858,8 @@ class ArrayEngine:
                 out.extend(vc[lc])
             return out
 
-        # -- packet-flow handlers (run()'s, with refcounts woven in) ------
+        # -- packet-flow handlers (scalar transliterations, with refcounts
+        # woven in) --------------------------------------------------------
 
         def home_of(p: int, lc: int) -> int:
             h = p_home[p]
@@ -2366,7 +896,8 @@ class ArrayEngine:
                 if track_failover and p_att[p] > 0:
                     failover_list.append(lat)
             if tr is not None:
-                tr.record("complete", when, lc=alc, pid=p_gpid[p])
+                tr.record("complete", when, lc=alc, pid=p_gpid[p],
+                          hop=p_served[p])
 
         def drop(p: int, reason: str, now: int) -> None:
             nonlocal dropped_n
@@ -2797,7 +1328,8 @@ class ArrayEngine:
                 ),
             )
 
-        # -- faults and churn (run()'s, with refcounts woven in) ----------
+        # -- faults and churn (scalar transliterations, with refcounts
+        # woven in) --------------------------------------------------------
 
         def homed_at(address: int, lc: int) -> bool:
             try:
@@ -3068,7 +1600,7 @@ class ArrayEngine:
                                     )
                                     del lat_cur[:]
                             tr.record("complete", now + 1, lc=lc,
-                                      pid=p_gpid[p])
+                                      pid=p_gpid[p], hop=p_served[p])
                             free_slots.append(p)
                         continue
                     probe_tail(p, lc, addr, now)
@@ -3356,7 +1888,10 @@ class ArrayEngine:
             if lat_parts
             else np.empty(0, dtype=np.int64)
         )
-        sim.phase_seconds["run"] = time.perf_counter() - t0
+        # Chunk precompute runs inside the loop as windows pull chunks;
+        # report it as its own phase rather than as loop time.
+        sim.phase_seconds["precompute"] = precompute_s
+        sim.phase_seconds["run"] = time.perf_counter() - t0 - precompute_s
         return {
             "horizon": horizon,
             "latencies": latencies,

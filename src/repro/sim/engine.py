@@ -13,6 +13,7 @@ import heapq
 from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SimulationError
+from ..obs.timeseries import NO_SAMPLE
 
 
 class EventQueue:
@@ -71,38 +72,15 @@ class EventQueue:
         """Drain the queue (optionally bounded); returns the final time.
 
         ``sampler`` (a :class:`~repro.obs.timeseries.TimeSeriesSampler`)
-        diverts to a separate sampled loop so the default path stays
-        byte-identical to the pre-telemetry engine — sampling off costs
-        literally nothing here.
+        closes a telemetry window before the first event at-or-past its
+        boundary, so a window's snapshot reflects exactly the events
+        strictly before that boundary.  Without a sampler the boundary is
+        a sentinel no event reaches: one dead integer compare per event.
+        The sampler only *reads* simulator state, so the event outcome is
+        bit-identical either way.
         """
-        if sampler is not None:
-            return self._run_sampled(sampler, until, max_events)
         heap = self._heap
-        while heap:
-            time, _, handler, args = heap[0]
-            if until is not None and time > until:
-                break
-            heapq.heappop(heap)
-            self.now = time
-            handler(*args)
-            self.processed += 1
-            if max_events is not None and self.processed >= max_events:
-                break
-        return self.now
-
-    def _run_sampled(
-        self,
-        sampler,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-    ) -> int:
-        """The sampled twin of :meth:`run`: before handling the first
-        event at-or-past a window boundary, close the window — so a
-        window's snapshot reflects exactly the events strictly before its
-        boundary.  The sampler only *reads* simulator state, so the event
-        outcome is bit-identical to the unsampled loop."""
-        heap = self._heap
-        boundary = sampler.next_boundary
+        boundary = sampler.next_boundary if sampler is not None else NO_SAMPLE
         while heap:
             time, _, handler, args = heap[0]
             if until is not None and time > until:

@@ -789,7 +789,8 @@ class SpalSimulator:
         self.completed.append(pkt)
         tr = self._trace
         if tr is not None:
-            tr.record("complete", when, lc=pkt.arrival_lc, pid=pkt.pid)
+            tr.record("complete", when, lc=pkt.arrival_lc, pid=pkt.pid,
+                      hop=pkt.served)
 
     # -- faults, timeouts and failover --------------------------------------
 
@@ -1077,42 +1078,10 @@ class SpalSimulator:
         self.invalidation_messages += msgs
         self._m_inval_msgs.value += msgs
 
-    def _precompute_streams(
-        self, streams: Sequence[np.ndarray]
-    ) -> Optional[List[tuple]]:
-        """Resolve every packet's home LC (and, churn-free, its FE result)
-        up front.
-
-        Without ``updates=...`` the forwarding tables are immutable during
-        :meth:`run` (flushes and selective invalidations only touch
-        caches), so the per-packet ``(home, hop)`` pair is known before the
-        first event fires.  One vectorized
-        :meth:`PartitionPlan.home_lc_batch` plus per-home-LC
-        :meth:`lookup_batch` calls replace millions of scalar lookups in
-        the event handlers; with ``verify=True`` the whole stream is
-        checked against the oracle here in one batched pass.  Under live
-        churn the tables *do* mutate mid-run, so only the homes (a function
-        of the immutable control bits) are precomputed and every FE result
-        resolves scalar at lookup time — keeping fast-path-on and -off runs
-        bit-identical.  Matcher access counters are restored afterwards so
-        precomputation stays side-effect free.  Returns None (scalar
-        handlers take over) when batching is disabled or the address width
-        exceeds the kernels.
-        """
-        if not self._precompute_enabled():
-            return None
-        snapshots = self._counter_snapshots()
-        out: List[tuple] = [
-            self._homes_hops_for(lc, np.asarray(stream, dtype=np.uint64))
-            for lc, stream in enumerate(streams)
-        ]
-        self._restore_counters(snapshots)
-        return out
-
     def _precompute_enabled(self) -> bool:
-        """True when batched (home, hop) precomputation applies — the
-        streaming engine uses this gate per chunk instead of calling
-        :meth:`_precompute_streams` (which would consume the streams)."""
+        """True when batched (home, hop) precomputation applies: batching
+        is on and the address width fits the kernels (see
+        :meth:`_precompute_chunk`)."""
         return batch_enabled() and self.table.width <= MAX_KERNEL_WIDTH
 
     def _counter_snapshots(self) -> List[tuple]:
@@ -1131,15 +1100,15 @@ class SpalSimulator:
             c.max_accesses = max_accesses
 
     def _homes_hops_for(self, lc: int, dests: np.ndarray) -> tuple:
-        """(homes, hops) lists for one LC's destinations — the per-stream
-        body shared by whole-trace and per-chunk precomputation.  Pure per
-        element, so any chunking of a stream yields identical values."""
+        """(homes, hops) int64 arrays for one LC's destinations (``hops``
+        is None under live churn).  Pure per element, so any chunking of a
+        stream yields identical values."""
         if self.plan is not None:
             homes = self.plan.home_lc_batch(dests)
         else:
             homes = np.full(len(dests), lc, dtype=np.int64)
         if self._updates_armed:
-            return (homes.tolist(), None)
+            return (homes, None)
         hops = np.empty(len(dests), dtype=np.int64)
         for h in np.unique(homes):
             mask = homes == h
@@ -1161,14 +1130,27 @@ class SpalSimulator:
                     f"{int(hops[i])}, whole table says "
                     f"{int(expected[i])}"
                 )
-        # Plain lists: the scheduling loop indexes per packet, and
-        # list[i] yields a Python int with no per-element conversion.
-        return (homes.tolist(), hops.tolist())
+        return (homes, hops)
 
     def _precompute_chunk(self, lc: int, dests: np.ndarray) -> tuple:
-        """Per-chunk (homes, hops) for the streaming engine; matcher
-        counters are restored so chunked precomputation stays side-effect
-        free, exactly like the whole-trace pass."""
+        """Resolve one chunk of LC ``lc``'s packets' home LC (and,
+        churn-free, FE result) ahead of the event loop.
+
+        Without ``updates=...`` the forwarding tables are immutable during
+        :meth:`run` (flushes and selective invalidations only touch
+        caches), so the per-packet ``(home, hop)`` pair is known before the
+        packet's first event fires.  One vectorized
+        :meth:`PartitionPlan.home_lc_batch` plus per-home-LC
+        :meth:`lookup_batch` calls replace scalar lookups in the event
+        handlers; with ``verify=True`` the chunk is checked against the
+        oracle here in one batched pass.  Under live churn the tables *do*
+        mutate mid-run, so only the homes (a function of the immutable
+        control bits) are precomputed and every FE result resolves scalar
+        at lookup time — keeping fast-path-on and -off runs bit-identical.
+        Matcher access counters are restored afterwards so precomputation
+        stays side-effect free.  Callers gate on
+        :meth:`_precompute_enabled`.
+        """
         snapshots = self._counter_snapshots()
         out = self._homes_hops_for(lc, dests)
         self._restore_counters(snapshots)
@@ -1238,12 +1220,18 @@ class SpalSimulator:
         the run bit-identical to the churn-free simulator.
 
         ``engine`` selects the event-loop implementation: ``"array"`` (the
-        packed-state engine of :mod:`repro.sim.array_engine`), ``"scalar"``
-        (per-packet Python objects over :class:`EventQueue`), or ``"auto"``
-        (array when batching is enabled — the ``REPRO_BATCH=0`` escape
-        hatch forces scalar).  The two engines are bit-identical; the
-        differential suite in ``tests/test_engine_identity.py`` enforces
-        it.
+        one packed-state loop of :mod:`repro.sim.array_engine`, which takes
+        materialized arrays and chunked
+        :class:`~repro.sim.streaming.PacketStream`\\ s alike),
+        ``"scalar"`` (per-packet Python objects over :class:`EventQueue` —
+        the readable reference loop; streams are materialized first), or
+        ``"auto"`` (array when batching is enabled — the ``REPRO_BATCH=0``
+        escape hatch forces scalar).  The two engines are bit-identical;
+        the differential suite in ``tests/test_engine_identity.py``
+        enforces it.  The array engine recycles per-packet state, so after
+        it ``self.completed`` / ``self.dropped_packets`` hold counts only;
+        per-packet introspection needs the scalar loop or a tracer (whose
+        ``complete`` records carry the served next hop).
 
         ``monitor`` attaches a :class:`~repro.obs.monitor.HealthMonitor`
         to the in-run telemetry sampler (requires
@@ -1357,11 +1345,24 @@ class SpalSimulator:
                 "monitor=... requires config.sample_interval_cycles (the "
                 "health detectors consume sampled telemetry windows)"
             )
-        from .streaming import PacketStream
+        total = sum(len(s) for s in streams)
+        failover_lat: Optional[List[int]] = None
+        if self._resolve_engine(engine):
+            from .array_engine import ArrayEngine
 
-        use_array = self._resolve_engine(engine)
-        stream_mode = any(isinstance(s, PacketStream) for s in streams)
-        if stream_mode and not use_array:
+            # The one array loop takes materialized arrays and chunked
+            # PacketStreams alike (an array is a single-chunk stream).
+            out = ArrayEngine(self).run_streamed(
+                streams, speeds, flush_cycles, update_events,
+                warmup_packets, sampler=sampler,
+            )
+            horizon = out["horizon"]
+            latencies = out["latencies"]
+            failover_lat = out["failover"]
+            t0 = time.perf_counter()
+        else:
+            from .streaming import PacketStream
+
             # The scalar loop is the readable reference implementation,
             # not the scale path (it allocates a _Packet per arrival
             # regardless): materialize streams up front so chunked input
@@ -1370,34 +1371,18 @@ class SpalSimulator:
                 s.materialize() if isinstance(s, PacketStream) else s
                 for s in streams
             ]
-            stream_mode = False
-        t0 = time.perf_counter()
-        # Streamed runs precompute (home, hop) chunk by chunk inside the
-        # engine; resolving the whole trace here would defeat O(chunk).
-        precomputed = (
-            None if stream_mode else self._precompute_streams(streams)
-        )
-        self.phase_seconds["precompute"] = time.perf_counter() - t0
-        total = sum(len(s) for s in streams)
-        failover_lat: Optional[List[int]] = None
-        if use_array:
-            from .array_engine import ArrayEngine
-
-            if stream_mode:
-                out = ArrayEngine(self).run_streamed(
-                    streams, speeds, flush_cycles, update_events,
-                    warmup_packets, sampler=sampler,
-                )
-            else:
-                out = ArrayEngine(self).run(
-                    streams, speeds, precomputed, flush_cycles,
-                    update_events, warmup_packets, sampler=sampler,
-                )
-            horizon = out["horizon"]
-            latencies = out["latencies"]
-            failover_lat = out["failover"]
             t0 = time.perf_counter()
-        else:
+            precomputed = (
+                [
+                    self._precompute_chunk(
+                        lc, np.asarray(stream, dtype=np.uint64)
+                    )
+                    for lc, stream in enumerate(streams)
+                ]
+                if self._precompute_enabled()
+                else None
+            )
+            self.phase_seconds["precompute"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             tracing = self._trace is not None
             next_pid = 0
@@ -1405,9 +1390,13 @@ class SpalSimulator:
                 times = arrival_times(
                     len(stream), speed_gbps=speeds[lc], seed=1000 + lc
                 )
-                homes_hops = (
-                    precomputed[lc] if precomputed is not None else None
-                )
+                homes = hops = None
+                if precomputed is not None:
+                    # Plain lists: list[i] yields a Python int with no
+                    # per-element conversion.
+                    homes = precomputed[lc][0].tolist()
+                    if precomputed[lc][1] is not None:
+                        hops = precomputed[lc][1].tolist()
                 for i, (t, dest) in enumerate(zip(times, stream)):
                     pkt = _Packet(int(dest), lc, int(t))
                     pkt.measured = i >= warmup_packets
@@ -1416,10 +1405,10 @@ class SpalSimulator:
                         # pid assignment cannot perturb the timeline.
                         pkt.pid = next_pid
                         next_pid += 1
-                    if homes_hops is not None:
-                        pkt.home = homes_hops[0][i]
-                        if homes_hops[1] is not None:
-                            pkt.hop = homes_hops[1][i]
+                    if homes is not None:
+                        pkt.home = homes[i]
+                        if hops is not None:
+                            pkt.hop = hops[i]
                     self.queue.schedule(int(t), self._arrive, pkt, lc)
             if flush_cycles:
                 for t in flush_cycles:
@@ -1431,9 +1420,7 @@ class SpalSimulator:
             t0 = time.perf_counter()
             if sampler is not None:
                 sampler.bind(self._timeseries_reader())
-                horizon = self.queue.run(sampler=sampler)
-            else:
-                horizon = self.queue.run()
+            horizon = self.queue.run(sampler=sampler)
             self.phase_seconds["run"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             latencies = np.array(

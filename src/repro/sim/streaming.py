@@ -1,21 +1,20 @@
-"""Chunked packet streams for O(chunk)-memory simulation.
+"""Chunked packet streams: the array engine's input format.
 
-``SpalSimulator.run`` historically took one materialized destination array
-per LC, and the array engine built per-packet state for the whole trace up
-front — fine at 10^5 packets, impossible at 10^8.  A
-:class:`PacketStream` instead declares its *length* up front and yields
-destinations in fixed-size chunks; the streaming event loop
+A :class:`PacketStream` declares its *length* up front and yields
+destinations in fixed-size chunks.  The array engine's one event loop
 (:meth:`repro.sim.array_engine.ArrayEngine.run_streamed`) pulls chunks on
 demand, merges per-LC arrival windows, and recycles per-packet state as
 packets retire — peak memory tracks the chunk size and the in-flight
-population, not the packet count.
+population, not the packet count.  A materialized per-LC array is simply
+a stream with one chunk (:meth:`PacketStream.from_array`), which is how
+``SpalSimulator.run`` feeds plain arrays to the array engine.
 
 The chunking is *semantically invisible*: a run over
-``PacketStream.from_array(a, chunk_size=c)`` is bit-identical to the
-materialized run over ``a`` for every ``c`` (including per-packet chunks
-and one whole-trace chunk).  ``tests/test_streaming.py`` pins this with
-golden-digest comparisons and a Hypothesis sweep over random chunk
-boundaries.
+``PacketStream.from_array(a, chunk_size=c)`` is bit-identical to the run
+over ``a`` itself — and to the scalar loop over ``a`` — for every ``c``
+(including per-packet chunks and one whole-trace chunk).
+``tests/test_streaming.py`` pins this with golden-digest comparisons and
+a Hypothesis sweep over random chunk boundaries.
 
 Streams declare their length because the engine pre-assigns the arrival
 sequence-number block (event keys embed the scalar scheduler's lc-major

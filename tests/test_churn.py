@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import CacheConfig, SpalConfig, SpalRouter
 from repro.errors import SimulationError, TrieError
+from repro.obs import Tracer
 from repro.routing import (
     ChurnSchedule,
     Prefix,
@@ -376,37 +377,52 @@ class TestSimulatorChurn:
         updates = generate_churn(table, 200_000, horizon, seed=11)
         for policy in ("selective", "rem"):
             sched = generate_churn(table, 200_000, horizon, seed=11)
-            sim, res = self._run(table, updates=sched, policy=policy)
+            tr = Tracer()
+            _, res = self._run(table, updates=sched, policy=policy, trace=tr)
             events = sorted(updates.events(), key=lambda e: e.cycle)
+            # The packets as the engine saw them: ``ingress`` records give
+            # each packet's destination and arrival cycle, ``complete``
+            # records its completion cycle and served next hop.
+            ingress = {e["pid"]: e for e in tr if e["name"] == "ingress"}
+            done = sorted(
+                (
+                    (e["cycle"], ingress[e["pid"]]["dest"],
+                     ingress[e["pid"]]["cycle"], e["hop"])
+                    for e in tr
+                    if e["name"] == "complete"
+                ),
+                key=lambda d: d[0],
+            )
+            assert len(done) == res.packets
             # Replay: oracle state as a function of cycle.
             oracle = HashReferenceMatcher(table)
             idx = 0
-            for pkt in sorted(sim.completed, key=lambda p: p.complete_time):
-                while idx < len(events) and events[idx].cycle < pkt.complete_time:
+            for complete_time, dest, arrival_time, served in done:
+                while idx < len(events) and events[idx].cycle < complete_time:
                     oracle.apply_update(
                         events[idx].prefix, events[idx].next_hop
                     )
                     idx += 1
                 # The served hop must be the oracle answer at *some* cycle
                 # in [arrival, completion] — the update may land mid-flight.
-                want_now = oracle.lookup(pkt.dest)
-                if pkt.served != want_now:
+                want_now = oracle.lookup(dest)
+                if served != want_now:
                     # Tolerate a hop read legitimately before an update
                     # that landed while the packet was in flight.
                     pre = HashReferenceMatcher(table)
                     for ev in events:
-                        if ev.cycle >= pkt.arrival_time:
+                        if ev.cycle >= arrival_time:
                             break
                         pre.apply_update(ev.prefix, ev.next_hop)
-                    valid = {want_now, pre.lookup(pkt.dest)}
+                    valid = {want_now, pre.lookup(dest)}
                     mid = HashReferenceMatcher(table)
                     for ev in events:
-                        if ev.cycle > pkt.complete_time:
+                        if ev.cycle > complete_time:
                             break
                         mid.apply_update(ev.prefix, ev.next_hop)
-                        valid.add(mid.lookup(pkt.dest))
-                    assert pkt.served in valid, (
-                        f"stale hop for {pkt.dest:#x} under {policy}"
+                        valid.add(mid.lookup(dest))
+                    assert served in valid, (
+                        f"stale hop for {dest:#x} under {policy}"
                     )
 
     def test_flush_policy_costs_more_than_selective(self, table):

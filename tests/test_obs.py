@@ -303,6 +303,11 @@ class TestTimeline:
         )
         assert completed == result.packets
         assert len(spans) == completed
+        # ``complete`` records carry the served next hop, and the export
+        # and validator above accept the extra argument.
+        assert all(
+            isinstance(e["hop"], int) for e in tr if e["name"] == "complete"
+        )
 
     def test_export_writes_valid_json(self, table, tmp_path):
         tr = Tracer()
