@@ -198,7 +198,8 @@ OBS_SECTION = """
   `measure(addrs, profiler=KernelProfile(...))`) splits compile vs
   traverse wall time and counts per-level node touches from the batch
   kernels.  `scripts/obs_report.py` prints all of the above for a small
-  run; wall-clock phase timings live on `SpalSimulator.phase_seconds`.
+  run; wall-clock phase timings live on `SpalSimulator.phase_seconds`,
+  construction step timings on `SpalSimulator.construct_seconds`.
 """
 
 

@@ -12,7 +12,9 @@ precompute (trie builds, stream homing) is reported separately.  The two
 runs must agree event-for-event, and the script asserts bit-identical
 latencies before printing the ratio.
 
-Also included: the per-phase wall-clock breakdown, a cProfile listing of
+Also included: the per-phase wall-clock breakdown of ``run()`` beside the
+construction steps (minimise, partition, matcher builds; raw and with
+``minimize="full"``), a cProfile listing of
 the *scalar* engine (the baseline being optimized away), and the
 batch-vs-scalar lookup throughput comparison for every vectorized trie
 kernel (via :class:`repro.obs.KernelProfile`; REPRO_BATCH=0 disables the
@@ -23,9 +25,9 @@ batch paths everywhere — see docs/TUTORIAL.md).
 
 ``--table-size`` rebuilds the workload table at N synthetic prefixes
 (default 20,000) — the full-table profile (``make_rt2`` scales the RT_2
-length mix), so the packed node pools and the streaming path can be
-profiled at 200k–1M routes.  Peak RSS (``resource.getrusage``) is
-reported at the end of every run.
+length mix), so the packed node pools, the streaming path and the
+construction steps can be profiled at 200k–1M routes.  Peak RSS
+(``resource.getrusage``) is reported at the end of every run.
 
 Unless ``--no-manifest`` is given, every run archives a
 :class:`repro.obs.RunManifest` (config digest, git SHA, events/s,
@@ -143,7 +145,20 @@ def compare_engines(packets_per_lc: int, table=None) -> dict:
         "ratio": loop_s / loop_a,
         "phases_scalar": dict(sim_s.phase_seconds),
         "phases_array": dict(sim_a.phase_seconds),
+        "construct_scalar": dict(sim_s.construct_seconds),
+        "construct_array": dict(sim_a.construct_seconds),
     }
+
+
+def minimised_construction(table, n_lcs: int) -> dict:
+    """Construction seconds per step for a ``minimize="full"`` simulator
+    over ``table`` (built, not run)."""
+    sim = SpalSimulator(table, SpalConfig(n_lcs=n_lcs, minimize="full"))
+    return dict(sim.construct_seconds)
+
+
+def _ms(seconds: dict) -> str:
+    return "  ".join(f"{k} {v * 1e3:.0f}ms" for k, v in seconds.items())
 
 
 def lookup_throughput(
@@ -267,9 +282,11 @@ def main() -> None:
     for eng in ("scalar", "array"):
         loop = stats[f"{eng}_s"]
         eps = stats[f"{eng}_eps"]
-        phases = stats[f"phases_{eng}"]
         print(f"  {eng:6s} loop {loop:6.2f}s  {eps / 1000:7.0f}k events/s   "
-              + "  ".join(f"{k} {v * 1e3:.0f}ms" for k, v in phases.items()))
+              f"{_ms(stats[f'phases_{eng}'])}   "
+              f"| construct {_ms(stats[f'construct_{eng}'])}")
+    print(f"  minimised construct "
+          f"{_ms(minimised_construction(table, HEADLINE['n_lcs']))}")
     print(f"  {stats['events']} events, cache hit rate "
           f"{stats['hit_rate']:.4f}, array speedup "
           f"{stats['ratio']:.2f}x (bit-identical results)")

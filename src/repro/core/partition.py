@@ -35,6 +35,7 @@ import numpy as np
 
 from ..batching import MAX_KERNEL_WIDTH, batch_enabled
 from ..errors import PartitionError, UnreachablePatternError
+from ..routing.arraytable import table_columns
 from ..routing.prefix import Prefix
 from ..routing.table import NextHop, RoutingTable
 
@@ -97,9 +98,12 @@ def select_partition_bits(
         raise PartitionError(
             f"cannot choose {n_bits} bits from {len(candidates)} candidates"
         )
-    prefixes = [p for p in table.prefixes()]
-    if batch_enabled() and width <= MAX_KERNEL_WIDTH and prefixes:
-        return _select_partition_bits_vec(prefixes, n_bits, candidates, width)
+    if batch_enabled() and width <= MAX_KERNEL_WIDTH and len(table):
+        values, lengths, _ = table_columns(table)
+        return _select_partition_bits_vec(
+            values, lengths, n_bits, candidates, width
+        )
+    prefixes = table.prefixes()
     chosen: List[int] = []
     # Current fragmentation: start with the whole set, split as bits are
     # chosen.  Each subset is the multiset of prefixes compatible with one
@@ -147,42 +151,39 @@ def select_partition_bits(
 
 
 def _select_partition_bits_vec(
-    prefixes: Sequence[Prefix],
+    values: np.ndarray,
+    lengths: np.ndarray,
     n_bits: int,
     candidates: Sequence[int],
     width: int,
 ) -> List[int]:
-    """Vectorized twin of the scalar selection loop below.
+    """Vectorized twin of the scalar selection loop above, over the
+    table's (value, length) columns.
 
     Subsets are carried as a label array over (replicated) prefix rows
-    instead of lists-of-lists; per-candidate Φ counts come from masked
-    ``bincount`` calls.  Candidate order and the (max, total, spread) key
-    are identical to the scalar path, so the chosen bits are bit-for-bit
-    the same.
+    instead of lists-of-lists.  Each row's class at a candidate position
+    is 0 or 1 (its bit) or 2 (wildcard), so one ``bincount`` of
+    ``subset * 3 + class`` yields Φ0, Φ1 and Φ* for every subset at once.
+    Candidate order and the (max, total, spread) key are identical to the
+    scalar path, so the chosen bits are bit-for-bit the same.
     """
-    values = np.fromiter(
-        (p.value for p in prefixes), dtype=np.uint64, count=len(prefixes)
-    )
-    lengths = np.fromiter(
-        (p.length for p in prefixes), dtype=np.int64, count=len(prefixes)
-    )
-    subset_id = np.zeros(len(prefixes), dtype=np.int64)
+    values = np.asarray(values, dtype=np.uint64)
+    lengths = np.asarray(lengths, dtype=np.int64)
+    subset_id = np.zeros(len(values), dtype=np.int64)
     n_subsets = 1
     chosen: List[int] = []
     for _ in range(n_bits):
         best_position = -1
         best_key: Optional[Tuple[int, int, int]] = None
+        base = subset_id * 3
         for position in candidates:
             if position in chosen:
                 continue
-            wild = lengths <= position
-            bitv = (
-                (values >> np.uint64(width - 1 - position)) & np.uint64(1)
-            ).astype(bool)
-            w = np.bincount(subset_id[wild], minlength=n_subsets)
-            z = np.bincount(subset_id[~wild & ~bitv], minlength=n_subsets)
-            o = np.bincount(subset_id[~wild & bitv], minlength=n_subsets)
-            sizes = np.concatenate((z + w, o + w))
+            cls = _bit_column(values, position, width)
+            cls[lengths <= position] = 2
+            counts = np.bincount(base + cls, minlength=3 * n_subsets)
+            wild = counts[2::3]
+            sizes = np.concatenate((counts[0::3] + wild, counts[1::3] + wild))
             key = (
                 int(sizes.max()),
                 int(sizes.sum()),
@@ -192,19 +193,62 @@ def _select_partition_bits_vec(
                 best_key = key
                 best_position = position
         chosen.append(best_position)
-        # Split on the chosen bit: defined bits route to one side,
-        # wildcards are replicated into both.
-        wild = lengths <= best_position
-        bitv = (
-            (values >> np.uint64(width - 1 - best_position)) & np.uint64(1)
-        ).astype(np.int64)
-        subset_id = subset_id * 2 + np.where(wild, 0, bitv)
-        if wild.any():
-            values = np.concatenate((values, values[wild]))
-            lengths = np.concatenate((lengths, lengths[wild]))
-            subset_id = np.concatenate((subset_id, subset_id[wild] + 1))
+        values, lengths, subset_id = _split_rows(
+            values, lengths, subset_id,
+            _bit_column(values, best_position, width),
+            lengths <= best_position,
+        )
         n_subsets *= 2
     return chosen
+
+
+def _bit_column(values, position: int, width: int) -> np.ndarray:
+    """Bit ``b<position>`` of every value as an int64 column: shifted out
+    of the uint64 column, or read off the Python ints above 64 bits."""
+    shift = int(width - 1 - position)
+    if isinstance(values, np.ndarray):
+        return ((values >> np.uint64(shift)) & np.uint64(1)).astype(np.int64)
+    return np.fromiter(
+        ((v >> shift) & 1 for v in values), dtype=np.int64, count=len(values)
+    )
+
+
+def _split_rows(rows, lengths, labels, bit, wild):
+    """Split labelled rows on one control bit: ``labels`` gains the bit as
+    its new low bit, and a wildcard row is replicated into both halves.
+
+    ``np.repeat`` puts each replica right after its original, so rows
+    that were in source order stay in source order.
+    """
+    labels = labels * 2 + np.where(wild, 0, bit)
+    if not wild.any():
+        return rows, lengths, labels
+    copies = 1 + wild.astype(np.int64)
+    labels = np.repeat(labels, copies)
+    labels[np.cumsum(copies)[wild] - 1] += 1
+    return np.repeat(rows, copies), np.repeat(lengths, copies), labels
+
+
+def _split_routes(
+    values, lengths: np.ndarray, width: int, bits: Sequence[int]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(rows, patterns)``: one pair per route and control-bit pattern it
+    is compatible with, computed from a table's packed columns.
+
+    A route is replicated at each selected position past its length
+    (:func:`_split_rows`), so ``rows`` (indexes into the table's iteration
+    order) stays in source order.
+    """
+    rows = np.arange(len(lengths), dtype=np.int64)
+    patterns = np.zeros(len(lengths), dtype=np.int64)
+    row_lengths = np.asarray(lengths, dtype=np.int64)
+    for position in bits:
+        rows, row_lengths, patterns = _split_rows(
+            rows, row_lengths, patterns,
+            _bit_column(values, position, width)[rows],
+            row_lengths <= position,
+        )
+    return rows, patterns
 
 
 def pattern_of(address: int, bits: Sequence[int], width: int) -> int:
@@ -520,11 +564,18 @@ def partition_table(
     power of two, so the balanced pattern→LC assignment can even out both
     table sizes and home traffic.  Pass ``pattern_oversubscription=1`` for
     the paper's exact η.  Power-of-two ψ always uses exactly ⌈log2 ψ⌉.
+
+    Every argument is checked before any route is read.  The split works
+    on the table's packed columns (:func:`_split_routes`); each LC's
+    table lists its routes ordered by the first pattern it holds that the
+    route is compatible with, then by source order, each route once.
     """
     if n_lcs <= 0:
         raise PartitionError(f"need at least one LC, got {n_lcs}")
-    if len(table) == 0:
-        raise PartitionError("cannot partition an empty routing table")
+    if not 1 <= replicas <= n_lcs:
+        raise PartitionError(
+            f"replicas must be in [1, n_lcs]; got {replicas} for {n_lcs} LCs"
+        )
     eta = max(n_lcs - 1, 0).bit_length()  # ⌈log2 ψ⌉
     power_of_two = n_lcs & (n_lcs - 1) == 0
     if not power_of_two:
@@ -533,10 +584,8 @@ def partition_table(
             raise PartitionError("pattern_oversubscription must be >= 1")
         while (1 << eta) < oversub * n_lcs:
             eta += 1
-    if bits is None:
-        bit_list = select_partition_bits(table, eta, candidate_positions)
-    else:
-        bit_list = list(bits)
+    if bits is not None:
+        bit_list = [int(b) for b in bits]
         if (1 << len(bit_list)) < n_lcs:
             raise PartitionError(
                 f"{len(bit_list)} bits give {1 << len(bit_list)} patterns; "
@@ -546,24 +595,15 @@ def partition_table(
             raise PartitionError("duplicate partition bits")
         if any(not 0 <= b < table.width for b in bit_list):
             raise PartitionError("partition bit out of range")
-        eta = len(bit_list)
+    if len(table) == 0:
+        raise PartitionError("cannot partition an empty routing table")
+    if bits is None:
+        bit_list = select_partition_bits(table, eta, candidate_positions)
 
-    n_patterns = 1 << eta
-    # Routes per pattern.
-    per_pattern: List[List[Tuple[Prefix, NextHop]]] = [
-        [] for _ in range(n_patterns)
-    ]
-    for prefix, hop in table.routes():
-        for pattern in patterns_of_prefix(prefix, bit_list):
-            per_pattern[pattern].append((prefix, hop))
-
-    if not 1 <= replicas <= n_lcs:
-        raise PartitionError(
-            f"replicas must be in [1, n_lcs]; got {replicas} for {n_lcs} LCs"
-        )
-    lc_of_pattern = assign_patterns_to_lcs(
-        [len(routes) for routes in per_pattern], n_lcs
-    )
+    values, lengths, hops = table_columns(table)
+    rows, patterns = _split_routes(values, lengths, table.width, bit_list)
+    counts = np.bincount(patterns, minlength=1 << len(bit_list))
+    lc_of_pattern = assign_patterns_to_lcs(counts.tolist(), n_lcs)
     replicas_of_pattern: Optional[List[List[int]]] = None
     if replicas > 1:
         # Replica k of a pattern lives k LCs after the primary (mod ψ):
@@ -573,17 +613,36 @@ def partition_table(
             for primary in lc_of_pattern
         ]
 
-    tables = [RoutingTable(table.width) for _ in range(n_lcs)]
-    for pattern, routes in enumerate(per_pattern):
-        holders = (
-            replicas_of_pattern[pattern]
-            if replicas_of_pattern is not None
-            else [lc_of_pattern[pattern]]
+    # Pattern-major, source order within a pattern: pattern p's routes are
+    # rows[ends[p] - counts[p]:ends[p]].
+    order = np.argsort(patterns, kind="stable")
+    rows = rows[order]
+    ends = np.cumsum(counts)
+    holders = np.asarray(
+        replicas_of_pattern
+        if replicas_of_pattern is not None
+        else [[lc] for lc in lc_of_pattern]
+    )
+    # One shared Prefix per source route: a dict-backed source hands over
+    # its own keys.
+    keys = table.prefixes()
+    hop_of = hops.tolist()
+    tables = []
+    for lc in range(n_lcs):
+        held = np.flatnonzero((holders == lc).any(axis=1))
+        mine = np.concatenate(
+            [rows[ends[p] - counts[p]:ends[p]] for p in held.tolist()]
         )
-        for lc in holders:
-            target = tables[lc]
-            for prefix, hop in routes:
-                target.update(prefix, hop)  # dedupe across merged patterns
+        target = RoutingTable(table.width)
+        # A route compatible with several held patterns repeats in
+        # ``mine``; the dict keeps its first (lowest-pattern) position.
+        members = mine.tolist()
+        target._routes = dict(
+            zip(map(keys.__getitem__, members), map(hop_of.__getitem__, members))
+        )
+        # One version bump per (held pattern, route) pair, repeats included.
+        target.version = len(mine)
+        tables.append(target)
     return PartitionPlan(
         bits=bit_list,
         n_lcs=n_lcs,

@@ -27,6 +27,7 @@ Widths above 64 bits (IPv6) store values as a Python ``list`` of ints since
 
 from __future__ import annotations
 
+from itertools import repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -229,10 +230,12 @@ class ArrayRoutingTable(RoutingTable):
 
     def _iter_routes(self) -> Iterator[Tuple[Prefix, NextHop]]:
         values, lengths, hops = self._a_values, self._a_lengths, self._a_hops
-        width = self.width
-        vlist = values.tolist() if isinstance(values, np.ndarray) else values
-        for v, l, h in zip(vlist, lengths.tolist(), hops.tolist()):
-            yield Prefix(int(v), int(l), width), int(h)
+        vlist = (
+            values.tolist() if isinstance(values, np.ndarray)
+            else map(int, values)
+        )
+        prefixes = map(Prefix, vlist, lengths.tolist(), repeat(self.width))
+        return zip(prefixes, hops.tolist())
 
     def prefixes(self) -> List[Prefix]:
         if self._dict is not None:
@@ -300,21 +303,14 @@ def _columns_from_dict(
     routes: Dict[Prefix, NextHop], width: int
 ) -> Tuple[ValueColumn, np.ndarray, np.ndarray]:
     n = len(routes)
-    lengths = np.empty(n, dtype=np.int64)
-    hops = np.empty(n, dtype=np.int64)
+    lengths = np.fromiter((p.length for p in routes), dtype=np.int64, count=n)
+    hops = np.fromiter(routes.values(), dtype=np.int64, count=n)
     if width <= 64:
-        values = np.empty(n, dtype=np.uint64)
-        for i, (p, h) in enumerate(routes.items()):
-            values[i] = p.value
-            lengths[i] = p.length
-            hops[i] = h
+        values = np.fromiter(
+            (p.value for p in routes), dtype=np.uint64, count=n
+        )
         return values, lengths, hops
-    vlist: List[int] = []
-    for i, (p, h) in enumerate(routes.items()):
-        vlist.append(p.value)
-        lengths[i] = p.length
-        hops[i] = h
-    return vlist, lengths, hops
+    return [p.value for p in routes], lengths, hops
 
 
 def table_columns(
@@ -323,4 +319,4 @@ def table_columns(
     """(values, lengths, hops) columns for any table, array-backed or not."""
     if isinstance(table, ArrayRoutingTable):
         return table.as_arrays()
-    return _columns_from_dict(dict(table.routes()), table.width)
+    return _columns_from_dict(table._routes, table.width)

@@ -17,8 +17,8 @@ million-prefix scale:
    the prefix set (original prefixes plus the pairwise lowest common
    ancestors of the sorted sequence, at most ``2n - 1`` nodes) with
    candidate sets as integer bitmasks and O(1) collapse arithmetic for
-   path-compressed edges.  Unlike the recursive reference in
-   :mod:`repro.routing.aggregate`, no expanded binary trie is ever built,
+   path-compressed edges.  Unlike the textbook recursive construction,
+   no expanded binary trie is ever built,
    which is what makes the 1M-prefix ``make_full_v4`` table minimisable in
    seconds.  Output is provably *minimal*: no smaller LPM-equivalent table
    exists.
@@ -352,15 +352,22 @@ def _ortc_region(
 def ortc_table(table: RoutingTable) -> RoutingTable:
     """The minimal LPM-equivalent table (array-form ORTC).
 
-    Behaviourally identical to the recursive reference
-    (:func:`repro.routing.aggregate.aggregate_table`) but builds no
-    expanded trie: memory and time are ``O(n log n)`` in the number of
-    routes, independent of the address width, so it runs on the 1M-prefix
+    Output is identical to the textbook recursive construction over an
+    expanded binary trie (the test suite's oracle) but builds no expanded
+    trie: memory and time are ``O(n log n)`` in the number of routes,
+    independent of the address width, so it runs on the 1M-prefix
     ``make_full_v4`` snapshot.
     """
     return _materialize(
         _ortc_region(_entries_of(table), table.width), table.width
     )
+
+
+def aggregation_ratio(table: RoutingTable) -> float:
+    """Original size / aggregated size (≥ 1.0); 1.0 for an empty table."""
+    if len(table) == 0:
+        return 1.0
+    return len(table) / max(len(ortc_table(table)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -721,6 +728,7 @@ def minimization_ratio(
 
 __all__ = [
     "PASS_SETS",
+    "aggregation_ratio",
     "MinimizeState",
     "MinimizeStats",
     "minimize_table",

@@ -176,6 +176,11 @@ class SpalSimulator:
     ):
         self.config = config or SpalConfig()
         self.config.validate()
+        #: Wall-clock seconds per construction step that ran (minimize /
+        #: partition / matchers).  Kept apart from :attr:`phase_seconds`,
+        #: which splits ``run()`` alone; ``scripts/profile_sim.py`` prints
+        #: both.
+        self.construct_seconds: Dict[str, float] = {}
         # -- FIB minimisation (None = off = bit-identical) -----------------
         # When armed, the table is minimised *before* partitioning so the
         # plan, the matchers and the pool-bytes accounting all see the
@@ -191,7 +196,9 @@ class SpalSimulator:
                 )
             from ..routing.minimize import minimize_table
 
+            t0 = time.perf_counter()
             self._minimize_state = minimize_table(table, self.config.minimize)
+            self.construct_seconds["minimize"] = time.perf_counter() - t0
             table = self._minimize_state.table
             self.minimize_stats = self._minimize_state.stats
         self.table = table
@@ -218,6 +225,7 @@ class SpalSimulator:
                     )
                 self.plan: Optional[PartitionPlan] = plan
             else:
+                t0 = time.perf_counter()
                 self.plan = partition_table(
                     table,
                     self.config.n_lcs,
@@ -225,6 +233,7 @@ class SpalSimulator:
                     pattern_oversubscription=self.config.pattern_oversubscription,
                     replicas=self.config.replicas,
                 )
+                self.construct_seconds["partition"] = time.perf_counter() - t0
             if matchers is not None:
                 if len(matchers) != self.config.n_lcs:
                     raise SimulationError(
@@ -232,12 +241,16 @@ class SpalSimulator:
                     )
                 self._matchers = list(matchers)
             else:
+                t0 = time.perf_counter()
                 self._matchers = [
                     HashReferenceMatcher(t) for t in self.plan.tables
                 ]
+                self.construct_seconds["matchers"] = time.perf_counter() - t0
         else:
             self.plan = None
+            t0 = time.perf_counter()
             shared = HashReferenceMatcher(table)
+            self.construct_seconds["matchers"] = time.perf_counter() - t0
             self._matchers = [shared] * self.config.n_lcs
         n = self.config.n_lcs
         # -- observability: pre-bound instruments + normalized tracer -----

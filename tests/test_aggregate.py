@@ -1,20 +1,17 @@
-"""Tests for ORTC table aggregation (routing.aggregate / minimize).
+"""Tests for ORTC table aggregation (routing.minimize).
 
-The recursive constructor survives as ``_aggregate_table_recursive``, the
-independent oracle; the public entry points now run the packed-array
-pipeline in :mod:`repro.routing.minimize`."""
+The recursive constructor in ``tests/ortc_oracle.py`` is the independent
+oracle; the public entry points run the packed-array pipeline in
+:mod:`repro.routing.minimize`."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.routing import Prefix, RoutingTable, random_small_table
-from repro.routing.aggregate import (
-    _aggregate_table_recursive,
-    aggregate_table,
-    aggregation_ratio,
-)
-from repro.routing.minimize import ortc_table
+from repro.routing.minimize import aggregation_ratio, ortc_table
+
+from .ortc_oracle import _aggregate_table_recursive
 
 
 def assert_lpm_equivalent(original, aggregated, n_probes=400, seed=0):
@@ -185,16 +182,7 @@ class TestCompositionProperty:
             assert plan.tables[home].lookup(a) == table.lookup(a)
 
 
-class TestDeprecatedAlias:
-    def test_aggregate_table_warns_and_matches(self):
-        table = RoutingTable.from_strings(
-            [("10.0.0.0/9", 1), ("10.128.0.0/9", 1), ("12.0.0.0/8", 2)]
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = aggregate_table(table)
-        new = ortc_table(table)
-        assert sorted(legacy.routes()) == sorted(new.routes())
-
+class TestRecursiveOracle:
     def test_recursive_oracle_agrees(self):
         table = random_small_table(400, seed=9, max_length=18)
         ref = _aggregate_table_recursive(table)

@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.routing import Prefix, RoutingTable, random_small_table
-from repro.routing.aggregate import _aggregate_table_recursive
 from repro.routing.churn import generate_churn
 from repro.routing.minimize import (
     PASS_SETS,
@@ -34,6 +33,8 @@ from repro.tries import (
     LuleaTrie,
     MultibitTrie,
 )
+
+from .ortc_oracle import _aggregate_table_recursive
 
 MATCHERS = (BinaryTrie, LCTrie, LuleaTrie, MultibitTrie, HashReferenceMatcher)
 

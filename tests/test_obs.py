@@ -372,6 +372,21 @@ class TestMetricsSnapshot:
         assert all(v >= 0 for v in sim.phase_seconds.values())
         assert not hasattr(result, "phase_seconds")
 
+    def test_construct_seconds_kept_apart_from_run_phases(self, table):
+        """Construction steps are timed in their own dict: a consumer that
+        subtracts the phase sum from run() wall time must not see them."""
+        sim, result = traced_run(table)
+        assert set(sim.construct_seconds) == {"partition", "matchers"}
+        assert all(v >= 0 for v in sim.construct_seconds.values())
+        assert not set(sim.construct_seconds) & set(sim.phase_seconds)
+        assert not hasattr(result, "construct_seconds")
+        armed = SpalSimulator(table, SpalConfig(n_lcs=2, minimize="full"))
+        assert set(armed.construct_seconds) == {
+            "minimize", "partition", "matchers",
+        }
+        shared = SpalSimulator(table, SpalConfig(n_lcs=2), partitioned=False)
+        assert set(shared.construct_seconds) == {"matchers"}
+
     def test_top_metrics(self):
         r = SimulationResult(
             name="t", n_lcs=1, latencies=np.array([1]), horizon_cycles=1,

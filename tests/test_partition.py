@@ -13,7 +13,13 @@ from repro.core import (
     score_bit,
     select_partition_bits,
 )
-from repro.routing import Prefix, RoutingTable, make_rt1, random_small_table
+from repro.routing import (
+    ArrayRoutingTable,
+    Prefix,
+    RoutingTable,
+    make_rt1,
+    random_small_table,
+)
 
 
 @pytest.fixture
@@ -216,6 +222,40 @@ class TestPartitionPlan:
     def test_empty_table_raises(self):
         with pytest.raises(PartitionError):
             partition_table(RoutingTable(), 4)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_lcs=0),
+            dict(n_lcs=4, replicas=0),
+            dict(n_lcs=4, replicas=5),
+            dict(n_lcs=3, pattern_oversubscription=0),
+            dict(n_lcs=4, bits=[1]),
+            dict(n_lcs=4, bits=[1, 1]),
+            dict(n_lcs=4, bits=[1, 40]),
+        ],
+    )
+    def test_bad_arguments_fail_before_reading_routes(self, kwargs):
+        """Argument errors surface before any route is read: the table's
+        columns raise if touched, so a late check would fail differently."""
+
+        class UnreadableTable(ArrayRoutingTable):
+            def as_arrays(self):
+                raise AssertionError("columns read before arguments checked")
+
+            def routes(self):
+                raise AssertionError("routes read before arguments checked")
+
+            prefixes = routes
+
+        table = UnreadableTable(
+            np.arange(8, dtype=np.uint64) << np.uint64(24),
+            np.full(8, 8),
+            np.arange(8),
+            32,
+        )
+        with pytest.raises(PartitionError):
+            partition_table(table, **kwargs)
 
 
 class TestIncrementalUpdates:

@@ -1,0 +1,192 @@
+"""Equivalence contract of the columnar partitioner.
+
+``partition_table`` splits the FIB from its packed (value, length)
+columns.  ``_partition_reference`` below is the per-route walk it
+replaced: every route becomes a :class:`Prefix`, is expanded through
+``patterns_of_prefix`` and inserted into each holder LC's table one
+pattern at a time, and bits are chosen by the scalar selection loop.  The
+property asserts that both produce the same plan down to each LC table's
+route order, length and version.
+"""
+
+from __future__ import annotations
+
+from typing import List, Optional, Sequence, Tuple
+
+from hypothesis import given, settings, strategies as st
+
+from repro.core import (
+    assign_patterns_to_lcs,
+    partition_table,
+    patterns_of_prefix,
+    select_partition_bits,
+)
+from repro.core.partition import PartitionPlan
+from repro.errors import PartitionError
+from repro.routing import ArrayRoutingTable, Prefix, RoutingTable
+from repro.routing.table import NextHop
+
+from .conftest import fast_path
+
+
+def _partition_reference(
+    table: RoutingTable,
+    n_lcs: int,
+    bits: Optional[Sequence[int]] = None,
+    candidate_positions: Optional[Sequence[int]] = None,
+    pattern_oversubscription: Optional[int] = None,
+    replicas: int = 1,
+) -> PartitionPlan:
+    """The per-route partitioning walk: the oracle for ``partition_table``."""
+    if n_lcs <= 0:
+        raise PartitionError(f"need at least one LC, got {n_lcs}")
+    if len(table) == 0:
+        raise PartitionError("cannot partition an empty routing table")
+    eta = max(n_lcs - 1, 0).bit_length()
+    if n_lcs & (n_lcs - 1):
+        oversub = (
+            4 if pattern_oversubscription is None else pattern_oversubscription
+        )
+        while (1 << eta) < oversub * n_lcs:
+            eta += 1
+    if bits is None:
+        with fast_path(False):  # the scalar selection loop
+            bit_list = select_partition_bits(table, eta, candidate_positions)
+    else:
+        bit_list = list(bits)
+        eta = len(bit_list)
+
+    per_pattern: List[List[Tuple[Prefix, NextHop]]] = [
+        [] for _ in range(1 << eta)
+    ]
+    for prefix, hop in table.routes():
+        for pattern in patterns_of_prefix(prefix, bit_list):
+            per_pattern[pattern].append((prefix, hop))
+
+    if not 1 <= replicas <= n_lcs:
+        raise PartitionError("replicas out of range")
+    lc_of_pattern = assign_patterns_to_lcs(
+        [len(routes) for routes in per_pattern], n_lcs
+    )
+    replicas_of_pattern = None
+    if replicas > 1:
+        replicas_of_pattern = [
+            [(primary + k) % n_lcs for k in range(replicas)]
+            for primary in lc_of_pattern
+        ]
+
+    tables = [RoutingTable(table.width) for _ in range(n_lcs)]
+    for pattern, routes in enumerate(per_pattern):
+        holders = (
+            replicas_of_pattern[pattern]
+            if replicas_of_pattern is not None
+            else [lc_of_pattern[pattern]]
+        )
+        for lc in holders:
+            for prefix, hop in routes:
+                tables[lc].update(prefix, hop)  # dedupe across merged patterns
+    return PartitionPlan(
+        bits=bit_list,
+        n_lcs=n_lcs,
+        lc_of_pattern=lc_of_pattern,
+        tables=tables,
+        source_version=table.version,
+        replicas_of_pattern=replicas_of_pattern,
+    )
+
+
+@st.composite
+def tables(draw):
+    """IPv4 or IPv6 tables, array- or dict-backed, rich in the short
+    prefixes (default route, /1–/3) that replicate across patterns."""
+    width = draw(st.sampled_from([32, 128]))
+    short = st.integers(0, 3)
+    routes = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, (1 << width) - 1),
+                st.one_of(short, st.integers(0, width)),
+                st.integers(0, 9),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    if draw(st.booleans()):
+        routes.append((0, 0, 99))
+    unique = {}
+    for value, length, hop in routes:
+        mask = ((1 << length) - 1) << (width - length) if length else 0
+        unique[(value & mask, length)] = hop
+    if draw(st.booleans()):
+        return RoutingTable.from_arrays(
+            [v for v, _ in unique],
+            [l for _, l in unique],
+            list(unique.values()),
+            width,
+        )
+    table = RoutingTable(width)
+    for (value, length), hop in unique.items():
+        table.update(Prefix(value, length, width), hop)
+    return table
+
+
+@st.composite
+def partition_args(draw):
+    """A table plus ψ (1–17), replicas (1–ψ), explicit or selected bits,
+    and a pattern oversubscription of 1 or the default."""
+    table = draw(tables())
+    n_lcs = draw(st.integers(1, 17))
+    replicas = draw(st.integers(1, n_lcs))
+    bits = None
+    if draw(st.booleans()):
+        n_bits = draw(
+            st.integers(max(n_lcs - 1, 0).bit_length(), 6)
+        )
+        bits = draw(
+            st.lists(
+                st.integers(0, table.width - 1),
+                min_size=n_bits,
+                max_size=n_bits,
+                unique=True,
+            )
+        )
+    oversub = draw(st.sampled_from([1, None]))
+    return table, dict(
+        n_lcs=n_lcs,
+        bits=bits,
+        pattern_oversubscription=oversub,
+        replicas=replicas,
+    )
+
+
+class TestColumnarMatchesReference:
+    @given(partition_args())
+    @settings(max_examples=150, deadline=None)
+    def test_identical_plans(self, args):
+        table, kwargs = args
+        got = partition_table(table, **kwargs)
+        want = _partition_reference(table, **kwargs)
+        assert got.bits == want.bits
+        assert got.lc_of_pattern == want.lc_of_pattern
+        assert got.replicas_of_pattern == want.replicas_of_pattern
+        assert got.source_version == want.source_version
+        for mine, ref in zip(got.tables, want.tables):
+            assert type(mine) is RoutingTable
+            assert list(mine.routes()) == list(ref.routes())
+            assert len(mine) == len(ref)
+            assert mine.version == ref.version
+
+    @given(tables(), st.integers(1, 9))
+    @settings(max_examples=40, deadline=None)
+    def test_one_prefix_object_per_source_route(self, table, n_lcs):
+        """Every LC shares one Prefix per source route; a dict-backed
+        source's own keys are reused."""
+        plan = partition_table(table, n_lcs, replicas=min(2, n_lcs))
+        by_key = {}
+        for t in plan.tables:
+            for prefix in t:
+                assert by_key.setdefault(prefix, prefix) is prefix
+        if not isinstance(table, ArrayRoutingTable):
+            source = {p: p for p in table}
+            assert all(source[p] is p for p in by_key)
