@@ -14,11 +14,12 @@ latencies before printing the ratio.
 
 Also included: the per-phase wall-clock breakdown of ``run()`` beside the
 construction steps (minimise, partition, matcher builds; raw and with
-``minimize="full"``), a cProfile listing of
-the *scalar* engine (the baseline being optimized away), and the
-batch-vs-scalar lookup throughput comparison for every vectorized trie
-kernel (via :class:`repro.obs.KernelProfile`; REPRO_BATCH=0 disables the
-batch paths everywhere — see docs/TUTORIAL.md).
+``minimize="full"``, the latter with the minimiser's seconds per pass), a
+cProfile listing of the *scalar* engine (the baseline being optimized
+away), and the batch-vs-scalar lookup throughput comparison for every
+vectorized trie kernel (via :class:`repro.obs.KernelProfile`;
+REPRO_BATCH=0 disables the batch paths everywhere — see
+docs/TUTORIAL.md).
 
     python scripts/profile_sim.py [packets_per_lc] [--profile]
         [--table-size N] [--no-manifest] [--runs-dir DIR]
@@ -42,6 +43,7 @@ import pstats
 import resource
 import sys
 import time
+from typing import Tuple
 
 import numpy as np
 
@@ -150,11 +152,12 @@ def compare_engines(packets_per_lc: int, table=None) -> dict:
     }
 
 
-def minimised_construction(table, n_lcs: int) -> dict:
+def minimised_construction(table, n_lcs: int) -> Tuple[dict, dict]:
     """Construction seconds per step for a ``minimize="full"`` simulator
-    over ``table`` (built, not run)."""
+    over ``table`` (built, not run), and the minimiser's seconds per
+    pass."""
     sim = SpalSimulator(table, SpalConfig(n_lcs=n_lcs, minimize="full"))
-    return dict(sim.construct_seconds)
+    return dict(sim.construct_seconds), dict(sim.minimize_stats.pass_seconds)
 
 
 def _ms(seconds: dict) -> str:
@@ -285,8 +288,9 @@ def main() -> None:
         print(f"  {eng:6s} loop {loop:6.2f}s  {eps / 1000:7.0f}k events/s   "
               f"{_ms(stats[f'phases_{eng}'])}   "
               f"| construct {_ms(stats[f'construct_{eng}'])}")
-    print(f"  minimised construct "
-          f"{_ms(minimised_construction(table, HEADLINE['n_lcs']))}")
+    construct, passes = minimised_construction(table, HEADLINE["n_lcs"])
+    print(f"  minimised construct {_ms(construct)}   "
+          f"| minimise passes {_ms(passes)}")
     print(f"  {stats['events']} events, cache hit rate "
           f"{stats['hit_rate']:.4f}, array speedup "
           f"{stats['ratio']:.2f}x (bit-identical results)")

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ..errors import CacheConfigError, SimulationError
+from ..routing import minimize as _minimize
 
 #: System cycle (paper Sec. 5.1): 5 ns.
 CYCLE_NS = 5.0
@@ -130,7 +131,8 @@ class SpalConfig:
         bit-identical to earlier revisions), ``"full"``
         (default-removal + ORTC + ordered-covering; minimal output),
         ``"ortc"`` (ORTC alone; equally minimal), or ``"light"``
-        (default-removal + ordered-covering; cheaper, non-minimal).
+        (default-removal + ordered-covering; cheaper, non-minimal) — the
+        names of :data:`repro.routing.minimize.PASS_SETS`.
         Minimised tables answer every lookup identically to the
         original; churn schedules are translated on the fly (see
         :class:`repro.routing.minimize.MinimizeState`).
@@ -188,9 +190,13 @@ class SpalConfig:
                 f"on_unreachable must be 'drop' or 'raise', "
                 f"got {self.on_unreachable!r}"
             )
-        if self.minimize not in (None, "full", "ortc", "light"):
+        if self.minimize is not None and (
+            not isinstance(self.minimize, str)
+            or self.minimize not in _minimize.PASS_SETS
+        ):
+            names = ", ".join(repr(name) for name in _minimize.PASS_SETS)
             raise SimulationError(
-                "minimize must be None, 'full', 'ortc' or 'light', "
+                f"minimize must be None or one of {names}, "
                 f"got {self.minimize!r}"
             )
         if self.cache is not None:

@@ -7,12 +7,13 @@ number — partition sizes, per-LC pool bytes, trie build times — improves
 for free.  This experiment quantifies the stage end to end:
 
 * **compression** — per table and pass set: routes surviving each pass,
-  the final compression ratio, explicit null routes emitted, and build
-  time.  ``make_full_v4`` carries a realistic hop-locality model (most
-  more-specifics forward like their covering aggregate), which is the
-  structure ORTC's published ~50 % reductions feed on; the RT_1/RT_2
-  profiles keep their original uniform hop draws and therefore compress
-  far less — both numbers are reported.
+  the final compression ratio, explicit null routes emitted, build time
+  and the seconds each pass took (``defaults_s``/``ortc_s``/``oc_s``, so
+  a regression points at one pass).  ``make_full_v4`` carries a
+  realistic hop-locality model (most more-specifics forward like their
+  covering aggregate), which is the structure ORTC's published ~50 %
+  reductions feed on; the RT_1/RT_2 profiles keep their original uniform
+  hop draws and therefore compress far less — both numbers are reported.
 * **storage** — per-LC CRAM at ψ: the largest packed Lulea / LC-trie
   pool over the partitions of the raw vs the minimised table, normalised
   to bytes per *original* prefix (the honest metric: minimisation does
@@ -79,18 +80,19 @@ def _compression_rows(rows: List[Dict[str, object]]) -> None:
             t0 = time.perf_counter()
             stats = minimize_table(table, mode).stats
             build_s = time.perf_counter() - t0
-            rows.append(
-                {
-                    "section": "compression",
-                    "table": name,
-                    "mode": mode,
-                    "routes": stats.original_routes,
-                    "minimized": stats.minimized_routes,
-                    "ratio": round(stats.ratio, 4),
-                    "null_routes": stats.null_routes,
-                    "build_s": round(build_s, 3),
-                }
-            )
+            row = {
+                "section": "compression",
+                "table": name,
+                "mode": mode,
+                "routes": stats.original_routes,
+                "minimized": stats.minimized_routes,
+                "ratio": round(stats.ratio, 4),
+                "null_routes": stats.null_routes,
+                "build_s": round(build_s, 3),
+            }
+            for pass_name, seconds in stats.pass_seconds.items():
+                row[f"{pass_name}_s"] = round(seconds, 3)
+            rows.append(row)
 
 
 def _storage_rows(rows: List[Dict[str, object]]) -> None:
@@ -206,8 +208,9 @@ def run_minimize(
     result.rows = rows
     headers = [
         "section", "table", "mode", "routes", "minimized", "ratio",
-        "null_routes", "build_s", "matcher", "psi", "max_lc_pool_kb",
-        "pool_B_per_prefix", "rate_per_s", "ops", "translated_ops",
+        "null_routes", "build_s", "defaults_s", "ortc_s", "oc_s",
+        "matcher", "psi", "max_lc_pool_kb", "pool_B_per_prefix",
+        "rate_per_s", "ops", "translated_ops",
         "amplification", "after_churn", "refreshed", "reexpansion",
         "packets", "mean_lookup", "hit_rate", "identical",
     ]

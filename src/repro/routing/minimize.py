@@ -4,8 +4,7 @@ SPAL's storage story (paper Tables 2–4) assumes each line card's CRAM holds
 its raw partition of the table.  The classical pre-partition mitigation is
 FIB minimisation — shrink the table *before* partitioning, without changing
 a single lookup answer — and this module implements the standard three-pass
-pipeline over the packed column representation, so it runs at
-million-prefix scale:
+pipeline:
 
 1. ``defaults`` — :func:`remove_default_routes` (after the SpiNNaker
    minimiser of the same name): drop every entry whose next hop equals the
@@ -16,12 +15,10 @@ million-prefix scale:
    (Draves et al., INFOCOM 1999), reimplemented over a Patricia closure of
    the prefix set (original prefixes plus the pairwise lowest common
    ancestors of the sorted sequence, at most ``2n - 1`` nodes) with
-   candidate sets as integer bitmasks and O(1) collapse arithmetic for
+   candidate sets as hop bitmasks and O(1) collapse arithmetic for
    path-compressed edges.  Unlike the textbook recursive construction,
-   no expanded binary trie is ever built,
-   which is what makes the 1M-prefix ``make_full_v4`` table minimisable in
-   seconds.  Output is provably *minimal*: no smaller LPM-equivalent table
-   exists.
+   no expanded binary trie is ever built.  Output is provably *minimal*:
+   no smaller LPM-equivalent table exists.
 3. ``oc`` — :func:`ordered_covering` (again after the SpiNNaker
    exemplar): bottom-up merge of sibling pairs that share a next hop into
    their parent (whose own entry, if present, is unreachable — the two
@@ -29,6 +26,34 @@ million-prefix scale:
    a fixpoint.  After a full ORTC pass this is a provable no-op; it exists
    as the cheap standalone pass ("light" mode) and as the historical
    algorithm the pipeline generalises.
+
+**Columnar passes.**  A whole-table pass never walks the table entry by
+entry.  It reads the table's packed columns (:func:`table_columns`) as one
+sorted column of packed keys ``(value << KEY_SHIFT) | length`` — uint64
+where that fits in 64 bits, Python ints (object dtype) beyond, through the
+same code — and works one prefix length at a time, so IPv4 takes at most
+33 NumPy steps per sweep:
+
+* the Patricia closure (:class:`_Closure`) comes from one vectorised LCA
+  of adjacent sorted keys; in a pre-order-sorted set closed under LCA,
+  node ``i``'s parent is ``lca(node[i-1], node[i])``, so one
+  ``searchsorted`` finds every parent;
+* ``defaults`` removes an entry iff its hop equals its nearest *original*
+  strict ancestor's (``NO_ROUTE`` when none) — the same answer as the
+  nearest-retained rule, because a removed ancestor carries its own
+  retained ancestor's hop — read off one top-down pass over the closure;
+* ``ortc`` runs the bottom-up merge from the deepest length up and the
+  top-down select from the root down, with candidate sets as
+  ``(nodes, ⌈A/64⌉)`` uint64 masks over the hop alphabet ``A`` (a full
+  feed's 65 hops, 0–64, plus ``NO_ROUTE`` need two words);
+* ``oc`` finds equal-hop sibling pairs with one ``searchsorted`` of
+  ``value | sibling_bit`` per length, longest first, and prunes covered
+  entries with the ``defaults`` kernel.
+
+The churn path (:meth:`MinimizeState.apply_update`) re-minimises regions of
+a few routes at a time, where per-call NumPy overhead outweighs the work,
+so it keeps the scalar :func:`_ortc_region`; the test suite also uses it as
+the whole-table ORTC oracle.
 
 **Equivalence contract.**  Every pass preserves the longest-prefix-match
 function exactly: for *every* address, ``minimized.lookup(a) ==
@@ -56,11 +81,12 @@ from __future__ import annotations
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from ..errors import TableError
+from .arraytable import ArrayRoutingTable, table_columns
 from .churn import ChurnEvent, ChurnSchedule
 from .prefix import Prefix
 from .table import NO_ROUTE, NextHop, RoutingTable
@@ -80,6 +106,8 @@ PASS_SETS: Dict[str, Tuple[str, ...]] = {
 }
 
 _Entry = Tuple[int, int, int]  # (value, length, hop)
+#: A table as ``(packed keys, hops)`` columns, sorted by key.
+_Columns = Tuple[np.ndarray, np.ndarray]
 
 
 def _resolve_passes(passes: Union[str, Sequence[str]]) -> Tuple[str, ...]:
@@ -93,88 +121,291 @@ def _resolve_passes(passes: Union[str, Sequence[str]]) -> Tuple[str, ...]:
             ) from None
     names = tuple(passes)
     for name in names:
-        if name not in ("defaults", "ortc", "oc"):
+        if name not in _PASSES:
             raise TableError(f"unknown minimisation pass {name!r}")
     return names
 
 
-def _entries_of(table: RoutingTable) -> List[_Entry]:
-    """The table as ``(value, length, hop)`` triples, no Prefix objects."""
-    as_arrays = getattr(table, "as_arrays", None)
-    if as_arrays is not None:
-        values, lengths, hops = as_arrays()
-        if isinstance(values, np.ndarray):
-            values = values.astype(np.uint64).tolist()
-        return list(zip(map(int, values), map(int, lengths), map(int, hops)))
-    return [(p.value, p.length, h) for p, h in table.routes()]
+# ---------------------------------------------------------------------------
+# Packed key columns
+# ---------------------------------------------------------------------------
+
+def _key_dtype(width: int):
+    """uint64 where a packed key fits in 64 bits, Python ints beyond."""
+    return np.uint64 if width + KEY_SHIFT <= 64 else object
 
 
-def _materialize(
-    entries: List[_Entry], width: int
-) -> RoutingTable:
-    """Build a table from sorted entries — columnar for IPv4-class widths
-    (no per-prefix objects until a consumer needs them), dict-backed
-    beyond 64 bits."""
-    entries = sorted(entries)
+def _sorted_columns(table: RoutingTable) -> _Columns:
+    """The table as ``(packed keys, hops)``, sorted by key."""
+    values, lengths, hops = table_columns(table)
+    dtype = _key_dtype(table.width)
+    if dtype is object:
+        values = np.fromiter(map(int, values), dtype=object, count=len(values))
+    keys = (values << KEY_SHIFT) | lengths.astype(dtype)
+    order = np.argsort(keys)
+    return keys[order], np.asarray(hops, dtype=np.int64)[order]
+
+
+def _unpack(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(values, lengths)`` of packed keys; values keep the key dtype."""
+    return keys >> KEY_SHIFT, (keys & _LEN_MASK).astype(np.int64)
+
+
+def _table_of(keys: np.ndarray, hops: np.ndarray, width: int) -> RoutingTable:
+    """A table from sorted columns — columnar for IPv4-class widths (no
+    per-prefix objects until a consumer needs them), dict-backed beyond
+    64 bits."""
+    values, lengths = _unpack(keys)
     if width <= 64:
-        from .arraytable import ArrayRoutingTable
-
         return ArrayRoutingTable(
-            np.fromiter((v for v, _, _ in entries), dtype=np.uint64,
-                        count=len(entries)),
-            np.fromiter((l for _, l, _ in entries), dtype=np.int64,
-                        count=len(entries)),
-            np.fromiter((h for _, _, h in entries), dtype=np.int64,
-                        count=len(entries)),
-            width,
+            values.astype(np.uint64, copy=False), lengths, hops, width,
             validate=False,
         )
     out = RoutingTable(width)
-    for v, l, h in entries:
+    for v, l, h in zip(values.tolist(), lengths.tolist(), hops.tolist()):
         out.update(Prefix(v, l, width), h)
     return out
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """``int.bit_length`` of every element, as int64."""
+    if x.dtype == object:
+        return np.fromiter(map(int.bit_length, x), dtype=np.int64,
+                           count=len(x))
+    n = np.frexp(x.astype(np.float64))[1].astype(np.int64)
+    # The float conversion rounds to nearest, which can carry a value just
+    # below 2**k up to 2**k: undo that one step.
+    over = (n > 0) & ((x >> np.maximum(n - 1, 0).astype(np.uint64)) == 0)
+    return n - over
+
+
+def _lca(va, la, vb, lb, width: int) -> np.ndarray:
+    """Packed keys of the lowest common ancestors of two prefix columns."""
+    common = np.minimum(np.minimum(la, lb), width - _bit_length(va ^ vb))
+    shift = (width - common).astype(va.dtype)
+    return (((va >> shift) << shift) << KEY_SHIFT) | common.astype(va.dtype)
+
+
+def _by_length(lengths: np.ndarray) -> List[np.ndarray]:
+    """Indexes grouped by length, shortest first, each group ascending."""
+    # A uint8 stable sort is a radix sort.
+    order = np.argsort(lengths.astype(np.uint8), kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)
+
+
+class _Closure:
+    """The Patricia closure of a sorted key column: the keys, the LCAs of
+    adjacent keys and the root ``0/0``, sorted (pre-order).
+
+    ``parent[i]`` is node ``i``'s nearest ancestor in the closure (-1 for
+    the root, node 0); ``orig[k]`` is the node of key ``k``; ``levels``
+    groups node indexes by length, shortest first, each group ascending
+    (``levels[0]`` is the root alone).
+    """
+
+    def __init__(self, keys: np.ndarray, width: int):
+        values, lengths = _unpack(keys)
+        nodes = np.sort(np.concatenate((
+            np.zeros(1, dtype=keys.dtype),
+            keys,
+            _lca(values[:-1], lengths[:-1], values[1:], lengths[1:], width),
+        )))
+        nodes = nodes[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
+        self.values, self.lengths = _unpack(nodes)
+        v, l = self.values, self.lengths
+        self.parent = np.empty(len(nodes), dtype=np.int64)
+        self.parent[0] = -1
+        self.parent[1:] = np.searchsorted(
+            nodes, _lca(v[:-1], l[:-1], v[1:], l[1:], width)
+        )
+        self.orig = np.searchsorted(nodes, keys)
+        self.levels = _by_length(l)
+
+    def inherit(self, own: np.ndarray, root) -> np.ndarray:
+        """Per node: its key's ``own`` value, else its parent's (``root``
+        at a root that is no key) — one top-down pass."""
+        eff = np.full(len(self.parent), root, dtype=own.dtype)
+        eff[self.orig] = own
+        has_own = np.zeros(len(self.parent), dtype=bool)
+        has_own[self.orig] = True
+        for idx in self.levels[1:]:
+            idx = idx[~has_own[idx]]
+            eff[idx] = eff[self.parent[idx]]
+        return eff
 
 
 # ---------------------------------------------------------------------------
 # Pass 1: covered-entry removal ("remove default routes")
 # ---------------------------------------------------------------------------
 
-def _remove_covered_entries(entries: List[_Entry], width: int) -> List[_Entry]:
-    """Drop entries whose hop equals their nearest *retained* covering
-    entry's hop (``NO_ROUTE`` when nothing covers them).
+def _remove_covered(
+    keys: np.ndarray, hops: np.ndarray, width: int
+) -> _Columns:
+    """Drop entries whose hop equals their nearest covering entry's
+    (``NO_ROUTE`` when nothing covers them).
 
-    Pre-order sweep with an ancestor stack: ancestors are decided before
-    descendants, so "retained" is well-defined; a removed ancestor's hop
-    always equals its own retained ancestor's, so the effective covering
-    hop is the retained one.
+    The nearest *original* cover decides: where it was itself removed, it
+    carried its own retained cover's hop, so the answer is the same as
+    against the nearest *retained* cover.
     """
-    out: List[_Entry] = []
-    stack: List[_Entry] = []  # retained ancestors of the sweep position
-    for v, l, h in sorted(entries):
-        while stack:
-            av, al, _ = stack[-1]
-            if al <= l and (v >> (width - al) if al else 0) == (
-                av >> (width - al) if al else 0
-            ):
-                break
-            stack.pop()
-        covering = stack[-1][2] if stack else NO_ROUTE
-        if h != covering:
-            out.append((v, l, h))
-            stack.append((v, l, h))
-    return out
+    closure = _Closure(keys, width)
+    eff = closure.inherit(hops, NO_ROUTE)
+    parent = closure.parent[closure.orig]
+    covering = np.where(parent >= 0, eff[parent], NO_ROUTE)
+    keep = hops != covering
+    return keys[keep], hops[keep]
 
 
 def remove_default_routes(table: RoutingTable) -> RoutingTable:
     """Pipeline pass 1 as a standalone transform (LPM-equivalent)."""
-    return _materialize(
-        _remove_covered_entries(_entries_of(table), table.width), table.width
+    return _transform(table, _remove_covered)
+
+
+# ---------------------------------------------------------------------------
+# Pass 2: ORTC over a Patricia closure (path-compressed)
+# ---------------------------------------------------------------------------
+
+def _onehot(symbols: np.ndarray, words: int) -> np.ndarray:
+    masks = np.zeros((len(symbols), words), dtype=np.uint64)
+    masks[np.arange(len(symbols)), symbols >> 6] = (
+        np.uint64(1) << (symbols & 63).astype(np.uint64)
     )
+    return masks
 
 
-# ---------------------------------------------------------------------------
-# Pass 2: ORTC over a Patricia closure (array form, path-compressed)
-# ---------------------------------------------------------------------------
+def _has(masks: np.ndarray, symbols: np.ndarray) -> np.ndarray:
+    word = masks[np.arange(len(symbols)), symbols >> 6]
+    return ((word >> (symbols & 63).astype(np.uint64)) & np.uint64(1)) != 0
+
+
+def _lowest(masks: np.ndarray) -> np.ndarray:
+    """The lowest set symbol of every (non-empty) mask."""
+    w = (masks != 0).argmax(axis=1)
+    word = masks[np.arange(len(w)), w]
+    low = word & (~word + np.uint64(1))
+    return w * 64 + np.log2(low).astype(np.int64)  # exact: a power of two
+
+
+def _ortc(keys: np.ndarray, hops: np.ndarray, width: int) -> _Columns:
+    """ORTC over the whole table: :func:`_ortc_region` with the default
+    anchors, one prefix length at a time.
+
+    Hops become symbols of the sorted alphabet (``NO_ROUTE``, the
+    smallest, is symbol 0), so the lowest set bit of a candidate mask is
+    ``min(candidates)``, the reference's deterministic tie-break.
+    """
+    closure = _Closure(keys, width)
+    values, lengths, parent = closure.values, closure.lengths, closure.parent
+    n = len(parent)
+    alphabet = np.unique(np.append(hops, NO_ROUTE))
+    words = (len(alphabet) + 63) // 64
+    no_route = int(np.searchsorted(alphabet, NO_ROUTE))
+    eff = closure.inherit(np.searchsorted(alphabet, hops), no_route)
+    # A node's first child is the next node; any other child is its second.
+    first = np.zeros(n, dtype=bool)
+    first[:-1] = parent[1:] == np.arange(n - 1)
+    second = np.full(n, -1, dtype=np.int64)
+    later = np.flatnonzero(parent[1:] != np.arange(n - 1)) + 1
+    second[parent[later]] = later
+    lone = first & (second < 0)  # exactly one explicit child
+
+    # -- merge (bottom-up).  A child's set reaches its parent across the
+    #    path-compressed edge: d-1 implicit single-branch levels, each
+    #    merging with a uniform {eff[parent]} sibling.  One merge step pins
+    #    eff into the set; a second collapses it to {eff}.
+    S = np.zeros((n, words), dtype=np.uint64)
+
+    def lifted(kids, level, e, e_mask):
+        t = S[kids]
+        d = lengths[kids] - level
+        pinned = d == 2
+        hit = pinned & _has(t, e)
+        t[pinned] |= e_mask[pinned]
+        t[hit] = e_mask[hit]
+        t[d >= 3] = e_mask[d >= 3]
+        return t
+
+    for idx in reversed(closure.levels):
+        level = int(lengths[idx[0]])
+        e = eff[idx]
+        e_mask = _onehot(e, words)
+        a = e_mask.copy()  # M(a, b) = a & b or a | b; a lone child pairs
+        b = e_mask.copy()  # with {eff}, a leaf is M({eff}, {eff})
+        k = np.flatnonzero(first[idx])
+        a[k] = lifted(idx[k] + 1, level, e[k], e_mask[k])
+        k = np.flatnonzero(second[idx] >= 0)
+        b[k] = lifted(second[idx[k]], level, e[k], e_mask[k])
+        both = a & b
+        S[idx] = np.where(both.any(axis=1, keepdims=True), both, a | b)
+
+    # -- select (top-down): a level's parents are chosen before it.
+    chosen = np.empty(n, dtype=np.int64)
+    out_values, out_lengths, out_symbols = [], [], []
+
+    def emit(v, l, symbols):
+        out_values.append(v)
+        out_lengths.append(np.broadcast_to(l, len(v)))
+        out_symbols.append(symbols)
+
+    for idx in closure.levels:
+        level = int(lengths[idx[0]])
+        s = S[idx]
+        v = values[idx]
+        if level == 0:
+            inherited = np.full(len(idx), no_route)
+        else:
+            p = parent[idx]
+            i0 = chosen[p]
+            e = eff[p]
+            below = lengths[p] + 1
+            shift = (width - below).astype(v.dtype)
+            top = (v >> shift) << shift  # i's ancestor one level below p
+            d = level - lengths[p]
+            inherited = i0.copy()
+            m = np.flatnonzero(d == 2)
+            if len(m):
+                # One implicit node n1 sits between p and i; its candidate
+                # set is M(S_i, {e}) and its off-path side is uniform {e}.
+                e_mask = _onehot(e[m], words)
+                s1 = s[m] | e_mask
+                hit = _has(s[m], e[m])
+                s1[hit] = e_mask[hit]
+                keep = _has(s1, i0[m])
+                i1 = np.where(keep, i0[m], _lowest(s1))
+                emit(top[m][~keep], below[m][~keep], i1[~keep])
+                repair = i1 != e[m]
+                emit(v[m][repair] ^ (1 << (width - level)), level,
+                     e[m][repair])
+                inherited[m] = i1
+            # d >= 3: every implicit set on the chain is exactly {e}; at
+            # most one entry (at the first implicit level) repairs a
+            # mismatched inheritance, then {e} flows to i.
+            chain = d >= 3
+            repair = chain & (i0 != e)
+            emit(top[repair], below[repair], e[repair])
+            inherited[chain] = e[chain]
+            # p's only explicit child is i; p's other expanded side is a
+            # uniform {e} region needing its own repair entry.
+            repair = lone[p] & (i0 != e)
+            emit(top[repair] ^ (np.ones_like(top[repair]) << shift[repair]),
+                 below[repair], e[repair])
+        keep = _has(s, inherited)
+        lowest = _lowest(s)
+        chosen[idx] = np.where(keep, inherited, lowest)
+        new = ~keep
+        if level == 0:
+            # A root-level NO_ROUTE under a NO_ROUTE inheritance is the one
+            # vacuous emission (it would answer what absence answers).
+            new &= lowest != no_route
+        emit(v[new], level, lowest[new])
+
+    out_keys = (
+        (np.concatenate(out_values) << KEY_SHIFT)
+        | np.concatenate(out_lengths).astype(keys.dtype)
+    )
+    order = np.argsort(out_keys)
+    return out_keys[order], alphabet[np.concatenate(out_symbols)[order]]
+
 
 def _ortc_region(
     entries: List[_Entry],
@@ -200,6 +431,10 @@ def _ortc_region(
     Returns the emitted ``(value, length, hop)`` entries, minimal for the
     region given the two anchors.  Hops equal to ``NO_ROUTE`` are explicit
     null routes.
+
+    This is the scalar walk :func:`_ortc` vectorises.  Churn regions hold
+    a few routes each, too few to repay NumPy's per-call cost, so
+    :meth:`MinimizeState._advance` calls this one.
     """
     # -- node set: originals + root + adjacent-pair LCAs (Patricia closure)
     hop_of: Dict[int, int] = {}
@@ -350,7 +585,7 @@ def _ortc_region(
 
 
 def ortc_table(table: RoutingTable) -> RoutingTable:
-    """The minimal LPM-equivalent table (array-form ORTC).
+    """The minimal LPM-equivalent table (columnar ORTC).
 
     Output is identical to the textbook recursive construction over an
     expanded binary trie (the test suite's oracle) but builds no expanded
@@ -358,9 +593,7 @@ def ortc_table(table: RoutingTable) -> RoutingTable:
     independent of the address width, so it runs on the 1M-prefix
     ``make_full_v4`` snapshot.
     """
-    return _materialize(
-        _ortc_region(_entries_of(table), table.width), table.width
-    )
+    return _transform(table, _ortc)
 
 
 def aggregation_ratio(table: RoutingTable) -> float:
@@ -374,47 +607,68 @@ def aggregation_ratio(table: RoutingTable) -> float:
 # Pass 3: ordered covering (sibling merge + covered removal, to fixpoint)
 # ---------------------------------------------------------------------------
 
-def _ordered_covering_entries(
-    entries: List[_Entry], width: int
-) -> List[_Entry]:
-    routes: Dict[int, int] = {
-        (v << KEY_SHIFT) | l: h for v, l, h in entries
+def _merge_siblings(
+    keys: np.ndarray, hops: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray, bool]:
+    """One bottom-up sweep, longest length first: every pair of siblings
+    sharing a hop becomes one entry on their parent, which the next
+    (shorter) length then sees.  Returns the new columns and whether
+    anything merged."""
+    values, lengths = _unpack(keys)
+    level = {
+        int(lengths[idx[0]]): (values[idx], hops[idx])
+        for idx in _by_length(lengths) if len(idx)
     }
-    changed = True
-    while changed:
-        changed = False
-        by_len: Dict[int, List[int]] = {}
-        for k in routes:
-            by_len.setdefault(k & _LEN_MASK, []).append(k)
-        for l in range(width, 0, -1):
-            for k in sorted(by_len.get(l, ())):
-                h = routes.get(k)
-                if h is None:
-                    continue  # consumed by an earlier merge this sweep
-                sib = k ^ (1 << (width - l + KEY_SHIFT))
-                if routes.get(sib) != h:
-                    continue
-                # Both siblings share a hop: the parent's whole range is
-                # covered by the pair, so any existing parent entry is
-                # unreachable — replace two (or three) entries with one.
-                del routes[k]
-                del routes[sib]
-                v = min(k, sib) >> KEY_SHIFT
-                parent = (v << KEY_SHIFT) | (l - 1)
-                if parent not in routes:
-                    by_len.setdefault(l - 1, []).append(parent)
-                routes[parent] = h
-                changed = True
-        pruned = _remove_covered_entries(
-            [(k >> KEY_SHIFT, k & _LEN_MASK, h) for k, h in routes.items()],
-            width,
-        )
-        if len(pruned) != len(routes):
-            changed = True
-        routes = {(v << KEY_SHIFT) | l: h for v, l, h in pruned}
-    return sorted(
-        (k >> KEY_SHIFT, k & _LEN_MASK, h) for k, h in routes.items()
-    )
+    merged = False
+    for l in range(width, 0, -1):
+        if l not in level:
+            continue
+        v, h = level[l]
+        bit = 1 << (width - l)
+        left = np.flatnonzero((v & bit) == 0)
+        right = np.minimum(np.searchsorted(v, v[left] | bit), len(v) - 1)
+        pair = (v[right] == (v[left] | bit)) & (h[right] == h[left])
+        if not pair.any():
+            continue
+        # Both siblings share a hop: the parent's whole range is covered
+        # by the pair, so any existing parent entry is unreachable —
+        # replace two (or three) entries with one.
+        merged = True
+        left, right = left[pair], right[pair]
+        gone = np.zeros(len(v), dtype=bool)
+        gone[left] = gone[right] = True
+        level[l] = (v[~gone], h[~gone])
+        pv, ph = v[left], h[left]  # the left sibling's value is the parent's
+        if l - 1 in level:
+            uv, uh = level[l - 1]
+            at = np.minimum(np.searchsorted(uv, pv), len(uv) - 1)
+            there = uv[at] == pv
+            uh = uh.copy()
+            uh[at[there]] = ph[there]
+            pv = np.concatenate((uv, pv[~there]))
+            ph = np.concatenate((uh, ph[~there]))
+            order = np.argsort(pv, kind="stable")
+            pv, ph = pv[order], ph[order]
+        level[l - 1] = (pv, ph)
+    if not merged:
+        return keys, hops, False
+    out = np.concatenate([(v << KEY_SHIFT) | l for l, (v, _) in level.items()])
+    order = np.argsort(out)
+    hops = np.concatenate([h for _, h in level.values()])
+    return out[order], hops[order], True
+
+
+def _ordered_covering(
+    keys: np.ndarray, hops: np.ndarray, width: int
+) -> _Columns:
+    """Sibling-merge sweeps, each followed by covered-entry removal, until
+    neither changes anything."""
+    while True:
+        keys, hops, merged = _merge_siblings(keys, hops, width)
+        kept_keys, kept_hops = _remove_covered(keys, hops, width)
+        if not merged and len(kept_keys) == len(keys):
+            return keys, hops
+        keys, hops = kept_keys, kept_hops
 
 
 def ordered_covering(table: RoutingTable) -> RoutingTable:
@@ -424,10 +678,19 @@ def ordered_covering(table: RoutingTable) -> RoutingTable:
     or removal would contradict ORTC's minimality); on raw tables it is
     the cheap sibling-merge minimiser of the SpiNNaker exemplars.
     """
-    return _materialize(
-        _ordered_covering_entries(_entries_of(table), table.width),
-        table.width,
-    )
+    return _transform(table, _ordered_covering)
+
+
+_PASSES = {
+    "defaults": _remove_covered,
+    "ortc": _ortc,
+    "oc": _ordered_covering,
+}
+
+
+def _transform(table: RoutingTable, kernel) -> RoutingTable:
+    keys, hops = kernel(*_sorted_columns(table), table.width)
+    return _table_of(keys, hops, table.width)
 
 
 # ---------------------------------------------------------------------------
@@ -443,6 +706,8 @@ class MinimizeStats:
     original_routes: int
     minimized_routes: int
     after_pass: Dict[str, int] = field(default_factory=dict)
+    #: Wall-clock seconds per pass, keyed like ``after_pass``.
+    pass_seconds: Dict[str, float] = field(default_factory=dict)
     null_routes: int = 0
     build_seconds: float = 0.0
     #: Live-churn re-expansion accounting (advanced by ``apply_update``).
@@ -456,6 +721,15 @@ class MinimizeStats:
         if self.original_routes == 0:
             return 1.0
         return self.original_routes / max(self.minimized_routes, 1)
+
+
+def _key_index(
+    keys: np.ndarray, hops: np.ndarray
+) -> Tuple[List[int], Dict[int, int]]:
+    """The sorted key list and the key → hop dict of a column pair,
+    sharing one int object per key."""
+    key_list = keys.tolist()
+    return key_list, dict(zip(key_list, hops.tolist()))
 
 
 class MinimizeState:
@@ -472,27 +746,20 @@ class MinimizeState:
     def __init__(
         self,
         width: int,
-        original: Dict[int, int],
-        minimized: Dict[int, int],
+        original: Tuple[np.ndarray, np.ndarray],
+        minimized: Tuple[np.ndarray, np.ndarray],
         passes: Tuple[str, ...],
         stats: MinimizeStats,
-        table: Optional[RoutingTable] = None,
     ):
+        """``original`` and ``minimized`` are ``(packed keys, hops)``
+        columns sorted by key."""
         self.width = width
         self.passes = passes
         self.stats = stats
-        self._orig = original
-        self._okeys = sorted(original)
-        self._min = minimized
-        self._mkeys = sorted(minimized)
-        if table is None:
-            table = _materialize(
-                [(k >> KEY_SHIFT, k & _LEN_MASK, h)
-                 for k, h in minimized.items()],
-                width,
-            )
+        self._okeys, self._orig = _key_index(*original)
+        self._mkeys, self._min = _key_index(*minimized)
         #: The minimised routing table (mutated in place by apply_update).
-        self.table = table
+        self.table = _table_of(*minimized, width)
 
     # -- views ---------------------------------------------------------------
 
@@ -514,9 +781,11 @@ class MinimizeState:
     def original_table(self) -> RoutingTable:
         """Materialise the (churn-evolved) original table — the oracle the
         equivalence contract is stated against."""
-        return _materialize(
-            [(k >> KEY_SHIFT, k & _LEN_MASK, h)
-             for k, h in self._orig.items()],
+        keys, n = self._okeys, len(self._okeys)
+        return _table_of(
+            np.fromiter(keys, dtype=_key_dtype(self.width), count=n),
+            np.fromiter(map(self._orig.__getitem__, keys), dtype=np.int64,
+                        count=n),
             self.width,
         )
 
@@ -530,7 +799,11 @@ class MinimizeState:
         fork = MinimizeState.__new__(MinimizeState)
         fork.width = self.width
         fork.passes = self.passes
-        fork.stats = replace(self.stats, after_pass=dict(self.stats.after_pass))
+        fork.stats = replace(
+            self.stats,
+            after_pass=dict(self.stats.after_pass),
+            pass_seconds=dict(self.stats.pass_seconds),
+        )
         fork._orig = dict(self._orig)
         fork._okeys = list(self._okeys)
         fork._min = dict(self._min)
@@ -687,34 +960,27 @@ def minimize_table(
     """
     t0 = time.perf_counter()
     names = _resolve_passes(passes)
-    original = _entries_of(table)
     width = table.width
-    entries = original
+    original = _sorted_columns(table)
+    keys, hops = original
     after: Dict[str, int] = {}
+    seconds: Dict[str, float] = {}
     for name in names:
-        if name == "defaults":
-            entries = _remove_covered_entries(entries, width)
-        elif name == "ortc":
-            entries = _ortc_region(entries, width)
-        else:
-            entries = _ordered_covering_entries(entries, width)
-        after[name] = len(entries)
+        t = time.perf_counter()
+        keys, hops = _PASSES[name](keys, hops, width)
+        seconds[name] = time.perf_counter() - t
+        after[name] = len(keys)
     stats = MinimizeStats(
         passes=names,
         width=width,
-        original_routes=len(original),
-        minimized_routes=len(entries),
+        original_routes=len(original[0]),
+        minimized_routes=len(keys),
         after_pass=after,
-        null_routes=sum(1 for _, _, h in entries if h == NO_ROUTE),
+        pass_seconds=seconds,
+        null_routes=int(np.count_nonzero(hops == NO_ROUTE)),
         build_seconds=time.perf_counter() - t0,
     )
-    return MinimizeState(
-        width,
-        {(v << KEY_SHIFT) | l: h for v, l, h in original},
-        {(v << KEY_SHIFT) | l: h for v, l, h in entries},
-        names,
-        stats,
-    )
+    return MinimizeState(width, original, (keys, hops), names, stats)
 
 
 def minimization_ratio(

@@ -70,3 +70,18 @@ class TestSpalConfig:
     def test_fabric_latency_override(self):
         fab = SpalConfig(fabric="crossbar", fabric_latency=7).make_fabric()
         assert fab.latency_cycles() == 7
+
+    def test_minimize_values_come_from_pass_sets(self, monkeypatch):
+        from repro.routing import minimize
+
+        for name in minimize.PASS_SETS:
+            SpalConfig(minimize=name).validate()
+        # A pass set added to or dropped from PASS_SETS is accepted or
+        # rejected in step, and the error lists the current names.
+        monkeypatch.setitem(minimize.PASS_SETS, "defaults-only", ("defaults",))
+        SpalConfig(minimize="defaults-only").validate()
+        monkeypatch.delitem(minimize.PASS_SETS, "light")
+        with pytest.raises(SimulationError, match="'defaults-only'"):
+            SpalConfig(minimize="light").validate()
+        with pytest.raises(SimulationError):
+            SpalConfig(minimize=["full"]).validate()

@@ -6,6 +6,9 @@ all five matcher structures, through the partition plan, under churn, and
 through a full simulation replay.  The recursive ORTC constructor
 (``_aggregate_table_recursive``) serves as the independent oracle for
 *minimality*: the array pipeline must reproduce its output bit for bit.
+The scalar walks in ``tests/minimize_oracle.py`` are the oracle for the
+columnar passes: every pass and pass set must reproduce them entry for
+entry.
 """
 
 import dataclasses
@@ -14,9 +17,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.routing import Prefix, RoutingTable, random_small_table
+from repro.routing import (
+    ArrayRoutingTable,
+    Prefix,
+    RoutingTable,
+    random_small_table,
+)
 from repro.routing.churn import generate_churn
 from repro.routing.minimize import (
+    KEY_SHIFT,
     PASS_SETS,
     minimization_ratio,
     minimize_table,
@@ -34,6 +43,7 @@ from repro.tries import (
     MultibitTrie,
 )
 
+from .minimize_oracle import entries_of, scalar_minimize, scalar_pass
 from .ortc_oracle import _aggregate_table_recursive
 
 MATCHERS = (BinaryTrie, LCTrie, LuleaTrie, MultibitTrie, HashReferenceMatcher)
@@ -60,23 +70,84 @@ def assert_equivalent(original, candidate, addrs):
 
 @st.composite
 def tables(draw, width=32, max_routes=22, max_length=None):
+    """Random tables with hops drawn from an alphabet of 1–150 hops; with
+    enough routes, past 64 distinct hops, the candidate masks need a
+    second 64-bit word."""
     if max_length is None:
         max_length = min(width, 12)
+    n_hops = draw(st.integers(1, 150))
+    size = draw(st.integers(0, max_routes))
     routes = draw(
         st.lists(
             st.tuples(
                 st.integers(0, (1 << width) - 1),
                 st.integers(0, max_length),
-                st.integers(0, 5),
+                st.integers(0, n_hops - 1),
             ),
-            min_size=0,
-            max_size=max_routes,
+            min_size=size,
+            max_size=size,
         )
     )
     table = RoutingTable(width)
     for value, length, hop in routes:
         mask = ((1 << length) - 1) << (width - length) if length else 0
         table.update(Prefix(value & mask, length, width), hop)
+    return table
+
+
+@st.composite
+def oracle_tables(draw):
+    """IPv4 or IPv6 tables, array- or dict-backed, with default routes,
+    full-length prefixes, explicit null routes, deep chains along a few
+    shared paths and hop alphabets of up to 150 hops."""
+    width = draw(st.sampled_from([32, 128]))
+    n_hops = draw(st.integers(1, 150))
+    paths = draw(
+        st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=4)
+    )
+    route = st.tuples(
+        st.one_of(st.sampled_from(paths), st.integers(0, (1 << width) - 1)),
+        st.one_of(
+            st.integers(0, width), st.sampled_from([0, 1, width - 1, width])
+        ),
+        st.integers(NO_ROUTE, n_hops - 1),
+    )
+    # Hypothesis alone rarely draws more than 64 distinct hops: an explicit
+    # size, and optionally hops dealt round-robin, get past one mask word.
+    size = draw(st.one_of(st.integers(0, 40), st.integers(100, 160)))
+    routes = draw(st.lists(route, min_size=size, max_size=size))
+    dealt = draw(st.booleans())
+    unique = {}
+    for i, (value, length, hop) in enumerate(routes):
+        mask = ((1 << length) - 1) << (width - length) if length else 0
+        unique[(value & mask, length)] = i % n_hops if dealt else hop
+    if draw(st.booleans()):
+        return ArrayRoutingTable(
+            [v for v, _ in unique],
+            np.array([l for _, l in unique], dtype=np.int64),
+            np.array(list(unique.values()), dtype=np.int64),
+            width,
+        )
+    table = RoutingTable(width)
+    for (value, length), hop in unique.items():
+        table.update(Prefix(value, length, width), hop)
+    return table
+
+
+def wide_alphabet_table(symbols):
+    """A dense IPv4 table whose alphabet, ``NO_ROUTE`` included, has
+    exactly ``symbols`` symbols (each hop on three prefixes)."""
+    rng = np.random.default_rng(symbols)
+    n_hops = symbols - 1
+    keys = set()
+    while len(keys) < 3 * n_hops:
+        length = int(rng.integers(1, 14))
+        keys.add((int(rng.integers(0, 1 << length)) << (32 - length), length))
+    hops = rng.permutation(np.arange(3 * n_hops) % n_hops).tolist()
+    table = RoutingTable()
+    for (value, length), hop in zip(sorted(keys), hops):
+        table.update(Prefix(value, length), hop)
+    assert len(set(table.next_hops()) | {NO_ROUTE}) == symbols
     return table
 
 
@@ -144,7 +215,7 @@ class TestKnownCases:
 class TestMinimalityOracle:
     """The array ORTC must reproduce the recursive reference exactly."""
 
-    @given(tables(), st.data())
+    @given(tables(max_routes=150), st.data())
     @settings(max_examples=120, deadline=None)
     def test_matches_recursive_ipv4(self, table, data):
         ref = _aggregate_table_recursive(table)
@@ -165,6 +236,57 @@ class TestMinimalityOracle:
         assert len(minimize_table(table, "full").table) == len(
             ortc_table(table)
         )
+
+    @pytest.mark.parametrize("symbols", [63, 64, 65])
+    def test_wide_alphabet_matches_recursive(self, symbols):
+        # Past 64 symbols, NO_ROUTE included, the candidate masks need a
+        # second 64-bit word.
+        table = wide_alphabet_table(symbols)
+        ref = _aggregate_table_recursive(table)
+        assert sorted(ref.routes()) == sorted(ortc_table(table).routes())
+        for mode in PASS_SETS:
+            expected, _ = scalar_minimize(table, mode)
+            assert entries_of(minimize_table(table, mode).table) == expected
+
+
+class TestScalarOracle:
+    """The columnar passes reproduce the scalar walks of
+    ``tests/minimize_oracle.py`` entry for entry, in sorted order."""
+
+    PASS_LISTS = [("defaults",), ("ortc",), ("oc",)] + sorted(PASS_SETS)
+    TRANSFORMS = (
+        ("defaults", remove_default_routes),
+        ("ortc", ortc_table),
+        ("oc", ordered_covering),
+    )
+
+    @given(oracle_tables())
+    @settings(max_examples=150, deadline=None)
+    def test_columnar_passes_equal_scalar_walks(self, table):
+        for passes in self.PASS_LISTS:
+            expected, after = scalar_minimize(table, passes)
+            state = minimize_table(table, passes)
+            assert entries_of(state.table) == expected
+            assert state.stats.after_pass == after
+            assert state._min == {
+                (v << KEY_SHIFT) | l: h for v, l, h in expected
+            }
+            assert state._mkeys == sorted(state._min)
+            assert state._okeys == sorted(state._orig)
+            assert state._orig == {
+                (v << KEY_SHIFT) | l: h for v, l, h in entries_of(table)
+            }
+        entries = entries_of(table)
+        for name, transform in self.TRANSFORMS:
+            assert entries_of(transform(table)) == scalar_pass(
+                name, entries, table.width
+            )
+
+    def test_state_shares_key_objects(self):
+        state = minimize_table(random_small_table(200, seed=5), "full")
+        for keys, routes in ((state._okeys, state._orig),
+                             (state._mkeys, state._min)):
+            assert all(a is b for a, b in zip(keys, routes))
 
 
 class TestEquivalenceProperties:
