@@ -427,7 +427,7 @@ class LRCache:
 
     def adopt_flat_state(
         self,
-        sets: List[List[tuple]],
+        sets: Dict[int, List[tuple]],
         stamp: int,
         victim_entries: Optional[List[tuple]] = None,
         victim_stamp: int = 0,
@@ -436,28 +436,28 @@ class LRCache:
     ) -> None:
         """Rebuild resident entries from the array engine's flat state.
 
-        ``sets[i]`` lists that set's entries as ``(address, next_hop, mix,
-        waiting, last_used, inserted)`` tuples *in dict insertion order* —
-        order is part of the contract, since replacement candidate lists
-        (and therefore future evictions) follow it.  ``self.stats`` is the
-        engine's responsibility; this only restores the structural state so
-        post-run introspection (occupancy, mix_histogram, peek) matches a
-        scalar run.
+        ``sets`` maps the index of each non-empty set to its entries as
+        ``(address, next_hop, mix, waiting, last_used, inserted)`` tuples
+        *in dict insertion order* — order is part of the contract, since
+        replacement candidate lists (and therefore future evictions)
+        follow it.  Sets it does not name come back empty.
+        ``self.stats`` is the engine's responsibility; this only restores
+        the structural state so post-run introspection (occupancy,
+        mix_histogram, peek) matches a scalar run.
         """
-        if len(sets) != self.n_sets:
-            raise CacheConfigError(
-                f"flat state has {len(sets)} sets, cache has {self.n_sets}"
-            )
-        rebuilt: List[Dict[int, CacheEntry]] = []
-        for flat in sets:
-            d: Dict[int, CacheEntry] = {}
+        rebuilt: List[Dict[int, CacheEntry]] = [{} for _ in range(self.n_sets)]
+        for index, flat in sets.items():
+            if not 0 <= index < self.n_sets:
+                raise CacheConfigError(
+                    f"flat state names set {index}, cache has {self.n_sets}"
+                )
+            d = rebuilt[index]
             for address, next_hop, mix, waiting, last_used, inserted in flat:
                 entry = CacheEntry(address, mix, last_used)
                 entry.next_hop = next_hop
                 entry.waiting = waiting
                 entry.inserted = inserted
                 d[address] = entry
-            rebuilt.append(d)
         self._sets = rebuilt
         self._stamp = stamp
         if self.victim is not None:

@@ -34,8 +34,9 @@ fault injection, tracing/metrics and live churn — because it preserves:
   same shared objects (partition plan, matchers, oracle, fault RNG,
   tracer, metric instruments) in the same order.  Churn invalidation is
   the same set-level operation as the scalar per-set scan, reached
-  through the entry pool instead: one pass picks the live entries under
-  the prefix and deletes each from the set or victim dict that holds it.
+  through the entry pool instead: one vector range query over the pool's
+  key column (:func:`_ids_under`) picks the entries under the prefix,
+  and each live one is deleted from the set or victim dict holding it.
 
 At the end of a run the engine writes the flat state back into the
 simulator's objects (caches, resources, fabric-adjacent counters, event
@@ -51,6 +52,7 @@ configurations and asserts field-by-field and trace-stream equality.
 from __future__ import annotations
 
 import time
+from array import array
 from bisect import bisect_left
 from collections.abc import Sequence as _SequenceABC
 from heapq import heapify, heappop, heappush
@@ -88,6 +90,32 @@ _K_FLUSH = 6    # full cache flush            ()
 _K_FAULT = 7    # scripted LC fault           (kind, lc)
 _K_UPDATE = 8   # live churn update           (update,)
 _K_INVAL = 9    # legacy selective invalidate (prefix,)
+
+
+def _ids_under(e_key, e_addr, value: int, span: int, kshift: int) -> List[int]:
+    """Ids of the entry-pool slots whose address lies under a prefix, in
+    ascending order: every ``e`` with ``e_addr[e] ^ value < span``, where
+    ``span = 2**(width - length)`` for the prefix ``value/length``.
+
+    ``e_key`` is the pool's ``array("Q")`` key column, ``e_addr[e] >>
+    kshift`` with ``kshift = max(0, width - 64)``: the whole address up to
+    64 bits, the high word beyond.  One vector compare over the keys picks
+    the candidates — exactly the matches for a prefix of at most 64 bits,
+    a superset (equal high words) for a longer one — and the exact
+    integer test runs on those survivors only.  A key span of 2**64 or
+    more (a /0 on 64 bits or wider) makes every id a candidate.  The view
+    over ``e_key`` dies inside the expression, so the caller may append
+    to the column afterwards.
+    """
+    kspan = span >> kshift
+    if kspan >> 64:
+        cand = range(len(e_addr))
+    else:
+        cand = np.flatnonzero(
+            (np.frombuffer(e_key, np.uint64) ^ np.uint64(value >> kshift))
+            < np.uint64(max(1, kspan))
+        ).tolist()
+    return [e for e in cand if (e_addr[e] ^ value) < span]
 
 
 class _CountSeq(_SequenceABC):
@@ -242,6 +270,10 @@ class ArrayEngine:
         # is only reused after every reference is gone.
         has_cache = config.cache is not None
         e_addr: List[int] = []
+        # Each address's top 64 bits, for the vector range query behind
+        # churn invalidation (see ``_ids_under``).
+        kshift = max(0, sim.table.width - 64)
+        e_key = array("Q")
         e_idx: List[int] = []
         e_hop: List[Optional[int]] = []
         e_mix: List[int] = []
@@ -650,6 +682,7 @@ class ArrayEngine:
             if free_eids:
                 eid = free_eids.pop()
                 e_addr[eid] = addr
+                e_key[eid] = addr >> kshift
                 e_idx[eid] = idx
                 e_hop[eid] = hop
                 e_mix[eid] = mix
@@ -660,6 +693,7 @@ class ArrayEngine:
                 e_ref[eid] = 0
                 return eid
             e_addr.append(addr)
+            e_key.append(addr >> kshift)
             e_idx.append(idx)
             e_hop.append(hop)
             e_mix.append(mix)
@@ -823,18 +857,17 @@ class ArrayEngine:
                     ederef(d.pop(a))
 
         def inval_under(prefix, full_lcs, sinks) -> int:
-            # Every LC's selective invalidation in one pass over the entry
-            # pool rather than a scan of every set: an address lies under
-            # the prefix iff ``addr ^ value < span``.  A candidate counts
-            # only while its own set (or its LC's victim cache) still holds
-            # it, which skips recycled ids and packet-held reservations.
-            # LCs outside ``full_lcs`` (None = all) drop REM entries only.
-            value = prefix.value
-            span = 1 << (prefix.width - prefix.length)
+            # Every LC's selective invalidation as one range query over
+            # the entry pool rather than a scan of every set.  A candidate
+            # counts only while its own set (or its LC's victim cache)
+            # still holds it, which skips recycled ids and packet-held
+            # reservations.  LCs outside ``full_lcs`` (None = all) drop
+            # REM entries only.
             dropped = 0
-            for e in list(compress(
-                count(), map(span.__gt__, map(value.__xor__, e_addr))
-            )):
+            for e in _ids_under(
+                e_key, e_addr, prefix.value,
+                1 << (prefix.width - prefix.length), kshift,
+            ):
                 if not e_ref[e]:
                     continue
                 idx = e_idx[e]
@@ -1612,6 +1645,10 @@ class ArrayEngine:
                     maybe_retire(p)
                     continue
                 else:
+                    # One index walk over the arrivals that precede the
+                    # next heap key: hits complete inline; a port wait, a
+                    # miss or a no-cache dispatch may push an event, so
+                    # the walk re-bisects its end when the heap top moves.
                     if heap:
                         hk = heap[0][0]
                         j = bisect_left(arr_key, hk, ai, n_arr)
@@ -1619,13 +1656,35 @@ class ArrayEngine:
                         hk = -1
                         j = n_arr
                     a0 = ai
-                    if has_cache and not any(failed):
-                        jj = j if j - ai <= 1024 else ai + 1024
-                        for t, p in zip(arr_t[ai:jj], arr_slot[ai:jj]):
-                            ai += 1
+                    # Sampler windows close only when control is back in
+                    # the outer loop.  With a sampler on a cached router
+                    # whose LCs are all up, the walk hands control back
+                    # where this loop's hit runs used to end (after a port
+                    # wait or a miss, and every 1024 arrivals) whenever a
+                    # boundary is due, so the sampled series is unchanged.
+                    yields = (
+                        smp_next != _NO_SAMPLE and has_cache
+                        and not any(failed)
+                    )
+                    cap = ai + 1024 if yields else n_arr
+                    while ai < j:
+                        jj = j if j < cap else cap
+                        for i in range(ai, jj):
+                            t = arr_t[i]
+                            p = arr_slot[i]
                             lc = p_lc[p]
+                            if failed[lc]:
+                                drop(p, "ingress", t)
+                                maybe_retire(p)
+                                continue
+                            if not has_cache:
+                                ai = i + 1
+                                dispatch(p, lc, t, home_of(p, lc))
+                                maybe_retire(p)
+                                break
                             pf = port_free[lc]
                             if pf > t:
+                                ai = i + 1
                                 port_free[lc] = pf + 1
                                 port_busy[lc] += 1
                                 seq += 1
@@ -1636,7 +1695,7 @@ class ArrayEngine:
                                      _K_PROBE, p, lc, pf, 0),
                                 )
                                 break
-                            port_free[lc] = t1 = t + 1
+                            port_free[lc] = t + 1
                             port_busy[lc] += 1
                             addr = p_dest[p]
                             fs = fsets[p_set[p]]
@@ -1660,9 +1719,10 @@ class ArrayEngine:
                                     e_waiters[eid].append(p)
                                     p_ref[p] += 1
                                 else:
+                                    # The slot is recycled at once, so the
+                                    # hit records no completion cycle or
+                                    # hop: only a trace would read them.
                                     st_hits[lc] += 1
-                                    p_served[p] = e_hop[eid]
-                                    p_ct[p] = t1
                                     completed_n += 1
                                     if p_meas[p]:
                                         lat_cur.append(1)
@@ -1675,90 +1735,26 @@ class ArrayEngine:
                                             del lat_cur[:]
                                     free_slots.append(p)
                                 continue
+                            ai = i + 1
                             probe_tail(p, lc, addr, t)
                             maybe_retire(p)
                             break
-                    else:
-                        while ai < j:
-                            t = arr_t[ai]
-                            p = arr_slot[ai]
-                            ai += 1
-                            lc = p_lc[p]
-                            if failed[lc]:
-                                drop(p, "ingress", t)
-                                maybe_retire(p)
-                                continue
-                            if not has_cache:
-                                dispatch(p, lc, t, home_of(p, lc))
-                                maybe_retire(p)
-                                if heap:
-                                    nk = heap[0][0]
-                                    if nk != hk:
-                                        hk = nk
-                                        j = bisect_left(arr_key, hk, ai, j)
-                                continue
-                            pf = port_free[lc]
-                            if pf > t:
-                                port_free[lc] = pf + 1
-                                port_busy[lc] += 1
-                                seq += 1
-                                p_ref[p] += 1
-                                heappush(
-                                    heap,
-                                    ((pf << _SEQ_BITS) | seq,
-                                     _K_PROBE, p, lc, pf, 0),
-                                )
-                                nk = heap[0][0]
-                                if nk != hk:
-                                    hk = nk
-                                    j = bisect_left(arr_key, hk, ai, j)
-                                continue
-                            port_free[lc] = t1 = t + 1
-                            port_busy[lc] += 1
-                            addr = p_dest[p]
-                            fs = fsets[p_set[p]]
-                            if has_gray:
-                                mf = faults.miss_fraction_at(t, lc)
-                                if mf > 0.0:
-                                    geid = fs.get(addr)
-                                    if (
-                                        geid is not None
-                                        and not e_wait[geid]
-                                        and frand() < mf
-                                    ):
-                                        del fs[addr]
-                                        ederef(geid)
-                            eid = fs.get(addr)
-                            if eid is not None:
-                                stamp[lc] = tick = stamp[lc] + 1
-                                e_last[eid] = tick
-                                if e_wait[eid]:
-                                    st_whits[lc] += 1
-                                    e_waiters[eid].append(p)
-                                    p_ref[p] += 1
-                                else:
-                                    st_hits[lc] += 1
-                                    p_served[p] = e_hop[eid]
-                                    p_ct[p] = t1
-                                    completed_n += 1
-                                    if p_meas[p]:
-                                        lat_cur.append(1)
-                                        if len(lat_cur) >= 65536:
-                                            lat_parts.append(
-                                                np.asarray(
-                                                    lat_cur, dtype=np.int64
-                                                )
-                                            )
-                                            del lat_cur[:]
-                                    free_slots.append(p)
-                                continue
-                            probe_tail(p, lc, addr, t)
-                            maybe_retire(p)
-                            if heap:
-                                nk = heap[0][0]
-                                if nk != hk:
-                                    hk = nk
-                                    j = bisect_left(arr_key, hk, ai, j)
+                        else:
+                            # The next heap key, or a yield point.
+                            ai = jj
+                            if ai == j or t >= smp_next:
+                                break
+                            cap = ai + 1024
+                            continue
+                        if yields:
+                            if t >= smp_next:
+                                break
+                            cap = ai + 1024
+                        if heap:
+                            nk = heap[0][0]
+                            if nk != hk:
+                                hk = nk
+                                j = bisect_left(arr_key, hk, ai, j)
                     now = t
                     processed += ai - a0
                     continue
@@ -1847,15 +1843,18 @@ class ArrayEngine:
                 if obs_ev is not None:
                     obs_ev[LOC].value += ev_cnt[i][LOC]
                     obs_ev[REM].value += ev_cnt[i][REM]
+                # Only resident sets cost anything: the cache creates
+                # its empty ones itself.
+                lc_sets = fsets[i * n_sets:(i + 1) * n_sets]
                 cache.adopt_flat_state(
-                    [
-                        [
+                    {
+                        k: [
                             (a, e_hop[e], e_mix[e], e_wait[e],
                              e_last[e], e_ins[e])
-                            for a, e in st_set.items()
+                            for a, e in lc_sets[k].items()
                         ]
-                        for st_set in fsets[i * n_sets:(i + 1) * n_sets]
-                    ],
+                        for k in compress(count(), lc_sets)
+                    },
                     stamp[i],
                     victim_entries=(
                         [

@@ -1263,7 +1263,6 @@ class SpalSimulator:
                 "SpalSimulator instances are single-use (caches, fabric and "
                 "queues carry state); build a fresh simulator per run"
             )
-        self._ran = True
         if update_policy not in ("flush", "selective", "rem"):
             raise SimulationError(
                 "update_policy must be 'flush', 'selective' or 'rem', "
@@ -1281,6 +1280,9 @@ class SpalSimulator:
                 raise SimulationError(
                     f"need {self.config.n_lcs} per-LC speeds, got {len(speeds)}"
                 )
+        # Only past the argument checks: a rejected call leaves the
+        # simulator untouched and runnable.
+        self._ran = True
         if faults is not None and not faults.empty:
             faults.validate(self.config.n_lcs)
             self._faults = faults

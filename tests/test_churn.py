@@ -3,6 +3,10 @@ incremental matcher updates, staleness-free cache invalidation, and the
 cycle-interleaved simulator path."""
 
 
+import random
+from array import array
+from itertools import compress, count
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +22,7 @@ from repro.routing import (
     random_small_table,
 )
 from repro.sim import SpalSimulator
+from repro.sim.array_engine import _ids_under
 from repro.traffic import FlowPopulation, TraceSpec, generate_router_streams
 from repro.tries import (
     BinaryTrie,
@@ -201,6 +206,103 @@ class TestInterleavedUpdateProperty:
             addr = p.first_address()
             for m in matchers:
                 assert m.lookup(addr) == oracle.lookup(addr)
+
+
+def pool_scan(e_addr, value, span):
+    """The entry-pool scan the range query replaces: every id whose
+    address lies under the prefix, in id order."""
+    return list(compress(
+        count(), map(span.__gt__, map(value.__xor__, e_addr))
+    ))
+
+
+def build_pool(ops, kshift):
+    """An entry pool as the array engine grows it: ``(addr, slot)`` ops
+    append a new id (``slot`` None) or overwrite a recycled one."""
+    e_addr = []
+    e_key = array("Q")
+    for addr, slot in ops:
+        if slot is None or not e_addr:
+            e_addr.append(addr)
+            e_key.append(addr >> kshift)
+        else:
+            e = slot % len(e_addr)
+            e_addr[e] = addr
+            e_key[e] = addr >> kshift
+    return e_addr, e_key
+
+
+#: Prefix lengths where the key column's high-word test changes shape:
+#: the whole space, one bit, the 64-bit /0 key-span overflow, either side
+#: of the 64-bit word boundary, and full length.
+CORNER_LENGTHS = (0, 1, 63, 64, 65)
+
+
+@st.composite
+def pooled_queries(draw):
+    """A prefix of a drawn width plus an entry pool (with recycled ids)
+    whose addresses sit under it, one bit outside it, or anywhere."""
+    width = draw(st.sampled_from([32, 64, 128]))
+    length = draw(st.one_of(
+        st.sampled_from(
+            [n for n in CORNER_LENGTHS if n <= width] + [width]
+        ),
+        st.integers(0, width),
+    ))
+    host = width - length
+    value = (draw(st.integers(0, (1 << width) - 1)) >> host) << host
+    addrs = st.one_of(
+        st.integers(0, (1 << host) - 1).map(value.__or__),
+        st.integers(0, width - 1).map(lambda b: value ^ (1 << b)),
+        st.integers(0, (1 << width) - 1),
+    )
+    ops = draw(st.lists(
+        st.tuples(addrs, st.none() | st.integers(0, 1 << 16)),
+        max_size=60,
+    ))
+    return Prefix(value, length, width), ops
+
+
+class TestIdsUnder:
+    """``_ids_under`` — the vector range query behind the array engine's
+    churn invalidation — returns exactly the old pool scan's ids."""
+
+    @settings(deadline=None)
+    @given(pooled_queries())
+    def test_matches_pool_scan(self, query):
+        prefix, ops = query
+        kshift = max(0, prefix.width - 64)
+        e_addr, e_key = build_pool(ops, kshift)
+        span = 1 << (prefix.width - prefix.length)
+        got = _ids_under(e_key, e_addr, prefix.value, span, kshift)
+        assert got == pool_scan(e_addr, prefix.value, span)
+        # The query leaves no view exported over the key column.
+        e_key.append(0)
+
+    @pytest.mark.parametrize("width,length", [
+        (width, length)
+        for width in (32, 64, 128)
+        for length in CORNER_LENGTHS + (width,)
+        if length <= width
+    ])
+    def test_corner_lengths(self, width, length):
+        kshift = max(0, width - 64)
+        rng = random.Random(width * 100 + length)
+        host = width - length
+        value = (rng.getrandbits(width) >> host) << host
+        ops = []
+        for i in range(200):
+            anywhere = rng.getrandbits(width)
+            under = value | (anywhere & ((1 << host) - 1))
+            outside = value ^ (1 << (i % width))
+            addr = (under, outside, anywhere)[i % 3]
+            # Every fifth op recycles an earlier id.
+            ops.append((addr, i if i % 5 == 4 else None))
+        e_addr, e_key = build_pool(ops, kshift)
+        span = 1 << host
+        want = pool_scan(e_addr, value, span)
+        assert want, "the pool must hold addresses under the prefix"
+        assert _ids_under(e_key, e_addr, value, span, kshift) == want
 
 
 class TestIncrementalStructures:

@@ -386,6 +386,54 @@ class TestCuratedIdentity:
         )
 
 
+class TestChurnPoolGrowth:
+    """Misses after an invalidation grow the entry pool that the
+    invalidation's range query has just read.  The pool's key column must
+    stay appendable, and each later update must find the entries added
+    since the one before it."""
+
+    @pytest.mark.parametrize("width", [32, 128])
+    def test_churn_misses_grow_pool_after_invalidation(self, width):
+        table = TABLE if width == 32 else TABLE_V6
+        base = 0 if width == 32 else 0x2001 << 112
+        n_lcs, n = 2, 200
+        # Distinct destinations in a cache with room for all of them:
+        # every arrival misses and appends a new entry id.
+        dests = np.random.default_rng(31).permutation(1 << 16)[: n_lcs * n]
+        dests = [base | int(a) for a in dests]
+        streams = [
+            np.array(dests[i * n:(i + 1) * n],
+                     dtype=np.uint64 if width == 32 else object)
+            for i in range(n_lcs)
+        ]
+        # Each update covers a destination that arrived after the update
+        # before it (LC 0 sees one arrival every ~10 cycles at 40 Gbps).
+        sched = ChurnSchedule(seed=31)
+        for k, cycle in enumerate((300, 800, 1300, 1800)):
+            addr = dests[cycle // 10 - 15]
+            sched.announce(
+                cycle, Prefix(addr >> 8 << 8, width - 8, width), 1 + k
+            )
+        config = SpalConfig(n_lcs=n_lcs, cache=CacheConfig(n_blocks=1024),
+                            fe_lookup_cycles=5)
+        (d_s, ev_s, _), (d_a, ev_a, _) = run_both(
+            table, config, {"updates": sched, "update_policy": "selective"},
+            streams=streams, trace=True,
+        )
+        assert d_s == d_a
+        assert ev_s == ev_a
+        assert all(
+            s["hits"] + s["waiting_hits"] == 0 for s in d_a["cache_stats"]
+        )
+        names = [e["name"] for e in ev_a
+                 if e["name"] in ("flush", "cache.miss")]
+        flushes = [i for i, name in enumerate(names) if name == "flush"]
+        assert len(flushes) == 4
+        # Misses (pool growth) sit between consecutive invalidations.
+        assert all(b - a > 1 for a, b in zip(flushes, flushes[1:]))
+        assert d_a["invalidation_entries_dropped"] >= 4
+
+
 # -- telemetry sampler on/off ------------------------------------------------
 
 SAMPLED_CASES = ("clean-traced", "no-cache", "gray-failures",

@@ -125,6 +125,30 @@ class TestSpalSimulator:
         with pytest.raises(SimulationError):
             sim.run(streams_for(table, 2, 10))
 
+    @pytest.mark.parametrize("bad", [
+        {"update_policy": "sometimes"},
+        {"n_streams": 1},
+        {"speed_gbps": [40]},
+    ], ids=["update_policy", "stream_count", "speed_count"])
+    def test_rejected_call_leaves_simulator_runnable(self, table, bad):
+        """Simulators are single-use, but a call rejected by the argument
+        checks has not used one up: a correct second call runs it, and
+        only a third is refused."""
+        config = SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=256))
+        streams = streams_for(table, 2, 200)
+        sim = SpalSimulator(table, config)
+        kwargs = dict(bad)
+        n_streams = kwargs.pop("n_streams", 2)
+        with pytest.raises(SimulationError):
+            sim.run([s.copy() for s in streams[:n_streams]], **kwargs)
+        result = sim.run([s.copy() for s in streams])
+        assert result.packets == 400
+        assert result.summary() == SpalSimulator(table, config).run(
+            [s.copy() for s in streams]
+        ).summary()
+        with pytest.raises(SimulationError, match="single-use"):
+            sim.run([s.copy() for s in streams])
+
     def test_flush_mid_run(self, table):
         sim = SpalSimulator(
             table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=512))

@@ -14,6 +14,7 @@ checks, JSONL round trips), detector semantics, and the history gate.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -331,6 +332,45 @@ class TestSampledRun:
         # Windowed hit rates are rates; backlogs never negative.
         assert ((series["hit_rate"] >= 0) & (series["hit_rate"] <= 1)).all()
         assert (series["fe_backlog"] >= 0).all()
+
+    @pytest.mark.parametrize("hot,crash,want", [
+        (64, False,
+         "36e7f9746f786423f022924b23b8291627ca8c01e254f21dbd77e204a44cd4c7"),
+        (4096, False,
+         "3ca79aaf7ae60d0e4658682fcb3a1cf823ad66529fc1a423ae5870821db6ad53"),
+        (64, True,
+         "fc76b869b4ac797b2dc46b13b1c0874f2553c5541252c1382634ad620b1dc8dc"),
+    ], ids=["hit-runs", "misses", "lc-down"])
+    def test_array_window_attribution_is_pinned(self, hot, crash, want):
+        """The array engine closes a window when its arrival walk hands
+        control back to the outer loop, so its series depends on where
+        the walk yields (see the ``repro.obs.timeseries`` docstring).
+        The integer columns
+        are pinned for long hit runs, for miss-heavy traffic and with an
+        LC down, so a change to the arrival loop cannot move the series
+        unnoticed."""
+        table = random_small_table(60, seed=91, max_length=16)
+        rng = np.random.default_rng(7)
+        streams = [
+            rng.integers(0, hot, size=3000).astype(np.uint64)
+            for _ in range(3)
+        ]
+        config = SpalConfig(n_lcs=3, cache=CacheConfig(n_blocks=256),
+                            sample_interval_cycles=97, replicas=2)
+        faults = (
+            FaultSchedule(seed=7).fail_lc(3000, 1).recover_lc(20000, 1)
+            if crash else None
+        )
+        series = SpalSimulator(table, config=config).run(
+            streams, engine="array", faults=faults
+        ).timeseries
+        ints = {
+            name: col.tolist()
+            for name, col in sorted(series.columns.items())
+            if col.dtype.kind == "i"
+        }
+        got = hashlib.sha256(json.dumps(ints).encode()).hexdigest()
+        assert got == want
 
     def test_streamed_chunks_match_run_totals(self):
         from repro.sim.streaming import PacketStream
