@@ -3,9 +3,10 @@
 ``SpalSimulator``'s scalar loop advances one event at a time through
 Python-object handlers — correct, but per-packet allocation (``_Packet``,
 ``CacheEntry``) and attribute chasing dominate wall clock.  This module
-replays the *exact same* event timeline over flat parallel lists: packet
-fields live in packed slot arrays, cache entries in an entry pool indexed
-by entry id, and one event loop merges sorted arrival windows against a
+replays the *exact same* event timeline over flat parallel lists: an
+arrival lives in its window's columns, a packet that leaves the cache-hit
+path in packed slot arrays, cache entries in an entry pool indexed by
+entry id, and one event loop merges sorted arrival windows against a
 small heap of dynamic events.
 
 There is exactly one array loop, :meth:`ArrayEngine.run_streamed`.  A
@@ -91,6 +92,14 @@ _K_FAULT = 7    # scripted LC fault           (kind, lc)
 _K_UPDATE = 8   # live churn update           (update,)
 _K_INVAL = 9    # legacy selective invalidate (prefix,)
 
+#: Most arrivals one window takes from any one feed.  Window columns, not
+#: the chunk size, then bound the per-arrival state a run holds at once.
+_WINDOW_CAP = 8192
+
+#: ``lat_cur`` length at which building a window moves it into
+#: ``lat_parts`` as one packed array.
+_LAT_FLUSH = 65536
+
 
 def _ids_under(e_key, e_addr, value: int, span: int, kshift: int) -> List[int]:
     """Ids of the entry-pool slots whose address lies under a prefix, in
@@ -116,6 +125,26 @@ def _ids_under(e_key, e_addr, value: int, span: int, kshift: int) -> List[int]:
             < np.uint64(max(1, kspan))
         ).tolist()
     return [e for e in cand if (e_addr[e] ^ value) < span]
+
+
+class _Feed:
+    """One LC's chunk iterator + resumable arrival clock, with at most one
+    buffered (not-yet-windowed) segment: destinations, arrival cycles and
+    the global pid of its first arrival."""
+
+    __slots__ = ("lc", "it", "clock", "expect", "got", "done",
+                 "t", "g0", "dest")
+
+    def __init__(self, lc: int, stream, speed: int):
+        self.lc = lc
+        self.it = stream.chunks()
+        self.clock = ArrivalClock(speed, seed=1000 + lc)
+        self.expect = len(stream)
+        self.got = 0
+        self.done = False
+        self.t: Optional[np.ndarray] = None
+        self.g0 = 0
+        self.dest: Optional[np.ndarray] = None
 
 
 class _CountSeq(_SequenceABC):
@@ -173,27 +202,31 @@ class ArrayEngine:
 
         ``streams`` holds one :class:`~repro.sim.streaming.PacketStream`
         or materialized destination array per LC; an array is wrapped as
-        a single-chunk stream.  Arrivals are pulled chunk-by-chunk, merged
-        into bounded windows, and per-packet / per-entry slots are
-        reference-counted and recycled as packets retire — peak memory
-        tracks the chunk size and the in-flight population, never the
-        total packet count.
+        a single-chunk stream.  Arrivals are pulled chunk-by-chunk and
+        merged into windows of at most ``_WINDOW_CAP`` arrivals per feed.
+        A cache hit completes from the window's columns; only an arrival
+        that leaves the hit path is admitted to a packet slot.  Packet
+        and entry slots are reference-counted and recycled as packets
+        retire — peak memory follows the window cap and the in-flight
+        population, never the chunk size or the total packet count.
 
         Bit-identity with the scalar loop over the materialized streams,
         at every chunk size, rests on three mechanisms:
 
-        * **window boundary** — the minimum over feeds of the last
-          buffered arrival's ``(cycle, global pid)``; every extracted
-          window is a prefix of the one-shot stable sort, so the merged
-          arrival order (and every event key) is chunk-size independent;
+        * **window boundary** — the minimum over feeds of each buffer's
+          ``_WINDOW_CAP``-th arrival ``(cycle, global pid)``, or its last
+          one if the buffer is shorter; every extracted window is a
+          prefix of the one-shot stable sort, so the merged arrival order
+          (and every event key) is chunk-size independent;
         * **pre-assigned sequence block** — arrival sequence numbers are
           reserved up front from the *declared* stream lengths, so
           dynamic events scheduled mid-stream draw the same sequence
           numbers as in the scalar loop's up-front scheduling;
-        * **pristine-plan precompute** — per-chunk ``(home, hop)``
-          precomputation temporarily restores the partition plan's
-          run-start failure view, so a chunk pulled after a fault event
-          resolves exactly like a whole-trace pass at run start.
+        * **pristine-plan precompute** — ``(home, hop)`` precomputation,
+          run on each feed's slice as a window is built, temporarily
+          restores the partition plan's run-start failure view, so a
+          window built after a fault event resolves exactly like a
+          whole-trace pass at run start.
 
         ``sim.completed`` / ``sim.dropped_packets`` become count-only
         views (:class:`_CountSeq`) because per-packet state no longer
@@ -387,34 +420,14 @@ class ArrayEngine:
                 heap.append(((t << _SEQ_BITS) | seq, _K_INVAL, prefix, 0, 0, 0))
         heapify(heap)
 
-        class _Feed:
-            """One LC's chunk iterator + resumable arrival clock, with at
-            most one buffered (not-yet-windowed) segment."""
-
-            __slots__ = ("lc", "it", "clock", "expect", "got", "done",
-                         "t", "g0", "dest", "idx", "homes", "hops")
-
-            def __init__(self, lc: int, stream: PacketStream):
-                self.lc = lc
-                self.it = stream.chunks()
-                self.clock = ArrivalClock(speeds[lc], seed=1000 + lc)
-                self.expect = len(stream)
-                self.got = 0
-                self.done = False
-                self.t: Optional[np.ndarray] = None
-                self.g0 = 0
-                self.dest: Optional[np.ndarray] = None
-                self.idx: Optional[np.ndarray] = None
-                self.homes: Optional[np.ndarray] = None
-                self.hops: Optional[np.ndarray] = None
-
-        feeds = [_Feed(lc, s) for lc, s in enumerate(streams)]
+        feeds = [_Feed(lc, s, speeds[lc]) for lc, s in enumerate(streams)]
+        cap = _WINDOW_CAP
         precompute_s = 0.0
 
         def pull(f: _Feed) -> None:
-            # Append the feed's next non-empty chunk to its buffer; marks
-            # the feed done (validating the declared length) at the end.
-            nonlocal precompute_s
+            # Load the feed's next non-empty chunk and its arrival cycles
+            # into its empty buffer; marks the feed done (validating the
+            # declared length) at the end.
             while True:
                 try:
                     dests = next(f.it)
@@ -437,55 +450,42 @@ class ArrayEngine:
                     f"stream for LC {f.lc} declared {f.expect} packets "
                     f"but produced at least {f.got + n}"
                 )
-            ts = f.clock.next(n)
-            g0 = pid_base[f.lc] + f.got
+            f.t = f.clock.next(n)
+            f.g0 = pid_base[f.lc] + f.got
             f.got += n
-            idx = None
-            if has_cache:
-                idx = (
-                    ((dests ^ (dests >> 16)) if xor_index else dests) % n_sets
-                ).astype(np.int64)
-            hops = None
-            if use_pre:
-                tp = time.perf_counter()
-                if plan is not None and plan.epoch != epoch0:
-                    # A fault/churn event already mutated the plan; chunk
-                    # precompute must see the run-start view or its homes
-                    # (and unreachable-pattern behavior) would depend on
-                    # when the chunk was pulled.
-                    saved_failed = plan.failed_lcs
-                    saved_epoch = plan.epoch
-                    plan.failed_lcs = set(pristine_failed)
-                    plan.epoch = epoch0
-                    try:
-                        homes, hops = sim._precompute_chunk(f.lc, dests)
-                    finally:
-                        plan.failed_lcs = saved_failed
-                        plan.epoch = saved_epoch
-                else:
-                    homes, hops = sim._precompute_chunk(f.lc, dests)
-                precompute_s += time.perf_counter() - tp
+            f.dest = dests
+
+        def precompute(lc: int, dests: np.ndarray):
+            # (homes, hops) for one feed's slice of a window; homes of -1
+            # and no hops when precompute is off.
+            nonlocal precompute_s
+            if not use_pre:
+                return np.full(len(dests), -1, dtype=np.int64), None
+            tp = time.perf_counter()
+            if plan is not None and plan.epoch != epoch0:
+                # A fault/churn event already mutated the plan; precompute
+                # must see the run-start view or its homes (and
+                # unreachable-pattern behavior) would depend on when the
+                # window was built.
+                saved_failed = plan.failed_lcs
+                saved_epoch = plan.epoch
+                plan.failed_lcs = set(pristine_failed)
+                plan.epoch = epoch0
+                try:
+                    out = sim._precompute_chunk(lc, dests)
+                finally:
+                    plan.failed_lcs = saved_failed
+                    plan.epoch = saved_epoch
             else:
-                homes = np.full(n, -1, dtype=np.int64)
-            if f.t is None:
-                f.t = ts
-                f.g0 = g0
-                f.dest = dests
-                f.idx = idx
-                f.homes = homes
-                f.hops = hops
-            else:
-                f.t = np.concatenate([f.t, ts])
-                f.dest = np.concatenate([f.dest, dests])
-                if idx is not None:
-                    f.idx = np.concatenate([f.idx, idx])
-                f.homes = np.concatenate([f.homes, homes])
-                if hops is not None:
-                    f.hops = np.concatenate([f.hops, hops])
+                out = sim._precompute_chunk(lc, dests)
+            precompute_s += time.perf_counter() - tp
+            return out
 
         # -- recycled per-packet slots ------------------------------------
+        # Only an arrival that leaves the hit path holds a slot (see
+        # ``admit``); a plain hit completes from the window columns.
         # Event payloads and waiter lists carry *slot* indices; ``p_gpid``
-        # keeps the true (lc-major) pid for the tracer (filled only when
+        # keeps the true (lc-major) pid for the tracer (set only when
         # tracing — nothing else reads it).  ``p_ref`` counts outstanding
         # references (in-flight events + waiter-list entries); a finished
         # packet's slot is recycled once it hits zero.
@@ -505,6 +505,9 @@ class ArrayEngine:
         p_sent: List[int] = []
         p_served: List[Optional[int]] = []
         p_ref: List[int] = []
+        slot_cols = (p_gpid, p_dest, p_idx, p_set, p_lc, p_at, p_meas, p_home,
+                     p_hop, p_ct, p_eid, p_att, p_drop, p_sent, p_served,
+                     p_ref)
         free_slots: List[int] = []
 
         completed_n = 0
@@ -515,23 +518,32 @@ class ArrayEngine:
 
         def build_window():
             # One merged arrival window: top up empty feeds, cut every
-            # buffer at the minimum last-buffered (cycle, pid) key, merge
-            # stably.  Returns (times, keys, slots) or None when drained.
+            # buffer at the window bound, merge stably.  Returns the
+            # window columns (see ``admit``) or None when drained.
+            if len(lat_cur) >= _LAT_FLUSH:
+                lat_parts.append(np.asarray(lat_cur, dtype=np.int64))
+                del lat_cur[:]
             for f in feeds:
                 if not f.done and f.t is None:
                     pull(f)
+            # The bound is the least, over buffers, of each one's cap-th
+            # (cycle, pid), or its last one when shorter: no feed gives
+            # more than ``cap`` arrivals, and every arrival up to the
+            # bound is buffered.  A feed is done only once a pull into its
+            # empty buffer finds no chunk, so a done feed never bounds.
             bound = None
             for f in feeds:
-                if f.done:
-                    continue
-                lt = int(f.t[-1])
-                lp = f.g0 + len(f.t) - 1
-                if bound is None or (lt, lp) < bound:
-                    bound = (lt, lp)
+                if f.t is not None:
+                    k = min(len(f.t), cap)
+                    b = (int(f.t[k - 1]), f.g0 + k - 1)
+                    if bound is None or b < bound:
+                        bound = b
+            if bound is None:
+                return None
+            bt, bp = bound
             parts_t = []
             parts_p = []
             parts_d = []
-            parts_i = []
             parts_lc = []
             parts_h = []
             parts_o = []
@@ -539,41 +551,30 @@ class ArrayEngine:
                 if f.t is None:
                     continue
                 n = len(f.t)
-                if bound is None:
-                    cut = n
-                else:
-                    bt, bp = bound
-                    cut = int(np.searchsorted(f.t, bt, side="right"))
-                    lo = int(np.searchsorted(f.t, bt, side="left"))
-                    if lo < cut:
-                        # At most one arrival per feed sits exactly at the
-                        # boundary cycle (gaps are >= 1); keep it only if
-                        # its pid does not exceed the boundary pid.
-                        cut = min(cut, max(lo, bp - f.g0 + 1))
+                cut = int(np.searchsorted(f.t, bt, side="right"))
+                lo = int(np.searchsorted(f.t, bt, side="left"))
+                if lo < cut:
+                    # At most one arrival per feed sits exactly at the
+                    # boundary cycle (gaps are >= 1); keep it only if its
+                    # pid does not exceed the boundary pid.
+                    cut = min(cut, max(lo, bp - f.g0 + 1))
                 if cut <= 0:
                     continue
+                d = f.dest[:cut]
                 parts_t.append(f.t[:cut])
                 parts_p.append(np.arange(f.g0, f.g0 + cut, dtype=np.int64))
-                parts_d.append(f.dest[:cut])
-                if f.idx is not None:
-                    parts_i.append(f.idx[:cut])
+                parts_d.append(d)
                 parts_lc.append(np.full(cut, f.lc, dtype=np.int64))
-                parts_h.append(f.homes[:cut])
-                if f.hops is not None:
-                    parts_o.append(f.hops[:cut])
+                homes, hops = precompute(f.lc, d)
+                parts_h.append(homes)
+                if hops is not None:
+                    parts_o.append(hops)
                 if cut == n:
-                    f.t = f.dest = f.idx = f.homes = f.hops = None
+                    f.t = f.dest = None
                 else:
                     f.t = f.t[cut:]
                     f.g0 += cut
                     f.dest = f.dest[cut:]
-                    if f.idx is not None:
-                        f.idx = f.idx[cut:]
-                    f.homes = f.homes[cut:]
-                    if f.hops is not None:
-                        f.hops = f.hops[cut:]
-            if not parts_t:
-                return None
             # Parts come in feed (LC) order, each with ascending pids, so
             # the concatenation is pid-ordered and a stable sort by cycle
             # is the global (cycle, pid) order.
@@ -590,63 +591,66 @@ class ArrayEngine:
                     (t << _SEQ_BITS) | (base + g)
                     for t, g in zip(tl, wp.tolist())
                 ]
-            # Per-packet columns: sorted window arrays, or one value for
-            # every packet.
-            cols = [
-                (p_dest, np.concatenate(parts_d)[order]),
-                (p_lc, wlc),
-                (p_at, tl),
-                (p_home, np.concatenate(parts_h)[order]),
-                (p_hop, np.concatenate(parts_o)[order] if parts_o else None),
-                (p_meas, (
-                    (wp - pid_base_arr[wlc]) >= warmup_packets
-                    if warmup_packets > 0 else True
-                )),
-                (p_ct, -1),
-                (p_eid, -1),
-                (p_att, 0),
-                (p_drop, None),
-                (p_sent, -1),
-                (p_served, None),
-                (p_ref, 0),
-            ]
+            wd = np.concatenate(parts_d)[order]
+            if has_cache:
+                wi = (
+                    ((wd ^ (wd >> 16)) if xor_index else wd) % n_sets
+                ).astype(np.int64)
+            else:
+                wi = np.zeros(len(tl), dtype=np.int64)
+            return (
+                tl,
+                wk,
+                wlc.tolist(),
+                wd.tolist(),
+                (wi + wlc * n_sets).tolist(),
+                (
+                    ((wp - pid_base_arr[wlc]) >= warmup_packets).tolist()
+                    if warmup_packets > 0 else [True] * len(tl)
+                ),
+                wi,
+                np.concatenate(parts_h)[order],
+                np.concatenate(parts_o)[order] if parts_o else None,
+                wp,
+            )
+
+        # The current arrival window: lists for what the hit path reads
+        # (cycle, key, LC, destination, flat set index, measured flag),
+        # then arrays for what only an admitted packet needs (set index,
+        # home, hop -- None under churn -- and global pid).
+        win = None
+
+        def admit(i: int) -> int:
+            # Give arrival ``i`` of the current window a packet slot.  Only
+            # an arrival that leaves the hit path -- a port wait, a waiting
+            # hit, a miss, a no-cache dispatch or an ingress drop -- takes
+            # one; a plain hit completes from the window columns alone.
+            (w_t, _, w_lc, w_dest, w_set, w_meas, w_idx, w_home, w_hop,
+             w_gpid) = win
+            if free_slots:
+                p = free_slots.pop()
+            else:
+                p = len(p_ref)
+                for col in slot_cols:
+                    col.append(None)
+            p_dest[p] = w_dest[i]
+            p_idx[p] = w_idx.item(i)
+            p_set[p] = w_set[i]
+            p_lc[p] = w_lc[i]
+            p_at[p] = w_t[i]
+            p_meas[p] = w_meas[i]
+            p_home[p] = w_home.item(i)
+            p_hop[p] = w_hop.item(i) if w_hop is not None else None
+            p_ct[p] = -1
+            p_eid[p] = -1
+            p_att[p] = 0
+            p_drop[p] = None
+            p_sent[p] = -1
+            p_served[p] = None
+            p_ref[p] = 0
             if tracing:
-                cols.append((p_gpid, wp))
-            if parts_i:
-                wi = np.concatenate(parts_i)[order]
-                cols.append((p_idx, wi))
-                cols.append((p_set, wi + wlc * n_sets))
-            # The parts pin the pulled chunk buffers; drop them before the
-            # fill so they do not add to the window's peak.
-            del parts_t, parts_p, parts_d, parts_i, parts_lc, parts_h
-            del parts_o, order
-            # Refill retired slots first, then allocate the rest of the
-            # window in bulk: a whole-trace window (materialized input)
-            # is one ``extend`` per column.
-            n = len(tl)
-            k0 = len(free_slots) - n if len(free_slots) > n else 0
-            slots = free_slots[k0:]
-            del free_slots[k0:]
-            r = len(slots)
-            m = n - r
-            new0 = len(p_ref)
-            for col, vals in cols:
-                if isinstance(vals, np.ndarray):
-                    vals = vals.tolist()
-                elif not isinstance(vals, list):
-                    for sl in slots:
-                        col[sl] = vals
-                    if m:
-                        col.extend([vals] * m)
-                    continue
-                for sl, v in zip(slots, vals):
-                    col[sl] = v
-                if m:
-                    col.extend(vals[r:] if r else vals)
-            del cols
-            if m:
-                slots.extend(range(new0, new0 + m))
-            return tl, wk, slots
+                p_gpid[p] = w_gpid.item(i)
+            return p
 
         # -- reference counting -------------------------------------------
 
@@ -936,9 +940,6 @@ class ArrayEngine:
             if p_meas[p]:
                 lat = when - p_at[p]
                 lat_cur.append(lat)
-                if len(lat_cur) >= 65536:
-                    lat_parts.append(np.asarray(lat_cur, dtype=np.int64))
-                    del lat_cur[:]
                 if track_failover and p_att[p] > 0:
                     failover_list.append(lat)
             if tr is not None:
@@ -1553,269 +1554,274 @@ class ArrayEngine:
         now = 0
         ai = 0
         n_arr = 0
-        arr_t: List[int] = []
-        arr_key: List[int] = []
-        arr_slot: List[int] = []
         feeding = True
-        while True:
-            if now >= smp_next:
-                smp_next = sampler.advance(now)
-            if ai >= n_arr and feeding:
-                win = build_window()
-                if win is None:
-                    feeding = False
-                else:
-                    arr_t, arr_key, arr_slot = win
-                    ai = 0
-                    n_arr = len(arr_t)
-                continue
-            if ai < n_arr:
-                ak = arr_key[ai]
-                if heap and heap[0][0] < ak:
-                    ev = heappop(heap)
-                elif tracing:
-                    now = ak >> _SEQ_BITS
-                    processed += 1
-                    p = arr_slot[ai]
-                    ai += 1
-                    lc = p_lc[p]
-                    tr.record("ingress", now, lc=lc, pid=p_gpid[p],
-                              dest=p_dest[p])
-                    if failed[lc]:
-                        drop(p, "ingress", now)
-                        maybe_retire(p)
-                        continue
-                    if not has_cache:
-                        dispatch(p, lc, now, home_of(p, lc))
-                        maybe_retire(p)
-                        continue
-                    pf = port_free[lc]
-                    if pf > now:
-                        port_free[lc] = pf + 1
-                        port_busy[lc] += 1
-                        seq += 1
-                        p_ref[p] += 1
-                        heappush(
-                            heap,
-                            ((pf << _SEQ_BITS) | seq, _K_PROBE, p, lc, pf, 0),
-                        )
-                        continue
-                    port_free[lc] = now + 1
-                    port_busy[lc] += 1
-                    addr = p_dest[p]
-                    fs = fsets[p_set[p]]
-                    if has_gray:
-                        mf = faults.miss_fraction_at(now, lc)
-                        if mf > 0.0:
-                            geid = fs.get(addr)
-                            if (
-                                geid is not None
-                                and not e_wait[geid]
-                                and frand() < mf
-                            ):
-                                del fs[addr]
-                                ederef(geid)
-                    eid = fs.get(addr)
-                    if eid is not None:
-                        stamp[lc] = tick = stamp[lc] + 1
-                        e_last[eid] = tick
-                        if e_wait[eid]:
-                            st_whits[lc] += 1
-                            tr.record("cache.wait", now, lc=lc, pid=p_gpid[p])
-                            e_waiters[eid].append(p)
-                            p_ref[p] += 1
-                        else:
-                            st_hits[lc] += 1
-                            tr.record("cache.hit", now, lc=lc, pid=p_gpid[p])
-                            p_served[p] = e_hop[eid]
-                            p_ct[p] = now + 1
-                            completed_n += 1
-                            if p_meas[p]:
-                                lat_cur.append(1)
-                                if len(lat_cur) >= 65536:
-                                    lat_parts.append(
-                                        np.asarray(lat_cur, dtype=np.int64)
-                                    )
-                                    del lat_cur[:]
-                            tr.record("complete", now + 1, lc=lc,
-                                      pid=p_gpid[p], hop=p_served[p])
-                            free_slots.append(p)
-                        continue
-                    probe_tail(p, lc, addr, now)
-                    maybe_retire(p)
-                    continue
-                else:
-                    # One index walk over the arrivals that precede the
-                    # next heap key: hits complete inline; a port wait, a
-                    # miss or a no-cache dispatch may push an event, so
-                    # the walk re-bisects its end when the heap top moves.
-                    if heap:
-                        hk = heap[0][0]
-                        j = bisect_left(arr_key, hk, ai, n_arr)
+        try:
+            while True:
+                if now >= smp_next:
+                    smp_next = sampler.advance(now)
+                if ai >= n_arr and feeding:
+                    # Release the spent window first, so that two
+                    # windows are never live at once.
+                    win = arr_t = arr_key = arr_lc = arr_dest = None
+                    arr_set = arr_meas = arr_gpid = None
+                    win = build_window()
+                    if win is None:
+                        feeding = False
                     else:
-                        hk = -1
-                        j = n_arr
-                    a0 = ai
-                    # Sampler windows close only when control is back in
-                    # the outer loop.  With a sampler on a cached router
-                    # whose LCs are all up, the walk hands control back
-                    # where this loop's hit runs used to end (after a port
-                    # wait or a miss, and every 1024 arrivals) whenever a
-                    # boundary is due, so the sampled series is unchanged.
-                    yields = (
-                        smp_next != _NO_SAMPLE and has_cache
-                        and not any(failed)
-                    )
-                    cap = ai + 1024 if yields else n_arr
-                    while ai < j:
-                        jj = j if j < cap else cap
-                        for i in range(ai, jj):
-                            t = arr_t[i]
-                            p = arr_slot[i]
-                            lc = p_lc[p]
-                            if failed[lc]:
-                                drop(p, "ingress", t)
-                                maybe_retire(p)
-                                continue
-                            if not has_cache:
-                                ai = i + 1
-                                dispatch(p, lc, t, home_of(p, lc))
-                                maybe_retire(p)
-                                break
-                            pf = port_free[lc]
-                            if pf > t:
-                                ai = i + 1
-                                port_free[lc] = pf + 1
-                                port_busy[lc] += 1
-                                seq += 1
-                                p_ref[p] += 1
-                                heappush(
-                                    heap,
-                                    ((pf << _SEQ_BITS) | seq,
-                                     _K_PROBE, p, lc, pf, 0),
-                                )
-                                break
-                            port_free[lc] = t + 1
-                            port_busy[lc] += 1
-                            addr = p_dest[p]
-                            fs = fsets[p_set[p]]
-                            if has_gray:
-                                mf = faults.miss_fraction_at(t, lc)
-                                if mf > 0.0:
-                                    geid = fs.get(addr)
-                                    if (
-                                        geid is not None
-                                        and not e_wait[geid]
-                                        and frand() < mf
-                                    ):
-                                        del fs[addr]
-                                        ederef(geid)
-                            eid = fs.get(addr)
-                            if eid is not None:
-                                stamp[lc] = tick = stamp[lc] + 1
-                                e_last[eid] = tick
-                                if e_wait[eid]:
-                                    st_whits[lc] += 1
-                                    e_waiters[eid].append(p)
-                                    p_ref[p] += 1
-                                else:
-                                    # The slot is recycled at once, so the
-                                    # hit records no completion cycle or
-                                    # hop: only a trace would read them.
-                                    st_hits[lc] += 1
-                                    completed_n += 1
-                                    if p_meas[p]:
-                                        lat_cur.append(1)
-                                        if len(lat_cur) >= 65536:
-                                            lat_parts.append(
-                                                np.asarray(
-                                                    lat_cur, dtype=np.int64
-                                                )
-                                            )
-                                            del lat_cur[:]
-                                    free_slots.append(p)
-                                continue
-                            ai = i + 1
-                            probe_tail(p, lc, addr, t)
-                            maybe_retire(p)
-                            break
-                        else:
-                            # The next heap key, or a yield point.
-                            ai = jj
-                            if ai == j or t >= smp_next:
-                                break
-                            cap = ai + 1024
-                            continue
-                        if yields:
-                            if t >= smp_next:
-                                break
-                            cap = ai + 1024
-                        if heap:
-                            nk = heap[0][0]
-                            if nk != hk:
-                                hk = nk
-                                j = bisect_left(arr_key, hk, ai, j)
-                    now = t
-                    processed += ai - a0
+                        (arr_t, arr_key, arr_lc, arr_dest, arr_set,
+                         arr_meas, _, _, _, arr_gpid) = win
+                        ai = 0
+                        n_arr = len(arr_t)
                     continue
-            elif heap:
-                ev = heappop(heap)
-            else:
-                break
-            key = ev[0]
-            kind = ev[1]
-            now = key >> _SEQ_BITS
-            processed += 1
-            if kind == _K_PROBE:
-                p = ev[2]
-                lc = ev[3]
-                start = ev[4]
-                if now != start:
-                    raise SimulationError(
-                        f"deferred probe at LC {lc} fired at cycle {now}, "
-                        f"but its port slot was reserved for cycle {start}"
-                    )
-                probe_at(p, lc, now)
-                pderef(p)
-            elif kind == _K_FEDONE:
-                p = ev[2]
-                he = ev[5]
-                fe_done(p, ev[3], ev[4], he, now)
-                if he >= 0:
-                    ederef(he)
-                pderef(p)
-            elif kind == _K_REPLY:
-                p = ev[2]
-                reply(p, ev[3], now)
-                pderef(p)
-            elif kind == _K_REMREQ:
-                p = ev[2]
-                remote_request(p, ev[3], now)
-                pderef(p)
-            elif kind == _K_RPROBE:
-                p = ev[2]
-                home = ev[3]
-                start = ev[4]
-                if now != start:
-                    raise SimulationError(
-                        f"deferred remote probe at LC {home} fired at cycle "
-                        f"{now}, but its port slot was reserved for "
-                        f"cycle {start}"
-                    )
-                remote_probe_at(p, home, now)
-                pderef(p)
-            elif kind == _K_TIMEOUT:
-                p = ev[2]
-                check_timeout(p, ev[3], ev[4], now)
-                pderef(p)
-            elif kind == _K_FLUSH:
-                flush_all(now)
-            elif kind == _K_FAULT:
-                apply_fault(ev[2], ev[3], now)
-            elif kind == _K_UPDATE:
-                apply_update(ev[2], now)
-            else:
-                inval_prefix(ev[2], now)
+                if ai < n_arr:
+                    ak = arr_key[ai]
+                    if heap and heap[0][0] < ak:
+                        ev = heappop(heap)
+                    elif tracing:
+                        now = ak >> _SEQ_BITS
+                        processed += 1
+                        i = ai
+                        ai += 1
+                        lc = arr_lc[i]
+                        gp = arr_gpid.item(i)
+                        addr = arr_dest[i]
+                        tr.record("ingress", now, lc=lc, pid=gp, dest=addr)
+                        if failed[lc]:
+                            p = admit(i)
+                            drop(p, "ingress", now)
+                            maybe_retire(p)
+                            continue
+                        if not has_cache:
+                            p = admit(i)
+                            dispatch(p, lc, now, home_of(p, lc))
+                            maybe_retire(p)
+                            continue
+                        pf = port_free[lc]
+                        if pf > now:
+                            port_free[lc] = pf + 1
+                            port_busy[lc] += 1
+                            seq += 1
+                            p = admit(i)
+                            p_ref[p] += 1
+                            heappush(
+                                heap,
+                                ((pf << _SEQ_BITS) | seq, _K_PROBE, p, lc,
+                                 pf, 0),
+                            )
+                            continue
+                        port_free[lc] = now + 1
+                        port_busy[lc] += 1
+                        fs = fsets[arr_set[i]]
+                        if has_gray:
+                            mf = faults.miss_fraction_at(now, lc)
+                            if mf > 0.0:
+                                geid = fs.get(addr)
+                                if (
+                                    geid is not None
+                                    and not e_wait[geid]
+                                    and frand() < mf
+                                ):
+                                    del fs[addr]
+                                    ederef(geid)
+                        eid = fs.get(addr)
+                        if eid is not None:
+                            stamp[lc] = tick = stamp[lc] + 1
+                            e_last[eid] = tick
+                            if e_wait[eid]:
+                                st_whits[lc] += 1
+                                tr.record("cache.wait", now, lc=lc, pid=gp)
+                                p = admit(i)
+                                e_waiters[eid].append(p)
+                                p_ref[p] += 1
+                            else:
+                                st_hits[lc] += 1
+                                tr.record("cache.hit", now, lc=lc, pid=gp)
+                                completed_n += 1
+                                if arr_meas[i]:
+                                    lat_cur.append(1)
+                                tr.record("complete", now + 1, lc=lc, pid=gp,
+                                          hop=e_hop[eid])
+                            continue
+                        p = admit(i)
+                        probe_tail(p, lc, addr, now)
+                        maybe_retire(p)
+                        continue
+                    else:
+                        # One index walk over the arrivals that precede the
+                        # next heap key: hits complete inline, with no
+                        # slot; a port wait, a miss or a no-cache dispatch
+                        # may push an event, so the walk re-bisects its
+                        # end when the heap top moves.
+                        if heap:
+                            hk = heap[0][0]
+                            j = bisect_left(arr_key, hk, ai, n_arr)
+                        else:
+                            hk = -1
+                            j = n_arr
+                        a0 = ai
+                        # Sampler windows close only when control is back
+                        # in the outer loop.  With a sampler on a cached
+                        # router whose LCs are all up, the walk hands
+                        # control back where this loop's hit runs used to
+                        # end (after a port wait or a miss, and every 1024
+                        # arrivals) whenever a boundary is due, so the
+                        # sampled series is unchanged.
+                        yields = (
+                            smp_next != _NO_SAMPLE and has_cache
+                            and not any(failed)
+                        )
+                        stop = ai + 1024 if yields else n_arr
+                        while ai < j:
+                            jj = j if j < stop else stop
+                            for i in range(ai, jj):
+                                t = arr_t[i]
+                                lc = arr_lc[i]
+                                if failed[lc]:
+                                    p = admit(i)
+                                    drop(p, "ingress", t)
+                                    maybe_retire(p)
+                                    continue
+                                if not has_cache:
+                                    ai = i + 1
+                                    p = admit(i)
+                                    dispatch(p, lc, t, home_of(p, lc))
+                                    maybe_retire(p)
+                                    break
+                                pf = port_free[lc]
+                                if pf > t:
+                                    ai = i + 1
+                                    port_free[lc] = pf + 1
+                                    port_busy[lc] += 1
+                                    seq += 1
+                                    p = admit(i)
+                                    p_ref[p] += 1
+                                    heappush(
+                                        heap,
+                                        ((pf << _SEQ_BITS) | seq,
+                                         _K_PROBE, p, lc, pf, 0),
+                                    )
+                                    break
+                                port_free[lc] = t + 1
+                                port_busy[lc] += 1
+                                addr = arr_dest[i]
+                                fs = fsets[arr_set[i]]
+                                if has_gray:
+                                    mf = faults.miss_fraction_at(t, lc)
+                                    if mf > 0.0:
+                                        geid = fs.get(addr)
+                                        if (
+                                            geid is not None
+                                            and not e_wait[geid]
+                                            and frand() < mf
+                                        ):
+                                            del fs[addr]
+                                            ederef(geid)
+                                eid = fs.get(addr)
+                                if eid is not None:
+                                    stamp[lc] = tick = stamp[lc] + 1
+                                    e_last[eid] = tick
+                                    if e_wait[eid]:
+                                        st_whits[lc] += 1
+                                        p = admit(i)
+                                        e_waiters[eid].append(p)
+                                        p_ref[p] += 1
+                                    else:
+                                        # No slot: only a trace would read
+                                        # the completion cycle or hop.
+                                        st_hits[lc] += 1
+                                        completed_n += 1
+                                        if arr_meas[i]:
+                                            lat_cur.append(1)
+                                    continue
+                                ai = i + 1
+                                p = admit(i)
+                                probe_tail(p, lc, addr, t)
+                                maybe_retire(p)
+                                break
+                            else:
+                                # The next heap key, or a yield point.
+                                ai = jj
+                                if ai == j or t >= smp_next:
+                                    break
+                                stop = ai + 1024
+                                continue
+                            if yields:
+                                if t >= smp_next:
+                                    break
+                                stop = ai + 1024
+                            if heap:
+                                nk = heap[0][0]
+                                if nk != hk:
+                                    hk = nk
+                                    j = bisect_left(arr_key, hk, ai, j)
+                        now = t
+                        processed += ai - a0
+                        continue
+                elif heap:
+                    ev = heappop(heap)
+                else:
+                    break
+                key = ev[0]
+                kind = ev[1]
+                now = key >> _SEQ_BITS
+                processed += 1
+                if kind == _K_PROBE:
+                    p = ev[2]
+                    lc = ev[3]
+                    start = ev[4]
+                    if now != start:
+                        raise SimulationError(
+                            f"deferred probe at LC {lc} fired at cycle "
+                            f"{now}, but its port slot was reserved for "
+                            f"cycle {start}"
+                        )
+                    probe_at(p, lc, now)
+                    pderef(p)
+                elif kind == _K_FEDONE:
+                    p = ev[2]
+                    he = ev[5]
+                    fe_done(p, ev[3], ev[4], he, now)
+                    if he >= 0:
+                        ederef(he)
+                    pderef(p)
+                elif kind == _K_REPLY:
+                    p = ev[2]
+                    reply(p, ev[3], now)
+                    pderef(p)
+                elif kind == _K_REMREQ:
+                    p = ev[2]
+                    remote_request(p, ev[3], now)
+                    pderef(p)
+                elif kind == _K_RPROBE:
+                    p = ev[2]
+                    home = ev[3]
+                    start = ev[4]
+                    if now != start:
+                        raise SimulationError(
+                            f"deferred remote probe at LC {home} fired at "
+                            f"cycle {now}, but its port slot was reserved "
+                            f"for cycle {start}"
+                        )
+                    remote_probe_at(p, home, now)
+                    pderef(p)
+                elif kind == _K_TIMEOUT:
+                    p = ev[2]
+                    check_timeout(p, ev[3], ev[4], now)
+                    pderef(p)
+                elif kind == _K_FLUSH:
+                    flush_all(now)
+                elif kind == _K_FAULT:
+                    apply_fault(ev[2], ev[3], now)
+                elif kind == _K_UPDATE:
+                    apply_update(ev[2], now)
+                else:
+                    inval_prefix(ev[2], now)
+        finally:
+            # ``drop`` calls itself, so its closure cell refers back to it;
+            # unbinding these leaves the run's state (entry pool, sets,
+            # packet columns, windows) to plain reference counting rather
+            # than to a full garbage collection.
+            drop = pderef = ederef = None
         horizon = now
         if sampler is not None:
             # Pack the series before the final ``lat_cur`` flush below

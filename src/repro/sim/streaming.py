@@ -3,10 +3,12 @@
 A :class:`PacketStream` declares its *length* up front and yields
 destinations in fixed-size chunks.  The array engine's one event loop
 (:meth:`repro.sim.array_engine.ArrayEngine.run_streamed`) pulls chunks on
-demand, merges per-LC arrival windows, and recycles per-packet state as
-packets retire — peak memory tracks the chunk size and the in-flight
-population, not the packet count.  A materialized per-LC array is simply
-a stream with one chunk (:meth:`PacketStream.from_array`), which is how
+demand and merges per-LC arrival windows of at most a fixed number of
+arrivals per LC.  Only packets that leave the cache-hit path hold
+per-packet state, recycled as they retire — peak memory follows the
+window cap and the in-flight population, not the chunk size or the
+packet count.  A materialized per-LC array is simply a stream with one
+chunk (:meth:`PacketStream.from_array`), which is how
 ``SpalSimulator.run`` feeds plain arrays to the array engine.
 
 The chunking is *semantically invisible*: a run over

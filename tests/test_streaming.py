@@ -16,9 +16,16 @@ This module pins that three ways:
   :class:`ArrivalClock` equals one-shot :func:`arrival_times` under any
   split, declared-length violations fail loudly, and
   :func:`random_stream` chunks are consumption-order independent.
+
+It also pins the array engine's capped arrival windows: traces several
+window caps long replay exactly, peak memory does not follow the chunk
+size, and a finished run leaves no reference cycles behind.
 """
 
 from __future__ import annotations
+
+import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,7 +38,8 @@ from repro.obs import Tracer
 from repro.routing import random_small_table
 from repro.routing.churn import generate_churn
 from repro.sim import DEFAULT_CHUNK, PacketStream, SpalSimulator, random_stream
-from repro.traffic.packets import ArrivalClock, arrival_times
+from repro.sim import array_engine
+from repro.traffic.packets import ArrivalClock, LinkSpec, arrival_times
 
 from .conftest import result_digest
 from .test_golden_results import SCENARIOS, _build
@@ -168,6 +176,106 @@ def test_random_chunk_boundaries_bit_identical(data):
 
     assert got == base
     assert ev_got == ev_base
+
+
+# -- capped arrival windows --------------------------------------------------
+
+
+@pytest.mark.slow
+def test_capped_windows_match_scalar_and_per_packet_chunks():
+    """One whole-trace chunk per LC, each longer than three window caps
+    plus an odd remainder and of uneven length, is cut into capped
+    windows; with faults and tracing on, the run equals the scalar loop
+    (digest and trace stream) and the streamed run at ``chunk_size=1``."""
+    cap = array_engine._WINDOW_CAP
+    lengths = [3 * cap + 1, 3 * cap + 517, 3 * cap + 2049]
+    rng = np.random.default_rng(41)
+    raw = [rng.integers(0, 400, size=n).astype(np.uint64) for n in lengths]
+    horizon = int(min(lengths) * LinkSpec(40).mean_interarrival_cycles)
+    config = SpalConfig(
+        n_lcs=3,
+        cache=CacheConfig(n_blocks=64, victim_blocks=4),
+        replicas=2,
+        fe_lookup_cycles=5,
+    )
+
+    def kwargs():
+        return {
+            "warmup_packets": 101,
+            "faults": (
+                FaultSchedule(seed=5)
+                .fail_lc(horizon // 3, 1)
+                .recover_lc(horizon // 2, 1)
+                .degrade_fabric(horizon // 4, horizon // 3 * 2,
+                                extra_latency=1, drop_prob=0.05)
+            ),
+        }
+
+    base, ev_base, _ = _run(_PROP_TABLE, config, [s.copy() for s in raw],
+                            kwargs(), engine="scalar", trace=True)
+    whole, ev_whole, _ = _run(_PROP_TABLE, config, [s.copy() for s in raw],
+                              kwargs(), trace=True)
+    assert whole == base
+    assert ev_whole == ev_base
+    del ev_whole
+    per_packet = [PacketStream.from_array(s, chunk_size=1) for s in raw]
+    got, ev_got, _ = _run(_PROP_TABLE, config, per_packet, kwargs(),
+                          trace=True)
+    assert got == base
+    assert ev_got == ev_base
+
+
+def _run_peak(streams) -> int:
+    """tracemalloc peak (bytes) of one untraced array run over
+    ``streams``; the simulator is built before tracing starts."""
+    config = SpalConfig(n_lcs=len(streams), cache=CacheConfig(n_blocks=256))
+    sim = SpalSimulator(_PROP_TABLE, config=config)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        sim.run(streams, engine="array")
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_peak_memory_does_not_track_chunk_size(monkeypatch):
+    """A window takes at most ``_WINDOW_CAP`` arrivals per LC, so a chunk
+    8x the cap barely moves the peak: the chunk adds only its arrival
+    cycles, not per-arrival window state.  Under tracemalloc every
+    allocation in the engine loop pays for a line-number lookup, so the
+    cap is shrunk to keep the stream short; chunk / cap = 8 matches
+    65,536-packet chunks at the real cap of 8,192."""
+    cap = 256
+    monkeypatch.setattr(array_engine, "_WINDOW_CAP", cap)
+    rng = np.random.default_rng(8)
+    raw = [rng.integers(0, 200, size=16 * cap).astype(np.uint64)
+           for _ in range(2)]
+    small = _run_peak([PacketStream.from_array(s, chunk_size=cap)
+                       for s in raw])
+    big = _run_peak([PacketStream.from_array(s, chunk_size=8 * cap)
+                     for s in raw])
+    assert big <= 1.3 * small, (big, small)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("name", ["ipv4-faults", "ipv4-churn", "ipv6-clean"])
+def test_array_run_leaves_no_cyclic_garbage(name, trace):
+    """A finished array run is freed by reference counting alone: with
+    the collector off during the run, a full collection afterwards finds
+    nothing the run left behind."""
+    table, config, streams, kwargs = _build(name)
+    sim = SpalSimulator(table, config=config,
+                        trace=Tracer() if trace else None)
+    gc.collect()
+    gc.disable()
+    try:
+        result = sim.run(streams, engine="array", **kwargs)
+        freed = gc.collect()
+    finally:
+        gc.enable()
+    assert result.packets > 0
+    assert freed == 0
 
 
 # -- stream primitives -------------------------------------------------------
