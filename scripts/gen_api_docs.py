@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 SUBPACKAGES = [
@@ -31,9 +32,21 @@ def first_paragraph(obj) -> str:
     return doc.split("\n\n", 1)[0].replace("\n", " ").strip()
 
 
+_ADDRESS = re.compile(r" at 0x[0-9a-f]+")
+
+
+def stable_repr(obj) -> str:
+    """``repr`` without object addresses and with sets sorted, so a rerun
+    regenerates the same file."""
+    if isinstance(obj, (set, frozenset)):
+        items = ", ".join(sorted(map(repr, obj)))
+        return f"{type(obj).__name__}({{{items}}})"
+    return _ADDRESS.sub("", repr(obj))
+
+
 def signature_of(obj) -> str:
     try:
-        return str(inspect.signature(obj))
+        return _ADDRESS.sub("", str(inspect.signature(obj)))
     except (ValueError, TypeError):
         return "(...)"
 
@@ -64,7 +77,7 @@ def document_member(name: str, obj) -> list[str]:
     elif inspect.ismodule(obj):
         return []
     else:  # constants
-        lines.append(f"### `{name}` = `{obj!r}`\n")
+        lines.append(f"### `{name}` = `{stable_repr(obj)}`\n")
     return lines
 
 

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..batching import MAX_KERNEL_WIDTH, batch_enabled
 from ..errors import PartitionError, UnreachablePatternError
-from ..routing.arraytable import table_columns
+from ..routing.arraytable import ArrayRoutingTable, _take, table_columns
 from ..routing.prefix import Prefix
 from ..routing.table import NextHop, RoutingTable
 
@@ -566,9 +566,11 @@ def partition_table(
     the paper's exact η.  Power-of-two ψ always uses exactly ⌈log2 ψ⌉.
 
     Every argument is checked before any route is read.  The split works
-    on the table's packed columns (:func:`_split_routes`); each LC's
-    table lists its routes ordered by the first pattern it holds that the
-    route is compatible with, then by source order, each route once.
+    on the table's packed columns (:func:`_split_routes`), and each LC's
+    table is an :class:`~repro.routing.arraytable.ArrayRoutingTable` over
+    row slices of them.  It lists its routes ordered by the first pattern
+    it holds that the route is compatible with, then by source order,
+    each route once.
     """
     if n_lcs <= 0:
         raise PartitionError(f"need at least one LC, got {n_lcs}")
@@ -623,22 +625,21 @@ def partition_table(
         if replicas_of_pattern is not None
         else [[lc] for lc in lc_of_pattern]
     )
-    # One shared Prefix per source route: a dict-backed source hands over
-    # its own keys.
-    keys = table.prefixes()
-    hop_of = hops.tolist()
+    # Each LC table is a row slice of the source columns: no Prefix
+    # objects and no dicts between the source table and the matchers.
     tables = []
     for lc in range(n_lcs):
         held = np.flatnonzero((holders == lc).any(axis=1))
         mine = np.concatenate(
             [rows[ends[p] - counts[p]:ends[p]] for p in held.tolist()]
         )
-        target = RoutingTable(table.width)
         # A route compatible with several held patterns repeats in
-        # ``mine``; the dict keeps its first (lowest-pattern) position.
-        members = mine.tolist()
-        target._routes = dict(
-            zip(map(keys.__getitem__, members), map(hop_of.__getitem__, members))
+        # ``mine``; it keeps its first (lowest-pattern) position.
+        _, first = np.unique(mine, return_index=True)
+        keep = mine[np.sort(first)]
+        target = ArrayRoutingTable(
+            _take(values, keep), lengths[keep], hops[keep], table.width,
+            validate=False,
         )
         # One version bump per (held pattern, route) pair, repeats included.
         target.version = len(mine)

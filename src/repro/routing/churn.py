@@ -19,7 +19,7 @@ its events are time-ordered and applicable in order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -117,9 +117,15 @@ class ChurnSchedule:
         return len(self._events) * CYCLES_PER_SECOND / horizon_cycles
 
     def validate(self, table: RoutingTable) -> None:
-        """Check the schedule applies cleanly, in order, against a copy of
-        ``table`` (no withdrawal of an absent prefix, widths match)."""
-        present = {p for p in table.prefixes()}
+        """Check the schedule applies cleanly, in order, to ``table`` (no
+        withdrawal of an absent prefix, widths match) without changing it.
+
+        Only the schedule's own prefixes are looked at: each is checked
+        against the events before it, then against ``table``'s exact-match
+        index.
+        """
+        # Per prefix the schedule has touched: present after its last event.
+        touched: Dict[Prefix, bool] = {}
         for e in self.events():
             if e.prefix.width != table.width:
                 raise ValueError(
@@ -127,14 +133,13 @@ class ChurnSchedule:
                     f"{table.width}: {e}"
                 )
             if e.next_hop is None:
-                if e.prefix not in present:
+                present = touched.get(e.prefix)
+                if not (e.prefix in table if present is None else present):
                     raise ValueError(
                         f"withdrawal of absent prefix at cycle {e.cycle}: "
                         f"{e.prefix}"
                     )
-                present.discard(e.prefix)
-            else:
-                present.add(e.prefix)
+            touched[e.prefix] = e.next_hop is not None
 
     def __repr__(self) -> str:
         return (

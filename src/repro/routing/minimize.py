@@ -86,17 +86,18 @@ from typing import Dict, List, Sequence, Tuple, Union
 import numpy as np
 
 from ..errors import TableError
-from .arraytable import ArrayRoutingTable, table_columns
+from .arraytable import (
+    _LEN_MASK,
+    KEY_SHIFT,
+    ArrayRoutingTable,
+    _key_dtype,
+    packed_keys,
+    table_columns,
+)
 from .churn import ChurnEvent, ChurnSchedule
 from .prefix import Prefix
 from .table import NO_ROUTE, NextHop, RoutingTable
 from .updates import RouteUpdate
-
-#: Packed node key: ``(value << KEY_SHIFT) | length``.  Sorting packed keys
-#: orders prefixes by ``(value, length)``, which is exactly a pre-order
-#: walk of the binary trie; 8 bits comfortably hold IPv6 lengths.
-KEY_SHIFT = 8
-_LEN_MASK = (1 << KEY_SHIFT) - 1
 
 #: Pass sets accepted by :func:`minimize_table` / ``SpalConfig.minimize``.
 PASS_SETS: Dict[str, Tuple[str, ...]] = {
@@ -130,18 +131,10 @@ def _resolve_passes(passes: Union[str, Sequence[str]]) -> Tuple[str, ...]:
 # Packed key columns
 # ---------------------------------------------------------------------------
 
-def _key_dtype(width: int):
-    """uint64 where a packed key fits in 64 bits, Python ints beyond."""
-    return np.uint64 if width + KEY_SHIFT <= 64 else object
-
-
 def _sorted_columns(table: RoutingTable) -> _Columns:
     """The table as ``(packed keys, hops)``, sorted by key."""
     values, lengths, hops = table_columns(table)
-    dtype = _key_dtype(table.width)
-    if dtype is object:
-        values = np.fromiter(map(int, values), dtype=object, count=len(values))
-    keys = (values << KEY_SHIFT) | lengths.astype(dtype)
+    keys = packed_keys(values, lengths, table.width)
     order = np.argsort(keys)
     return keys[order], np.asarray(hops, dtype=np.int64)[order]
 
@@ -151,20 +144,17 @@ def _unpack(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return keys >> KEY_SHIFT, (keys & _LEN_MASK).astype(np.int64)
 
 
-def _table_of(keys: np.ndarray, hops: np.ndarray, width: int) -> RoutingTable:
-    """A table from sorted columns — columnar for IPv4-class widths (no
-    per-prefix objects until a consumer needs them), dict-backed beyond
-    64 bits."""
+def _table_of(
+    keys: np.ndarray, hops: np.ndarray, width: int
+) -> ArrayRoutingTable:
+    """A columnar table from sorted columns: no per-prefix objects, and
+    it stays columnar when churn mutates it."""
     values, lengths = _unpack(keys)
-    if width <= 64:
-        return ArrayRoutingTable(
-            values.astype(np.uint64, copy=False), lengths, hops, width,
-            validate=False,
-        )
-    out = RoutingTable(width)
-    for v, l, h in zip(values.tolist(), lengths.tolist(), hops.tolist()):
-        out.update(Prefix(v, l, width), h)
-    return out
+    values = (
+        values.astype(np.uint64, copy=False) if width <= 64
+        else values.tolist()
+    )
+    return ArrayRoutingTable(values, lengths, hops, width, validate=False)
 
 
 def _bit_length(x: np.ndarray) -> np.ndarray:

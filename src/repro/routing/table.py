@@ -41,10 +41,9 @@ class RoutingTable:
         """Insert a route; replacing an existing prefix is an error
         (use :meth:`update` for that)."""
         self._check_width(prefix)
-        if prefix in self._routes:
+        if prefix in self:
             raise TableError(f"duplicate route for {prefix}")
-        self._routes[prefix] = next_hop
-        self.version += 1
+        self.update(prefix, next_hop)
 
     def update(self, prefix: Prefix, next_hop: NextHop) -> None:
         """Insert or overwrite a route."""
@@ -78,7 +77,7 @@ class RoutingTable:
         """Reference longest-prefix match (linear scan; the oracle)."""
         best_len = -1
         best_hop = NO_ROUTE
-        for prefix, hop in self._routes.items():
+        for prefix, hop in self.routes():
             if prefix.length > best_len and prefix.matches(address):
                 best_len = prefix.length
                 best_hop = hop
@@ -87,7 +86,7 @@ class RoutingTable:
     def lookup_prefix(self, address: int) -> Optional[Prefix]:
         """The longest matching prefix itself (None if no route matches)."""
         best: Optional[Prefix] = None
-        for prefix in self._routes:
+        for prefix in self:
             if prefix.matches(address) and (
                 best is None or prefix.length > best.length
             ):

@@ -15,11 +15,13 @@ from repro.core import CacheConfig, SpalConfig, SpalRouter
 from repro.errors import SimulationError, TrieError
 from repro.obs import Tracer
 from repro.routing import (
+    ArrayRoutingTable,
     ChurnSchedule,
     Prefix,
     RoutingTable,
     generate_churn,
     random_small_table,
+    table_columns,
 )
 from repro.sim import SpalSimulator
 from repro.sim.array_engine import _ids_under
@@ -100,6 +102,52 @@ class TestChurnGenerator:
             generate_churn(table, -1, 1000)
         with pytest.raises(ValueError):
             generate_churn(table, 100, 0)
+
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_validation_reads_only_the_scheduled_prefixes(self, columnar):
+        """Withdrawals are checked against earlier events, then the table's
+        exact-match index; no route is enumerated."""
+
+        class Unlisted(ArrayRoutingTable if columnar else RoutingTable):
+            def routes(self):
+                raise AssertionError("validate enumerated the table")
+
+            prefixes = __iter__ = routes
+
+        routes = [("10.0.0.0/8", 1), ("11.0.0.0/8", 2)]
+        if columnar:
+            table = Unlisted(
+                *table_columns(RoutingTable.from_strings(routes)), 32
+            )
+        else:
+            table = Unlisted(32)
+            for text, hop in routes:
+                table.update(Prefix.from_string(text), hop)
+        p10, p11, p12 = (
+            Prefix.from_string(f"{n}.0.0.0/8") for n in (10, 11, 12)
+        )
+        ok = (
+            ChurnSchedule()
+            .withdraw(1, p10)
+            .announce(2, p10, 5)
+            .withdraw(3, p10)
+            .announce(4, p12, 6)
+            .withdraw(5, p12)
+            .withdraw(6, p11)
+        )
+        ok.validate(table)
+        assert len(table) == 2
+        for bad in (
+            ChurnSchedule().withdraw(1, p10).withdraw(2, p10),
+            ChurnSchedule().announce(1, p12, 3).withdraw(2, p12)
+            .withdraw(3, p12),
+            ChurnSchedule().withdraw(1, p12),
+        ):
+            with pytest.raises(ValueError, match="withdrawal of absent"):
+                bad.validate(table)
+        wide = ChurnSchedule().announce(1, Prefix(0, 0, 128), 1)
+        with pytest.raises(ValueError, match="width"):
+            wide.validate(table)
 
 
 @st.composite

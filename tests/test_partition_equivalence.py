@@ -11,11 +11,14 @@ route order, length and version.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
+    CacheConfig,
+    SpalConfig,
     assign_patterns_to_lcs,
     partition_table,
     patterns_of_prefix,
@@ -23,8 +26,16 @@ from repro.core import (
 )
 from repro.core.partition import PartitionPlan
 from repro.errors import PartitionError
-from repro.routing import ArrayRoutingTable, Prefix, RoutingTable
+from repro.routing import (
+    ArrayRoutingTable,
+    Prefix,
+    RoutingTable,
+    generate_churn,
+    make_full_v4,
+)
 from repro.routing.table import NextHop
+from repro.sim import SpalSimulator
+from repro.traffic import FlowPopulation, LinkSpec, generate_stream, trace_spec
 
 from .conftest import fast_path
 
@@ -172,21 +183,77 @@ class TestColumnarMatchesReference:
         assert got.replicas_of_pattern == want.replicas_of_pattern
         assert got.source_version == want.source_version
         for mine, ref in zip(got.tables, want.tables):
-            assert type(mine) is RoutingTable
+            assert type(mine) is ArrayRoutingTable
             assert list(mine.routes()) == list(ref.routes())
             assert len(mine) == len(ref)
             assert mine.version == ref.version
 
+
+@contextmanager
+def _no_prefix_objects():
+    """Fail any :class:`Prefix` construction inside the block."""
+    init = Prefix.__init__
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("a Prefix object was created")
+
+    Prefix.__init__ = refuse
+    try:
+        yield
+    finally:
+        Prefix.__init__ = init
+
+
+def _assert_columnar(tables: Sequence[RoutingTable]) -> None:
+    for t in tables:
+        assert type(t) is ArrayRoutingTable
+        assert not t.inflated
+
+
+class TestLcTablesStayColumnar:
+    """Per-LC tables are column slices of the source from partition to the
+    end of a churned run: no Prefix objects, no dicts, no inflation."""
+
     @given(tables(), st.integers(1, 9))
     @settings(max_examples=40, deadline=None)
-    def test_one_prefix_object_per_source_route(self, table, n_lcs):
-        """Every LC shares one Prefix per source route; a dict-backed
-        source's own keys are reused."""
-        plan = partition_table(table, n_lcs, replicas=min(2, n_lcs))
-        by_key = {}
-        for t in plan.tables:
-            for prefix in t:
-                assert by_key.setdefault(prefix, prefix) is prefix
-        if not isinstance(table, ArrayRoutingTable):
-            source = {p: p for p in table}
-            assert all(source[p] is p for p in by_key)
+    def test_partition_creates_no_prefix_objects(self, table, n_lcs):
+        replicas = min(2, n_lcs)
+        bits = None
+        if table.width > 64:
+            # Above the uint64 kernels bit selection is the scalar loop
+            # over Prefix objects; the split and assembly are columnar.
+            bits = partition_table(table, n_lcs, replicas=replicas).bits
+        with _no_prefix_objects():
+            plan = partition_table(table, n_lcs, bits=bits, replicas=replicas)
+        _assert_columnar(plan.tables)
+
+    def test_lc_tables_stay_columnar_under_churn(self):
+        """The ``fib_churn`` benchmark shape at its gate scale: a minimised
+        full-feed table at ψ=16 under 500k updates/s."""
+        table = make_full_v4(seed=7, size=20_000)
+        packets = 1_000
+        spec = trace_spec("D_75").scaled(16 * packets)
+        population = FlowPopulation(spec, table)
+        horizon = int(packets * LinkSpec(40).mean_interarrival_cycles)
+        churn = generate_churn(
+            table, rate_per_s=500_000, horizon_cycles=horizon, seed=3
+        )
+        sim = SpalSimulator(
+            table,
+            SpalConfig(
+                n_lcs=16, cache=CacheConfig(n_blocks=4096), minimize="full"
+            ),
+        )
+        built = sim.plan.tables
+        _assert_columnar(built)
+        sim.run(
+            [generate_stream(population, packets, lc) for lc in range(16)],
+            speed_gbps=40,
+            warmup_packets=packets // 10,
+            updates=churn,
+            update_policy="selective",
+        )
+        assert sim.update_events_applied > 0
+        assert sim.plan.tables is not built
+        _assert_columnar(built)
+        _assert_columnar(sim.plan.tables)
