@@ -1,9 +1,10 @@
 """Process-wide switch for the vectorized (batch) fast paths.
 
 Every batch kernel in the library — trie ``lookup_batch`` kernels, the
-partitioner's vectorized bit scoring, the simulator's precomputed
+partitioner's ``home_lc_batch``, the simulator's precomputed
 next-hop/home-LC fast path — funnels through :func:`batch_enabled` so one
-environment variable A/B-toggles the whole layer:
+environment variable A/B-toggles the whole layer (control-bit selection
+has one code path and no switch):
 
 ``REPRO_BATCH=0`` falls back to the scalar per-packet code everywhere
 (useful for timing comparisons and for bisecting a suspected kernel bug);

@@ -21,7 +21,6 @@ from .faults import (
 from .line_card import FEStats, ForwardingEngine, LineCard
 from .lr_cache import LOC, REM, CacheEntry, CacheStats, LRCache
 from .partition import (
-    BitScore,
     PartitionPlan,
     apply_route_update,
     assign_patterns_to_lcs,
@@ -29,7 +28,6 @@ from .partition import (
     pattern_of,
     pattern_of_batch,
     patterns_of_prefix,
-    score_bit,
     select_partition_bits,
 )
 from .replacement import FIFOPolicy, LRUPolicy, RandomPolicy, make_policy
@@ -68,9 +66,7 @@ __all__ = [
     "FIFOPolicy",
     "RandomPolicy",
     "make_policy",
-    "BitScore",
     "PartitionPlan",
-    "score_bit",
     "select_partition_bits",
     "pattern_of",
     "pattern_of_batch",

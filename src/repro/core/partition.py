@@ -40,38 +40,28 @@ from ..routing.prefix import Prefix
 from ..routing.table import NextHop, RoutingTable
 
 
-@dataclass(frozen=True)
-class BitScore:
-    """Score of one candidate bit position over one prefix subset."""
-
-    position: int
-    wildcard: int   # Φ*  — prefixes with '*' at this position
-    zeros: int      # Φ0
-    ones: int       # Φ1
-
-    @property
-    def imbalance(self) -> int:
-        return abs(self.zeros - self.ones)
-
-    @property
-    def key(self) -> Tuple[int, int]:
-        """Lexicographic objective: Criterion (1) then Criterion (2)."""
-        return (self.wildcard, self.imbalance)
-
-
-def score_bit(
-    prefixes: Sequence[Prefix], position: int
-) -> BitScore:
-    """Count Φ*, Φ0 and Φ1 for one bit position over a prefix set."""
-    wildcard = zeros = ones = 0
-    for prefix in prefixes:
-        if position >= prefix.length:
-            wildcard += 1
-        elif (prefix.value >> (prefix.width - 1 - position)) & 1:
-            ones += 1
-        else:
-            zeros += 1
-    return BitScore(position, wildcard, zeros, ones)
+def _candidate_list(
+    candidate_positions: Optional[Sequence[int]], width: int, n_bits: int
+) -> List[int]:
+    """The candidate control-bit positions, checked: every bit of the
+    address width by default, else a non-empty list of distinct positions
+    inside it (kept in the caller's order, which breaks ties), with at
+    least ``n_bits`` of them."""
+    if candidate_positions is None:
+        candidates = list(range(width))
+    else:
+        candidates = [int(c) for c in candidate_positions]
+        if not candidates:
+            raise PartitionError("no candidate bit positions given")
+        if len(set(candidates)) != len(candidates):
+            raise PartitionError("duplicate candidate bit positions")
+        if any(not 0 <= c < width for c in candidates):
+            raise PartitionError("candidate bit position out of range")
+    if n_bits > len(candidates):
+        raise PartitionError(
+            f"cannot choose {n_bits} bits from {len(candidates)} candidates"
+        )
+    return candidates
 
 
 def select_partition_bits(
@@ -84,132 +74,98 @@ def select_partition_bits(
     ``candidate_positions`` defaults to every bit of the address width; the
     paper notes large positions (ν > 24) are effectively ruled out by
     Criterion (1) because most prefixes are shorter, so no explicit cut-off
-    is needed.
+    is needed.  An explicit list must be non-empty, distinct and inside
+    the width; on equal scores the earlier candidate wins.
+
+    Each bit is chosen recursively: every current subset (the replicated
+    rows compatible with one pattern over the bits chosen so far) is
+    split hypothetically on each remaining candidate, and the candidate
+    with the smallest (max partition size, total size, spread) wins.  Φ*
+    inflates both max and total (Criterion 1) and |Φ0−Φ1| inflates the
+    max and the spread (Criterion 2); the max comes first because each
+    LC's SRAM is sized by its own partition.  One round scores every
+    (subset, candidate) pair with ``width / 8 + 1`` ``bincount`` passes
+    over the table's packed columns (:func:`_best_bit`), at every width.
     """
     if n_bits < 0:
         raise PartitionError(f"n_bits must be non-negative, got {n_bits}")
+    candidates = _candidate_list(candidate_positions, table.width, n_bits)
     if n_bits == 0:
         return []
-    width = table.width
-    candidates = list(candidate_positions or range(width))
-    if any(not 0 <= c < width for c in candidates):
-        raise PartitionError("candidate bit position out of range")
-    if n_bits > len(candidates):
-        raise PartitionError(
-            f"cannot choose {n_bits} bits from {len(candidates)} candidates"
-        )
-    if batch_enabled() and width <= MAX_KERNEL_WIDTH and len(table):
-        values, lengths, _ = table_columns(table)
-        return _select_partition_bits_vec(
-            values, lengths, n_bits, candidates, width
-        )
-    prefixes = table.prefixes()
-    chosen: List[int] = []
-    # Current fragmentation: start with the whole set, split as bits are
-    # chosen.  Each subset is the multiset of prefixes compatible with one
-    # bit pattern over the chosen bits (wildcards replicated into both).
-    subsets: List[List[Prefix]] = [prefixes]
-    for _ in range(n_bits):
-        best_position = -1
-        best_key: Optional[Tuple[int, int, int]] = None
-        for position in candidates:
-            if position in chosen:
-                continue
-            # Recursive application: evaluate the candidate on each current
-            # subset separately (hypothetical split), then combine.  The two
-            # criteria are scalarized as (max partition size, total size,
-            # spread): Φ* inflates both max and total (Criterion 1) and
-            # |Φ0−Φ1| inflates the max and the spread (Criterion 2); the max
-            # comes first because each LC's SRAM is sized by its own
-            # partition.
-            sizes: List[int] = []
-            for subset in subsets:
-                score = score_bit(subset, position)
-                sizes.append(score.zeros + score.wildcard)
-                sizes.append(score.ones + score.wildcard)
-            key = (max(sizes), sum(sizes), max(sizes) - min(sizes))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_position = position
-        chosen.append(best_position)
-        # Split every subset on the chosen bit.
-        next_subsets: List[List[Prefix]] = []
-        for subset in subsets:
-            zeros: List[Prefix] = []
-            ones: List[Prefix] = []
-            for prefix in subset:
-                if best_position >= prefix.length:
-                    zeros.append(prefix)
-                    ones.append(prefix)
-                elif (prefix.value >> (prefix.width - 1 - best_position)) & 1:
-                    ones.append(prefix)
-                else:
-                    zeros.append(prefix)
-            next_subsets.extend((zeros, ones))
-        subsets = next_subsets
-    return chosen
+    values, lengths, _ = table_columns(table)
+    return _split_routes(values, lengths, table.width, n_bits, candidates)[0]
 
 
-def _select_partition_bits_vec(
-    values: np.ndarray,
+#: ``_BYTE_BITS[v, j]`` is bit ``j`` (MSB first) of the byte value ``v``.
+_BYTE_BITS = (np.arange(256)[:, None] >> (7 - np.arange(8))) & 1
+
+
+def _address_bytes(values, width: int) -> np.ndarray:
+    """The values as a ``(⌈width / 8⌉, n)`` uint8 matrix, one row per
+    address byte, most significant first: bit position ``p`` is bit
+    ``7 - p % 8`` of row ``p // 8``.
+
+    A uint64 column is shifted to the top of the word and read
+    big-endian; Python ints (above 64 bits) go through ``int.to_bytes``.
+    """
+    n_bytes = (width + 7) // 8
+    if isinstance(values, np.ndarray):
+        top = values.astype(np.uint64) << np.uint64(64 - width)
+        matrix = top.astype(">u8").view(np.uint8).reshape(-1, 8)[:, :n_bytes]
+    else:
+        pad = 8 * n_bytes - width
+        raw = b"".join((v << pad).to_bytes(n_bytes, "big") for v in values)
+        matrix = np.frombuffer(raw, dtype=np.uint8).reshape(-1, n_bytes)
+    return np.ascontiguousarray(matrix.T)
+
+
+def _best_bit(
+    matrix: np.ndarray,
+    rows: np.ndarray,
     lengths: np.ndarray,
-    n_bits: int,
+    labels: np.ndarray,
+    n_subsets: int,
     candidates: Sequence[int],
     width: int,
-) -> List[int]:
-    """Vectorized twin of the scalar selection loop above, over the
-    table's (value, length) columns.
+) -> int:
+    """The candidate whose hypothetical split of every subset gives the
+    smallest (max, total, spread) key; the first one on a tie.
 
-    Subsets are carried as a label array over (replicated) prefix rows
-    instead of lists-of-lists.  Each row's class at a candidate position
-    is 0 or 1 (its bit) or 2 (wildcard), so one ``bincount`` of
-    ``subset * 3 + class`` yields Φ0, Φ1 and Φ* for every subset at once.
-    Candidate order and the (max, total, spread) key are identical to the
-    scalar path, so the chosen bits are bit-for-bit the same.
+    ``rows`` index the byte ``matrix``; ``lengths`` and ``labels`` (the
+    subset of each row) run parallel to them.  For every (subset,
+    position) pair at once:
+
+    * Φ* (rows with ``length <= position``) is the running sum of the
+      subset's length histogram;
+    * Φ1 is the subset's histogram of each address byte times
+      :data:`_BYTE_BITS`.  A set bit lies inside its route's length
+      (tables reject set host bits), so no wildcard row counts;
+    * Φ0 is the subset size minus Φ* minus Φ1.
     """
-    values = np.asarray(values, dtype=np.uint64)
-    lengths = np.asarray(lengths, dtype=np.int64)
-    subset_id = np.zeros(len(values), dtype=np.int64)
-    n_subsets = 1
-    chosen: List[int] = []
-    for _ in range(n_bits):
-        best_position = -1
-        best_key: Optional[Tuple[int, int, int]] = None
-        base = subset_id * 3
-        for position in candidates:
-            if position in chosen:
-                continue
-            cls = _bit_column(values, position, width)
-            cls[lengths <= position] = 2
-            counts = np.bincount(base + cls, minlength=3 * n_subsets)
-            wild = counts[2::3]
-            sizes = np.concatenate((counts[0::3] + wild, counts[1::3] + wild))
-            key = (
-                int(sizes.max()),
-                int(sizes.sum()),
-                int(sizes.max() - sizes.min()),
-            )
-            if best_key is None or key < best_key:
-                best_key = key
-                best_position = position
-        chosen.append(best_position)
-        values, lengths, subset_id = _split_rows(
-            values, lengths, subset_id,
-            _bit_column(values, best_position, width),
-            lengths <= best_position,
-        )
-        n_subsets *= 2
-    return chosen
-
-
-def _bit_column(values, position: int, width: int) -> np.ndarray:
-    """Bit ``b<position>`` of every value as an int64 column: shifted out
-    of the uint64 column, or read off the Python ints above 64 bits."""
-    shift = int(width - 1 - position)
-    if isinstance(values, np.ndarray):
-        return ((values >> np.uint64(shift)) & np.uint64(1)).astype(np.int64)
-    return np.fromiter(
-        ((v >> shift) & 1 for v in values), dtype=np.int64, count=len(values)
+    span = width + 1
+    wild = np.bincount(
+        labels * span + lengths, minlength=n_subsets * span
+    ).reshape(n_subsets, span).cumsum(axis=1)
+    size = wild[:, width:]
+    wild = wild[:, :width]
+    ones = np.zeros((n_subsets, 8 * len(matrix)), dtype=np.int64)
+    base = labels << 8
+    for byte in sorted({c >> 3 for c in candidates}):
+        counts = np.bincount(
+            base + matrix[byte][rows], minlength=n_subsets << 8
+        ).reshape(n_subsets, 256)
+        ones[:, 8 * byte:8 * byte + 8] = counts @ _BYTE_BITS
+    ones = ones[:, :width]
+    zero_side = size - ones      # Φ0 + Φ*
+    one_side = ones + wild       # Φ1 + Φ*
+    largest = np.maximum(zero_side.max(axis=0), one_side.max(axis=0))
+    smallest = np.minimum(zero_side.min(axis=0), one_side.min(axis=0))
+    total = (size + wild).sum(axis=0)
+    return min(
+        candidates,
+        key=lambda c: (
+            int(largest[c]), int(total[c]), int(largest[c] - smallest[c])
+        ),
     )
 
 
@@ -230,25 +186,44 @@ def _split_rows(rows, lengths, labels, bit, wild):
 
 
 def _split_routes(
-    values, lengths: np.ndarray, width: int, bits: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``(rows, patterns)``: one pair per route and control-bit pattern it
-    is compatible with, computed from a table's packed columns.
+    values,
+    lengths: np.ndarray,
+    width: int,
+    n_bits: int,
+    candidates: Sequence[int] = (),
+    bits: Optional[Sequence[int]] = None,
+) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """``(bits, rows, patterns)``: the control bits, and one
+    ``(row, pattern)`` pair per route and bit pattern it is compatible
+    with, computed from a table's packed columns.
 
-    A route is replicated at each selected position past its length
-    (:func:`_split_rows`), so ``rows`` (indexes into the table's iteration
-    order) stays in source order.
+    The bits are ``bits`` when given, else ``n_bits`` of ``candidates``
+    chosen one round at a time by :func:`_best_bit` over the rows split
+    so far.  A route is replicated at each selected position past its
+    length (:func:`_split_rows`), so ``rows`` (indexes into the table's
+    iteration order) stays in source order.
     """
+    matrix = _address_bytes(values, width)
+    lengths = np.asarray(lengths, dtype=np.int64)
     rows = np.arange(len(lengths), dtype=np.int64)
     patterns = np.zeros(len(lengths), dtype=np.int64)
-    row_lengths = np.asarray(lengths, dtype=np.int64)
-    for position in bits:
-        rows, row_lengths, patterns = _split_rows(
-            rows, row_lengths, patterns,
-            _bit_column(values, position, width)[rows],
-            row_lengths <= position,
+    remaining = list(candidates)
+    chosen: List[int] = []
+    for _ in range(n_bits if bits is None else len(bits)):
+        if bits is None:
+            position = _best_bit(
+                matrix, rows, lengths, patterns, 1 << len(chosen),
+                remaining, width,
+            )
+            remaining.remove(position)
+        else:
+            position = bits[len(chosen)]
+        chosen.append(position)
+        bit = (matrix[position >> 3][rows] >> (7 - (position & 7))) & 1
+        rows, lengths, patterns = _split_rows(
+            rows, lengths, patterns, bit, lengths <= position
         )
-    return rows, patterns
+    return chosen, rows, patterns
 
 
 def pattern_of(address: int, bits: Sequence[int], width: int) -> int:
@@ -548,7 +523,9 @@ def partition_table(
     """Fragment ``table`` into forwarding tables for ``n_lcs`` line cards.
 
     ``bits`` overrides automatic selection (used by the ablation comparing
-    criteria-chosen bits against naive choices).
+    criteria-chosen bits against naive choices); otherwise η bits are
+    chosen from ``candidate_positions`` as :func:`select_partition_bits`
+    does.
 
     ``replicas`` homes every pattern on that many distinct LCs (an
     extension beyond the paper): per-LC forwarding tables grow roughly
@@ -565,10 +542,12 @@ def partition_table(
     table sizes and home traffic.  Pass ``pattern_oversubscription=1`` for
     the paper's exact η.  Power-of-two ψ always uses exactly ⌈log2 ψ⌉.
 
-    Every argument is checked before any route is read.  The split works
-    on the table's packed columns (:func:`_split_routes`), and each LC's
-    table is an :class:`~repro.routing.arraytable.ArrayRoutingTable` over
-    row slices of them.  It lists its routes ordered by the first pattern
+    Every argument is checked before any route is read.  Bit selection
+    and the split are one pass over the table's packed columns
+    (:func:`_split_routes`): the rows selection splits on its chosen bits
+    are the split, so the table is split once.  Each LC's table is an
+    :class:`~repro.routing.arraytable.ArrayRoutingTable` over row slices
+    of the columns.  It lists its routes ordered by the first pattern
     it holds that the route is compatible with, then by source order,
     each route once.
     """
@@ -586,6 +565,7 @@ def partition_table(
             raise PartitionError("pattern_oversubscription must be >= 1")
         while (1 << eta) < oversub * n_lcs:
             eta += 1
+    bit_list: Optional[List[int]] = None
     if bits is not None:
         bit_list = [int(b) for b in bits]
         if (1 << len(bit_list)) < n_lcs:
@@ -597,13 +577,16 @@ def partition_table(
             raise PartitionError("duplicate partition bits")
         if any(not 0 <= b < table.width for b in bit_list):
             raise PartitionError("partition bit out of range")
+    candidates = _candidate_list(
+        candidate_positions, table.width, eta if bit_list is None else 0
+    )
     if len(table) == 0:
         raise PartitionError("cannot partition an empty routing table")
-    if bits is None:
-        bit_list = select_partition_bits(table, eta, candidate_positions)
 
     values, lengths, hops = table_columns(table)
-    rows, patterns = _split_routes(values, lengths, table.width, bit_list)
+    bit_list, rows, patterns = _split_routes(
+        values, lengths, table.width, eta, candidates, bits=bit_list
+    )
     counts = np.bincount(patterns, minlength=1 << len(bit_list))
     lc_of_pattern = assign_patterns_to_lcs(counts.tolist(), n_lcs)
     replicas_of_pattern: Optional[List[List[int]]] = None

@@ -27,6 +27,8 @@ from repro.tries import (
     MultibitTrie,
 )
 
+from .partition_oracle import scalar_select_bits
+
 #: Factories for every matcher; kernels exist for the first five, the last
 #: two exercise the generic scalar fallback.
 MATCHERS = [
@@ -160,11 +162,8 @@ class TestPartitionBatch:
         want = [pattern_of(int(a), bits, 32) for a in addrs]
         np.testing.assert_array_equal(got, want)
 
-    def test_bit_selection_matches_scalar(self, table, monkeypatch):
-        vec = select_partition_bits(table, 4)
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        scalar = select_partition_bits(table, 4)
-        assert vec == scalar
+    def test_bit_selection_matches_scalar(self, table):
+        assert select_partition_bits(table, 4) == scalar_select_bits(table, 4)
 
     @pytest.mark.parametrize("replicas", [1, 3])
     def test_home_lc_batch_matches(self, table, replicas):

@@ -10,7 +10,6 @@ from repro.core import (
     partition_table,
     pattern_of,
     patterns_of_prefix,
-    score_bit,
     select_partition_bits,
 )
 from repro.routing import (
@@ -18,8 +17,11 @@ from repro.routing import (
     Prefix,
     RoutingTable,
     make_rt1,
+    make_rt2,
     random_small_table,
 )
+
+from .partition_oracle import score_bit
 
 
 @pytest.fixture
@@ -118,6 +120,33 @@ class TestSelectBits:
         table = random_small_table(10, seed=1)
         with pytest.raises(PartitionError):
             select_partition_bits(table, 3, candidate_positions=[1, 2])
+
+    @pytest.mark.parametrize(
+        "candidates", [[], [3, 3, 9], [3, 9, 32], [-1, 3, 9]]
+    )
+    def test_bad_candidates_raise(self, candidates):
+        """Empty, duplicate and out-of-range candidates are errors: an
+        empty list must not mean "every bit", and a duplicate must not
+        let selection run out of positions and return bit -1."""
+        table = make_rt2(size=2000)
+        with pytest.raises(PartitionError):
+            select_partition_bits(table, 3, candidate_positions=candidates)
+        with pytest.raises(PartitionError):
+            partition_table(table, 8, candidate_positions=candidates)
+
+    def test_empty_candidates_raise_even_for_zero_bits(self):
+        table = random_small_table(10, seed=1)
+        with pytest.raises(PartitionError):
+            select_partition_bits(table, 0, candidate_positions=[])
+        with pytest.raises(PartitionError):
+            partition_table(table, 1, candidate_positions=[])
+
+    def test_candidates_checked_before_routes_are_read(self):
+        empty = RoutingTable(32)
+        with pytest.raises(PartitionError, match="duplicate candidate"):
+            partition_table(empty, 8, candidate_positions=[3, 3, 9])
+        with pytest.raises(PartitionError, match="cannot choose 3 bits"):
+            partition_table(empty, 8, candidate_positions=[3, 9])
 
     def test_avoids_high_positions(self):
         """Criterion (1) rules out large ν: most prefixes are shorter, so

@@ -1,12 +1,13 @@
 """Equivalence contract of the columnar partitioner.
 
-``partition_table`` splits the FIB from its packed (value, length)
-columns.  ``_partition_reference`` below is the per-route walk it
-replaced: every route becomes a :class:`Prefix`, is expanded through
-``patterns_of_prefix`` and inserted into each holder LC's table one
-pattern at a time, and bits are chosen by the scalar selection loop.  The
-property asserts that both produce the same plan down to each LC table's
-route order, length and version.
+``partition_table`` chooses its control bits and splits the FIB from its
+packed (value, length) columns.  ``_partition_reference`` below is the
+per-route walk it replaced: every route becomes a :class:`Prefix`, is
+expanded through ``patterns_of_prefix`` and inserted into each holder
+LC's table one pattern at a time, and bits are chosen by the scalar
+selection loop (``tests/partition_oracle.py``).  The properties assert
+that both choose the same bits and produce the same plan down to each LC
+table's route order, length and version.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import List, Optional, Sequence, Tuple
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core import (
     CacheConfig,
@@ -37,7 +38,7 @@ from repro.routing.table import NextHop
 from repro.sim import SpalSimulator
 from repro.traffic import FlowPopulation, LinkSpec, generate_stream, trace_spec
 
-from .conftest import fast_path
+from .partition_oracle import scalar_select_bits
 
 
 def _partition_reference(
@@ -61,8 +62,7 @@ def _partition_reference(
         while (1 << eta) < oversub * n_lcs:
             eta += 1
     if bits is None:
-        with fast_path(False):  # the scalar selection loop
-            bit_list = select_partition_bits(table, eta, candidate_positions)
+        bit_list = scalar_select_bits(table, eta, candidate_positions)
     else:
         bit_list = list(bits)
         eta = len(bit_list)
@@ -107,10 +107,10 @@ def _partition_reference(
 
 
 @st.composite
-def tables(draw):
+def tables(draw, widths=(32, 128), min_size=1):
     """IPv4 or IPv6 tables, array- or dict-backed, rich in the short
     prefixes (default route, /1–/3) that replicate across patterns."""
-    width = draw(st.sampled_from([32, 128]))
+    width = draw(st.sampled_from(widths))
     short = st.integers(0, 3)
     routes = draw(
         st.lists(
@@ -119,7 +119,7 @@ def tables(draw):
                 st.one_of(short, st.integers(0, width)),
                 st.integers(0, 9),
             ),
-            min_size=1,
+            min_size=min_size,
             max_size=40,
         )
     )
@@ -171,6 +171,46 @@ def partition_args(draw):
     )
 
 
+@st.composite
+def selection_args(draw):
+    """A table (possibly empty; widths 32 and 128, two that are not whole
+    bytes, and the paper's 8, where few positions make score ties
+    common), η from 0 to 6, and either the default candidates or a random
+    subset of positions in random order."""
+    table = draw(tables(widths=(32, 128, 21, 100, 8), min_size=0))
+    n_bits = draw(st.integers(0, 6))
+    candidates = None
+    if draw(st.booleans()):
+        candidates = draw(
+            st.lists(
+                st.integers(0, table.width - 1),
+                min_size=max(n_bits, 1),
+                max_size=table.width,
+                unique=True,
+            )
+        )
+    return table, n_bits, candidates
+
+
+#: After b0, bits 1 and 2 tie on the largest and the total partition
+#: size; only the spread separates them.
+_SPREAD_TIE = RoutingTable.from_strings(
+    [("0*", 1), ("000*", 2), ("110100*", 3), ("111*", 4)], width=8
+)
+
+
+class TestBitSelectionMatchesScalar:
+    @given(selection_args())
+    @example((_SPREAD_TIE, 3, None))
+    @example((_SPREAD_TIE, 2, [2, 1, 0]))
+    @settings(max_examples=200, deadline=None)
+    def test_identical_bits(self, args):
+        table, n_bits, candidates = args
+        assert select_partition_bits(
+            table, n_bits, candidate_positions=candidates
+        ) == scalar_select_bits(table, n_bits, candidates)
+
+
 class TestColumnarMatchesReference:
     @given(partition_args())
     @settings(max_examples=150, deadline=None)
@@ -217,14 +257,8 @@ class TestLcTablesStayColumnar:
     @given(tables(), st.integers(1, 9))
     @settings(max_examples=40, deadline=None)
     def test_partition_creates_no_prefix_objects(self, table, n_lcs):
-        replicas = min(2, n_lcs)
-        bits = None
-        if table.width > 64:
-            # Above the uint64 kernels bit selection is the scalar loop
-            # over Prefix objects; the split and assembly are columnar.
-            bits = partition_table(table, n_lcs, replicas=replicas).bits
         with _no_prefix_objects():
-            plan = partition_table(table, n_lcs, bits=bits, replicas=replicas)
+            plan = partition_table(table, n_lcs, replicas=min(2, n_lcs))
         _assert_columnar(plan.tables)
 
     def test_lc_tables_stay_columnar_under_churn(self):
