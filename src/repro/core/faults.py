@@ -40,8 +40,9 @@ schedule leaves the simulator's outputs exactly as they were without one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 from ..errors import FaultScheduleError
 
@@ -339,6 +340,64 @@ class FaultSchedule:
             if d.lc == lc and d.start <= cycle < d.end:
                 survive *= 1.0 - d.miss_fraction
         return 1.0 - survive
+
+    def next_change(
+        self, kind: str, cycle: int, lc: Optional[int] = None
+    ) -> Union[int, float]:
+        """The first cycle after ``cycle`` at which a query of ``kind`` can
+        return a different value: every such query is constant on
+        ``[cycle, next_change(kind, cycle, lc))``, and the result is always
+        greater than ``cycle`` (``math.inf`` when no window edge lies
+        ahead).  A caller that steps a query with a non-decreasing cycle
+        can keep its value until this cycle and skip the window scan.
+
+        ``kind`` names the query:
+
+        * ``"cache"`` — :meth:`miss_fraction_at` for LC ``lc``;
+        * ``"slow"`` — :meth:`fe_service_cycles` for LC ``lc``;
+        * ``"drop"`` — :meth:`drop_prob_at` (windows with a drop
+          probability);
+        * ``"flap"`` — :meth:`flap_drops` for every source and
+          destination: the edges of each flap's down phases.
+        """
+        if kind == "flap":
+            return self._next_flap_edge(cycle)
+        if kind == "drop":
+            windows = [d for d in self.degradations if d.drop_prob > 0.0]
+        elif kind in ("cache", "slow"):
+            if lc is None:
+                raise FaultScheduleError(f"next_change({kind!r}) needs an LC")
+            pool = self.cache_degradations if kind == "cache" else self.slowdowns
+            windows = [w for w in pool if w.lc == lc]
+        else:
+            raise FaultScheduleError(f"unknown fault query kind {kind!r}")
+        nxt: Union[int, float] = math.inf
+        for w in windows:
+            if cycle < w.start:
+                nxt = min(nxt, w.start)
+            elif cycle < w.end:
+                nxt = min(nxt, w.end)
+        return nxt
+
+    def _next_flap_edge(self, cycle: int) -> Union[int, float]:
+        nxt: Union[int, float] = math.inf
+        for f in self.link_flaps:
+            if cycle < f.start:
+                edge = f.start
+            elif cycle >= f.end:
+                continue
+            elif f.down_cycles == f.period:
+                # Down for the whole window.
+                edge = f.end
+            else:
+                phase = (cycle - f.start) % f.period
+                edge = min(
+                    f.end,
+                    cycle - phase
+                    + (f.down_cycles if phase < f.down_cycles else f.period),
+                )
+            nxt = min(nxt, edge)
+        return nxt
 
     def validate(self, n_lcs: Optional[int] = None) -> None:
         """Check the schedule against a router shape.

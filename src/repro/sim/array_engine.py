@@ -30,7 +30,18 @@ fault injection, tracing/metrics and live churn — because it preserves:
   ``entry is not home_entry`` stay integer comparisons between live
   entries; replacement ties resolve through the same ``min``/list order,
   and replacement-policy RNGs are the caches' own objects;
-* **rare paths**: faults, timeouts, drops and the churn handler are
+* **the miss chain**: replacement, fabric transit, shedding and the
+  fault queries compute what the scalar objects compute, in fewer
+  steps.  Replacement finds its lru/fifo victim in one pass over the
+  set, the first minimum winning as ``min``'s does; the port-pair and
+  shared-bus fabrics are inlined over the fabric's own state; the shed
+  kernel is called wherever the backlog could shed (at or above
+  :func:`~repro.sim.shedding.admit_floor`), so it sees the scalar
+  calls that can drop or draw, in order.  Each fault query is a cursor:
+  its value comes from the schedule's own method at a window edge and
+  is kept until :meth:`~repro.core.faults.FaultSchedule.next_change`,
+  so every value and every fault-RNG draw is the scalar loop's;
+* **rare paths**: LC faults, timeouts, drops and the churn handler are
   line-by-line transliterations of the scalar handlers, touching the
   same shared objects (partition plan, matchers, oracle, fault RNG,
   tracer, metric instruments) in the same order.  Churn invalidation is
@@ -52,6 +63,7 @@ configurations and asserts field-by-field and trace-stream equality.
 
 from __future__ import annotations
 
+import math
 import time
 from array import array
 from bisect import bisect_left
@@ -62,7 +74,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..core.fabric import Fabric
+from ..core.fabric import Fabric, SharedBusFabric
 from ..core.lr_cache import LOC, REM
 from ..core.partition import apply_route_update
 from ..errors import (
@@ -72,7 +84,7 @@ from ..errors import (
 )
 from ..obs.timeseries import NO_SAMPLE as _NO_SAMPLE
 from ..traffic.packets import ArrivalClock
-from .shedding import shed_decision
+from .shedding import admit_floor, shed_decision
 
 #: Bits reserved for the event sequence number in the packed key
 #: ``(cycle << _SEQ_BITS) | seq``.  Keys are Python ints, so the cycle
@@ -91,6 +103,13 @@ _K_FLUSH = 6    # full cache flush            ()
 _K_FAULT = 7    # scripted LC fault           (kind, lc)
 _K_UPDATE = 8   # live churn update           (update,)
 _K_INVAL = 9    # legacy selective invalidate (prefix,)
+
+# How ``send`` moves a message through the fabric: the port-pair and
+# shared-bus models inlined over their own state, anything else (a
+# degraded fabric, a custom transfer) through ``fabric.transfer``.
+_FAB_PORTS = 0
+_FAB_BUS = 1
+_FAB_METHOD = 2
 
 #: Most arrivals one window takes from any one feed.  Window columns, not
 #: the chunk size, then bound the per-arrival state a run holds at once.
@@ -246,10 +265,14 @@ class ArrayEngine:
         oracle = sim._oracle
         fabric = sim.fabric
         fabric_transfer = fabric.transfer
-        inline_fab = (
-            type(fabric).transfer is Fabric.transfer
-            and not fabric._degradations
-        )
+        if fabric._degradations:
+            fab_mode = _FAB_METHOD
+        elif type(fabric).transfer is Fabric.transfer:
+            fab_mode = _FAB_PORTS
+        elif type(fabric).transfer is SharedBusFabric.transfer:
+            fab_mode = _FAB_BUS
+        else:
+            fab_mode = _FAB_METHOD
         fab_out = fabric._out_free
         fab_in = fabric._in_free
         fab_lat = fabric.latency_cycles()
@@ -276,10 +299,37 @@ class ArrayEngine:
         fab_cap = config.fabric_queue_capacity
         shed_policy = config.shed_policy
         srand = sim._shed_rng.random if sim._shed_rng is not None else None
+        fe_floor = admit_floor(fe_cap) if fe_cap is not None else 0
+        fab_floor = admit_floor(fab_cap) if fab_cap is not None else 0
         has_slow = faults is not None and bool(faults.slowdowns)
-        has_flap = faults is not None and bool(faults.link_flaps)
         has_gray = faults is not None and bool(faults.cache_degradations)
         max_fab_backlog = 0
+
+        # -- fault-window cursors -----------------------------------------
+        # Each query keeps its value until the cycle its window edges next
+        # allow a change (``FaultSchedule.next_change``) and is refreshed
+        # through the schedule's own query then, so every value is the
+        # scalar loop's.  A cursor is stepped by one argument only, which
+        # never decreases: probes by ``now`` (per LC), FE starts by ``now``
+        # (per LC), sends by ``now + 1``.  ``gray_at[lc]`` is the first
+        # cycle the gray check must run at: 0 while the LC's miss fraction
+        # is positive, else its next window edge.
+        never = math.inf
+        gray_at = [0] * n_lcs
+        mf_val = [0.0] * n_lcs
+        mf_until = [0] * n_lcs
+        slow_cyc = [fe_cycles] * n_lcs
+        slow_until = [0 if has_slow else never] * n_lcs
+        snd_until = 0
+        flap_on = False
+        drop_p = 0.0
+        # ``flap_drops`` at one (src, dst) per flap answers "is any flap in
+        # its down phase": a flap that is down matches its own pair, and
+        # any True names some flap that is down.
+        flap_pairs = (
+            {(f.src or 0, f.dst or 0) for f in faults.link_flaps}
+            if faults is not None else ()
+        )
 
         # -- flat fault state (written back at the end) -------------------
         failed = list(sim._failed)
@@ -311,7 +361,9 @@ class ArrayEngine:
         e_hop: List[Optional[int]] = []
         e_mix: List[int] = []
         e_wait: List[bool] = []
-        e_waiters: List[list] = []
+        # Waiter lists are made by the first waiter (``park``): None
+        # until then, so a miss allocates no container.
+        e_waiters: List[Optional[list]] = []
         e_last: List[int] = []
         e_ins: List[int] = []
         e_ref: List[int] = []
@@ -324,6 +376,8 @@ class ArrayEngine:
             loc_target = c0.loc_target
             xor_index = c0.index == "xor"
             policy_name = c0._policy.name
+            # The stamp lru and fifo replacement order by; None for random.
+            vstamp = {"lru": e_last, "fifo": e_ins}.get(policy_name)
             has_victim = c0.victim is not None
             vc_cap = c0.victim.capacity if has_victim else 0
             rng_main = [
@@ -358,7 +412,7 @@ class ArrayEngine:
         else:
             n_sets = assoc = rem_target = loc_target = 0
             xor_index = has_victim = False
-            policy_name = "lru"
+            vstamp = None
 
         # -- pre-scheduled events (faults, churn) -------------------------
         heap: List[tuple] = []
@@ -658,7 +712,7 @@ class ArrayEngine:
             r = e_ref[e] - 1
             e_ref[e] = r
             if r == 0:
-                e_waiters[e] = []
+                e_waiters[e] = None
                 free_eids.append(e)
 
         def pderef(p: int) -> None:
@@ -691,7 +745,7 @@ class ArrayEngine:
                 e_hop[eid] = hop
                 e_mix[eid] = mix
                 e_wait[eid] = wait
-                e_waiters[eid] = []
+                e_waiters[eid] = None
                 e_last[eid] = st
                 e_ins[eid] = st
                 e_ref[eid] = 0
@@ -702,34 +756,54 @@ class ArrayEngine:
             e_hop.append(hop)
             e_mix.append(mix)
             e_wait.append(wait)
-            e_waiters.append([])
+            e_waiters.append(None)
             e_last.append(st)
             e_ins.append(st)
             e_ref.append(0)
             return len(e_addr) - 1
 
         def choose_victim(lc: int, s: Dict[int, int], incoming_mix: int):
-            vals = list(s.values())
-            evictable = [e for e in vals if not e_wait[e]]
-            if not evictable:
-                return None
+            # One pass: count the REM entries and keep the oldest
+            # evictable REM and LOC entry by the policy's stamp.  Strict
+            # ``<`` keeps the first minimum in set order, as ``min`` does.
+            if vstamp is None:
+                return choose_random_victim(lc, s, incoming_mix)
+            n_rem = 0
+            rem = loc = -1
+            rem_st = loc_st = never
+            for e in s.values():
+                if e_mix[e] == REM:
+                    n_rem += 1
+                    if not e_wait[e] and vstamp[e] < rem_st:
+                        rem = e
+                        rem_st = vstamp[e]
+                elif not e_wait[e] and vstamp[e] < loc_st:
+                    loc = e
+                    loc_st = vstamp[e]
+            if n_rem > rem_target and rem >= 0:
+                return rem
+            if len(s) - n_rem > loc_target and loc >= 0:
+                return loc
+            victim = rem if incoming_mix == REM else loc
+            return victim if victim >= 0 else None
+
+        def choose_random_victim(lc: int, s: Dict[int, int],
+                                 incoming_mix: int):
+            # ``random`` indexes its candidate list with the cache's RNG,
+            # so it keeps the lists.
+            evictable = [e for e in s.values() if not e_wait[e]]
             rem = [e for e in evictable if e_mix[e] == REM]
             loc = [e for e in evictable if e_mix[e] == LOC]
-            n_rem = sum(1 for e in vals if e_mix[e] == REM)
-            n_loc = len(vals) - n_rem
+            n_rem = sum(1 for e in s.values() if e_mix[e] == REM)
             candidates: List[int] = []
             if n_rem > rem_target and rem:
                 candidates = rem
-            elif n_loc > loc_target and loc:
+            elif len(s) - n_rem > loc_target and loc:
                 candidates = loc
             if not candidates:
                 candidates = rem if incoming_mix == REM else loc
             if not candidates:
                 return None
-            if policy_name == "lru":
-                return min(candidates, key=e_last.__getitem__)
-            if policy_name == "fifo":
-                return min(candidates, key=e_ins.__getitem__)
             return candidates[rng_main[lc](len(candidates))]
 
         def vc_insert(lc: int, eid: int) -> None:
@@ -746,12 +820,10 @@ class ArrayEngine:
                     ederef(old)
                 return
             if len(d) >= vc_cap:
-                vals = list(d.values())
-                if policy_name == "lru":
-                    victim = min(vals, key=e_last.__getitem__)
-                elif policy_name == "fifo":
-                    victim = min(vals, key=e_ins.__getitem__)
+                if vstamp is not None:
+                    victim = min(d.values(), key=vstamp.__getitem__)
                 else:
+                    vals = list(d.values())
                     victim = vals[rng_vict[lc](len(vals))]
                 del d[e_addr[victim]]
                 ederef(victim)
@@ -802,12 +874,21 @@ class ArrayEngine:
             free_eids.append(eid)
             return -1
 
-        def fill(eid: int, hop: int) -> list:
+        def fill(eid: int, hop: int) -> Optional[list]:
             e_hop[eid] = hop
             e_wait[eid] = False
             w = e_waiters[eid]
-            e_waiters[eid] = []
+            e_waiters[eid] = None
             return w
+
+        def park(eid: int, x: int) -> None:
+            # Queue waiter ``x`` (a slot, or ``~slot`` for a remote
+            # requester) on reservation ``eid``.
+            w = e_waiters[eid]
+            if w is None:
+                e_waiters[eid] = [x]
+            else:
+                w.append(x)
 
         def insert_complete(lc: int, addr: int, hop: int, mix: int,
                             idx: int) -> None:
@@ -966,33 +1047,39 @@ class ArrayEngine:
                         del s[addr]
                         ederef(eid)
                 w = e_waiters[eid]
-                e_waiters[eid] = []
-                for waiter in w:
+                e_waiters[eid] = None
+                for waiter in w or ():
                     wp = waiter if waiter >= 0 else ~waiter
                     drop(wp, reason, now)
                     pderef(wp)
 
         def send(src: int, dst: int, when: int, kind: int, a: int, b) -> None:
             nonlocal seq, fab_msgs, max_fab_backlog
+            nonlocal snd_until, flap_on, drop_p
+            depart = when + fil
             if fab_cap is not None:
-                if inline_fab:
-                    backlog = fab_out[src] - (when + fil)
-                    if backlog < 0:
-                        backlog = 0
+                if fab_mode == _FAB_PORTS:
+                    backlog = fab_out[src] - depart
+                elif fab_mode == _FAB_BUS:
+                    backlog = fabric._bus_free - depart
                 else:
-                    backlog = fabric.queue_backlog(src, when + fil)
-                reason = shed_decision(
-                    shed_policy, backlog, fab_cap, kind == _K_REMREQ, srand
-                )
-                if reason is not None:
-                    # Scalar _send drops at queue.now; when is always now+1.
-                    # No event is pushed, so no reference is taken.
-                    drop(a, reason, when - 1)
-                    return
+                    backlog = fabric.queue_backlog(src, depart)
+                if backlog < 0:
+                    backlog = 0
+                if backlog >= fab_floor:
+                    reason = shed_decision(
+                        shed_policy, backlog, fab_cap, kind == _K_REMREQ,
+                        srand,
+                    )
+                    if reason is not None:
+                        # Scalar _send drops at queue.now; when is always
+                        # now+1.  No event is pushed, so no reference is
+                        # taken.
+                        drop(a, reason, when - 1)
+                        return
                 if backlog > max_fab_backlog:
                     max_fab_backlog = backlog
-            if inline_fab:
-                depart = when + fil
+            if fab_mode == _FAB_PORTS:
                 of = fab_out[src]
                 if of > depart:
                     depart = of
@@ -1004,20 +1091,30 @@ class ArrayEngine:
                 fab_in[dst] = arrive + 1
                 fab_msgs += 1
                 arrive += fil
+            elif fab_mode == _FAB_BUS:
+                bf = fabric._bus_free
+                if bf > depart:
+                    depart = bf
+                fabric._bus_free = depart + 1
+                fab_msgs += 1
+                arrive = depart + fab_lat + fil
             else:
-                arrive = fabric_transfer(src, dst, when + fil) + fil
+                arrive = fabric_transfer(src, dst, depart) + fil
             dropped = False
             if faults is not None:
-                if has_flap and faults.flap_drops(when, src, dst):
+                if when >= snd_until:
+                    snd_until = min(faults.next_change("flap", when),
+                                    faults.next_change("drop", when))
+                    flap_on = any(
+                        faults.flap_drops(when, s, d) for s, d in flap_pairs
+                    )
+                    drop_p = faults.drop_prob_at(when)
+                if (flap_on and faults.flap_drops(when, src, dst)) or (
+                    drop_p > 0.0 and frand() < drop_p
+                ):
                     sim.fabric_dropped_messages += 1
                     sim._m_fabric_dropped.value += 1
                     dropped = True
-                else:
-                    prob = faults.drop_prob_at(when)
-                    if prob > 0.0 and frand() < prob:
-                        sim.fabric_dropped_messages += 1
-                        sim._m_fabric_dropped.value += 1
-                        dropped = True
             if tr is not None:
                 tr.record(
                     "fabric.send", when, lc=src, pid=p_gpid[a], src=src,
@@ -1043,8 +1140,8 @@ class ArrayEngine:
                         del s[addr]
                         ederef(home_eid)
                 w = e_waiters[home_eid]
-                e_waiters[home_eid] = []
-                for waiter in w:
+                e_waiters[home_eid] = None
+                for waiter in w or ():
                     wp = waiter if waiter >= 0 else ~waiter
                     drop(wp, reason, now)
                     pderef(wp)
@@ -1057,17 +1154,17 @@ class ArrayEngine:
             ff = fe_free[lc]
             if fe_cap is not None:
                 backlog = (ff - nw) // fe_cycles if ff > nw else 0
-                reason = shed_decision(
-                    shed_policy, backlog, fe_cap, p_lc[p] != lc, srand
-                )
-                if reason is not None:
-                    shed_fe(p, lc, reason, home_eid, now)
-                    return
-            cycles = (
-                faults.fe_service_cycles(now, lc, fe_cycles)
-                if has_slow
-                else fe_cycles
-            )
+                if backlog >= fe_floor:
+                    reason = shed_decision(
+                        shed_policy, backlog, fe_cap, p_lc[p] != lc, srand
+                    )
+                    if reason is not None:
+                        shed_fe(p, lc, reason, home_eid, now)
+                        return
+            if now >= slow_until[lc]:
+                slow_cyc[lc] = faults.fe_service_cycles(now, lc, fe_cycles)
+                slow_until[lc] = faults.next_change("slow", now, lc)
+            cycles = slow_cyc[lc]
             start = ff if ff > nw else nw
             done = start + cycles
             fe_free[lc] = done
@@ -1124,6 +1221,23 @@ class ArrayEngine:
                         e_ref[eid] += 1
             dispatch(p, lc, now, home)
 
+        def gray(lc: int, now: int, fs: Dict[int, int], addr: int) -> None:
+            # Scalar _forced_miss, run while ``now >= gray_at[lc]``: step
+            # the LC's miss-fraction cursor at a window edge, then, while
+            # the fraction is positive, discard a complete entry for
+            # ``addr`` with that probability (a draw only when one exists).
+            if now >= mf_until[lc]:
+                mf_val[lc] = mf = faults.miss_fraction_at(now, lc)
+                mf_until[lc] = until = faults.next_change("cache", now, lc)
+                gray_at[lc] = 0 if mf > 0.0 else until
+            else:
+                mf = mf_val[lc]
+            if mf > 0.0:
+                geid = fs.get(addr)
+                if geid is not None and not e_wait[geid] and frand() < mf:
+                    del fs[addr]
+                    ederef(geid)
+
         def probe_tail(p: int, lc: int, addr: int, now: int) -> None:
             if has_victim:
                 d = vc[lc]
@@ -1139,7 +1253,7 @@ class ArrayEngine:
                     if e_wait[eid]:
                         if tr is not None:
                             tr.record("cache.wait", now, lc=lc, pid=p_gpid[p])
-                        e_waiters[eid].append(p)
+                        park(eid, p)
                         p_ref[p] += 1
                     else:
                         if tr is not None:
@@ -1157,13 +1271,8 @@ class ArrayEngine:
                 return
             addr = p_dest[p]
             fs = fsets[p_set[p]]
-            if has_gray:
-                mf = faults.miss_fraction_at(now, lc)
-                if mf > 0.0:
-                    geid = fs.get(addr)
-                    if geid is not None and not e_wait[geid] and frand() < mf:
-                        del fs[addr]
-                        ederef(geid)
+            if has_gray and now >= gray_at[lc]:
+                gray(lc, now, fs, addr)
             eid = fs.get(addr)
             if eid is not None:
                 stamp[lc] = tick = stamp[lc] + 1
@@ -1172,7 +1281,7 @@ class ArrayEngine:
                     st_whits[lc] += 1
                     if tr is not None:
                         tr.record("cache.wait", now, lc=lc, pid=p_gpid[p])
-                    e_waiters[eid].append(p)
+                    park(eid, p)
                     p_ref[p] += 1
                 else:
                     st_hits[lc] += 1
@@ -1183,7 +1292,10 @@ class ArrayEngine:
                 return
             probe_tail(p, lc, addr, now)
 
-        def release(waiters: list, lc: int, hop: int, now: int) -> None:
+        def release(waiters: Optional[list], lc: int, hop: int,
+                    now: int) -> None:
+            if waiters is None:
+                return
             for waiter in waiters:
                 if waiter < 0:
                     wp = ~waiter
@@ -1251,20 +1363,15 @@ class ArrayEngine:
             addr = p_dest[p]
             fidx = home * n_sets + p_idx[p]
             fs = fsets[fidx]
-            if has_gray:
-                mf = faults.miss_fraction_at(now, home)
-                if mf > 0.0:
-                    geid = fs.get(addr)
-                    if geid is not None and not e_wait[geid] and frand() < mf:
-                        del fs[addr]
-                        ederef(geid)
+            if has_gray and now >= gray_at[home]:
+                gray(home, now, fs, addr)
             eid = fs.get(addr)
             if eid is not None:
                 stamp[home] = tick = stamp[home] + 1
                 e_last[eid] = tick
                 if e_wait[eid]:
                     st_whits[home] += 1
-                    e_waiters[eid].append(~p)
+                    park(eid, ~p)
                     p_ref[p] += 1
                 else:
                     st_hits[home] += 1
@@ -1280,7 +1387,7 @@ class ArrayEngine:
                     e_last[eid] = tick
                     place(home, eid)
                     if e_wait[eid]:
-                        e_waiters[eid].append(~p)
+                        park(eid, ~p)
                         p_ref[p] += 1
                     else:
                         send(home, p_lc[p], now + 1, _K_REPLY, p, e_hop[eid])
@@ -1292,7 +1399,7 @@ class ArrayEngine:
             if home_eid < 0:
                 fe_request(p, home, now, p_lc[p], -1)
                 return
-            e_waiters[home_eid].append(~p)
+            park(home_eid, ~p)
             p_ref[p] += 1
             fe_request(p, home, now, -1, home_eid)
 
@@ -1401,8 +1508,8 @@ class ArrayEngine:
                 if has_cache:
                     for eid in take_waiting(lc):
                         w = e_waiters[eid]
-                        e_waiters[eid] = []
-                        for waiter in w:
+                        e_waiters[eid] = None
+                        for waiter in w or ():
                             if waiter < 0:
                                 # Remote waiters survive on their timeout.
                                 pderef(~waiter)
@@ -1612,17 +1719,8 @@ class ArrayEngine:
                         port_free[lc] = now + 1
                         port_busy[lc] += 1
                         fs = fsets[arr_set[i]]
-                        if has_gray:
-                            mf = faults.miss_fraction_at(now, lc)
-                            if mf > 0.0:
-                                geid = fs.get(addr)
-                                if (
-                                    geid is not None
-                                    and not e_wait[geid]
-                                    and frand() < mf
-                                ):
-                                    del fs[addr]
-                                    ederef(geid)
+                        if has_gray and now >= gray_at[lc]:
+                            gray(lc, now, fs, addr)
                         eid = fs.get(addr)
                         if eid is not None:
                             stamp[lc] = tick = stamp[lc] + 1
@@ -1631,7 +1729,7 @@ class ArrayEngine:
                                 st_whits[lc] += 1
                                 tr.record("cache.wait", now, lc=lc, pid=gp)
                                 p = admit(i)
-                                e_waiters[eid].append(p)
+                                park(eid, p)
                                 p_ref[p] += 1
                             else:
                                 st_hits[lc] += 1
@@ -1705,17 +1803,8 @@ class ArrayEngine:
                                 port_busy[lc] += 1
                                 addr = arr_dest[i]
                                 fs = fsets[arr_set[i]]
-                                if has_gray:
-                                    mf = faults.miss_fraction_at(t, lc)
-                                    if mf > 0.0:
-                                        geid = fs.get(addr)
-                                        if (
-                                            geid is not None
-                                            and not e_wait[geid]
-                                            and frand() < mf
-                                        ):
-                                            del fs[addr]
-                                            ederef(geid)
+                                if has_gray and t >= gray_at[lc]:
+                                    gray(lc, t, fs, addr)
                                 eid = fs.get(addr)
                                 if eid is not None:
                                     stamp[lc] = tick = stamp[lc] + 1
@@ -1723,7 +1812,7 @@ class ArrayEngine:
                                     if e_wait[eid]:
                                         st_whits[lc] += 1
                                         p = admit(i)
-                                        e_waiters[eid].append(p)
+                                        park(eid, p)
                                         p_ref[p] += 1
                                     else:
                                         # No slot: only a trace would read

@@ -2,10 +2,13 @@
 
 When a queue (an FE request queue or a fabric source port) is given a
 finite capacity, an offered item either joins the queue or is dropped.
-:func:`shed_decision` is the single shared policy kernel — the scalar
-event loop and both array-engine paths call the same function with the
-same arguments in the same order, so bounded runs stay bit-identical
-across engines.
+:func:`shed_decision` is the single shared policy kernel, so bounded runs
+stay bit-identical across engines.  The scalar event loop calls it for
+every offered item.  The array engine calls it only when the backlog is
+at or above :func:`admit_floor`: below that floor every policy admits
+without drawing, so a call it skips could neither drop the item nor
+advance the shed RNG, and the calls it does make come with the same
+arguments in the same order as the scalar loop's.
 
 Three policies:
 
@@ -33,6 +36,15 @@ from typing import Callable, Optional
 
 #: The shed policies accepted by :class:`~repro.core.config.SpalConfig`.
 SHED_POLICIES = ("tail_drop", "red", "priority")
+
+
+def admit_floor(capacity: int) -> int:
+    """The backlog below which :func:`shed_decision` admits under every
+    policy without calling ``rand``: ``capacity // 2``, where ``red``'s
+    ramp starts.  ``tail_drop`` drops only at ``capacity`` and
+    ``priority`` sheds from ``(capacity + 1) // 2``, both at or above it.
+    A capacity of 1 has floor 0, so every offer reaches the kernel."""
+    return capacity // 2
 
 
 def shed_decision(

@@ -1127,7 +1127,11 @@ class SpalSimulator:
         if self._updates_armed:
             return (homes, None)
         hops = np.empty(len(dests), dtype=np.int64)
-        for h in np.unique(homes):
+        # Homes are LC indices, so a bincount names the ones present in
+        # ascending order at a fraction of np.unique's sort.
+        for h in np.flatnonzero(
+            np.bincount(homes, minlength=self.config.n_lcs)
+        ):
             mask = homes == h
             matcher = self._matchers[int(h)]
             if hasattr(matcher, "lookup_batch"):

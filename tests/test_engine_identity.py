@@ -30,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import CacheConfig, FaultSchedule, SpalConfig
+from repro.core.victim_cache import VictimCache
 from repro.obs import Tracer
 from repro.routing import Prefix, random_small_table
 from repro.routing.churn import ChurnSchedule, generate_churn
@@ -95,6 +96,7 @@ def assert_engines_identical(table, config, run_kwargs=None,
         ]
         assert flat(ca) == flat(cb)
         assert vars(ca.stats) == vars(cb.stats)
+    return ev_s
 
 
 # -- random configurations ---------------------------------------------------
@@ -338,6 +340,36 @@ CASES = {
         bounded("red", fe_cap=3, fab_cap=6),
         {"faults": GRAY, **churn("selective")}, {},
     ),
+    # The inlined shared bus, bounded; a degraded bus takes the method
+    # path (see TestMissChain).
+    "bus-bounded": (
+        SpalConfig(n_lcs=3, cache=CacheConfig(n_blocks=64, victim_blocks=4),
+                   fabric="bus", replicas=2, fe_lookup_cycles=5,
+                   fe_queue_capacity=2, fabric_queue_capacity=4,
+                   shed_policy="priority"),
+        {}, {},
+    ),
+    "bus-degraded": (
+        SpalConfig(n_lcs=3, cache=CacheConfig(n_blocks=64, victim_blocks=4),
+                   fabric="bus", replicas=2, fe_lookup_cycles=5,
+                   fabric_queue_capacity=4),
+        {"faults": FaultSchedule(seed=5).degrade_fabric(
+            600, 1800, extra_latency=2, drop_prob=0.1)},
+        {},
+    ),
+    # Fault cursors: two overlapping degradations on LC 0, one on LC 1.
+    "gray-overlap": (
+        SpalConfig(n_lcs=3, cache=CacheConfig(n_blocks=64, victim_blocks=4),
+                   fe_lookup_cycles=5),
+        {"faults": FaultSchedule(seed=8)
+            .degrade_lc_cache(200, 1500, lc=0, miss_fraction=0.3)
+            .degrade_lc_cache(900, 2400, lc=0, miss_fraction=0.5)
+            .degrade_lc_cache(500, 1100, lc=1, miss_fraction=0.6)},
+        {},
+    ),
+    # RED at capacities whose admit floor is 0 and 1.
+    "bounded-red-cap1": (bounded("red", fe_cap=1, fab_cap=1), {}, {}),
+    "bounded-red-cap2": (bounded("red", fe_cap=2, fab_cap=2), {}, {}),
     # Churn translated onto a minimised table (no table copy advanced).
     "minimize+churn": (
         SpalConfig(n_lcs=3, cache=CacheConfig(n_blocks=64, victim_blocks=4),
@@ -384,6 +416,133 @@ class TestCuratedIdentity:
                                                   victim_blocks=4)),
             streams=streams, trace=True,
         )
+
+
+MISS_CHAIN = SpalConfig(
+    n_lcs=3, cache=CacheConfig(n_blocks=64, victim_blocks=4), replicas=2,
+    fe_lookup_cycles=5,
+)
+
+
+def scalar_trace(config, run_kwargs=None, streams=None):
+    """The trace of a scalar run (``run_both``'s default streams unless
+    ``streams`` is given)."""
+    if streams is None:
+        rng = np.random.default_rng(5)
+        streams = [
+            rng.integers(0, 1 << 16, size=300).astype(np.uint64)
+            for _ in range(config.n_lcs)
+        ]
+    streams = [np.array(s, copy=True) for s in streams]
+    tracer = Tracer()
+    SpalSimulator(TABLE, config=config, trace=tracer).run(
+        streams, engine="scalar", **(run_kwargs or {})
+    )
+    return tracer.events
+
+
+class TestMissChain:
+    """Fault-window edges on the exact cycle of the query they change,
+    the bus fabric's two paths and in-place victim-cache replacement."""
+
+    @pytest.mark.parametrize("edge", ["opens", "closes"])
+    def test_flap_edge_on_send_cycle(self, edge):
+        # Nothing before the first send depends on the flap, so a down
+        # phase that opens (or closes) at its cycle meets that send.
+        when = next(e for e in scalar_trace(MISS_CHAIN)
+                    if e["name"] == "fabric.send")["cycle"]
+        period, down = 16, 4
+        start = when if edge == "opens" else when - down
+        assert start >= 0
+        faults = FaultSchedule(seed=4).flap_link(
+            start, start + 40 * period, period=period, down_cycles=down
+        )
+        events = assert_engines_identical(
+            TABLE, MISS_CHAIN, {"faults": faults}, trace=True
+        )
+        sends = [e for e in events
+                 if e["name"] == "fabric.send" and e["cycle"] == when]
+        assert sends and all(e["dropped"] == (edge == "opens")
+                             for e in sends)
+
+    def test_slowdown_opens_on_fe_start(self):
+        # The second FE start at an LC: its cursor was stepped by the
+        # first, so the window edge must come from ``next_change``.
+        fes = [e for e in scalar_trace(MISS_CHAIN) if e["name"] == "fe"]
+        first = fes[0]
+        fe = next(e for e in fes[1:] if e["lc"] == first["lc"]
+                  and e["cycle"] > first["cycle"])
+        faults = FaultSchedule(seed=4).slow_lc(
+            fe["cycle"], fe["cycle"] + 3000, lc=fe["lc"], multiplier=3.0
+        )
+        events = assert_engines_identical(
+            TABLE, MISS_CHAIN, {"faults": faults}, trace=True
+        )
+        (slowed,) = [e for e in events if e["name"] == "fe"
+                     and (e["cycle"], e["lc"]) == (fe["cycle"], fe["lc"])]
+        assert slowed["done"] - slowed["start"] == 3 * 5
+
+    def test_cache_degradation_opens_on_probe(self):
+        # A hit that is not its LC's first probe: the window opening on
+        # its cycle must force the draw there (seeded to force the miss).
+        rng = np.random.default_rng(6)
+        hot = rng.integers(0, 1 << 16, size=64).astype(np.uint64)
+        streams = [rng.choice(hot, size=300) for _ in range(MISS_CHAIN.n_lcs)]
+        probes = [e for e in scalar_trace(MISS_CHAIN, streams=streams)
+                  if e["name"] in ("cache.hit", "cache.miss", "cache.wait")]
+        hit = next(e for e in probes if e["name"] == "cache.hit" and any(
+            p["lc"] == e["lc"] and p["cycle"] < e["cycle"] for p in probes))
+        faults = FaultSchedule(seed=5).degrade_lc_cache(
+            hit["cycle"], hit["cycle"] + 3000, lc=hit["lc"], miss_fraction=0.9
+        )
+        events = assert_engines_identical(
+            TABLE, MISS_CHAIN, {"faults": faults}, streams=streams,
+            trace=True,
+        )
+        assert any(e["name"] == "cache.miss" and e["lc"] == hit["lc"]
+                   and e["cycle"] == hit["cycle"] for e in events)
+
+    def test_degraded_bus_takes_method_path(self):
+        config = CASES["bus-degraded"][0]
+        rng = np.random.default_rng(5)
+        streams = [rng.integers(0, 1 << 16, size=300).astype(np.uint64)
+                   for _ in range(config.n_lcs)]
+        for faults in (None, CASES["bus-degraded"][1]["faults"]):
+            sim = SpalSimulator(TABLE, config=config)
+            calls = []
+            transfer = sim.fabric.transfer
+            sim.fabric.transfer = lambda *a: calls.append(a) or transfer(*a)
+            sim.run([s.copy() for s in streams], engine="array",
+                    faults=faults)
+            # The healthy bus is inlined; the degraded one is not.
+            assert len(calls) == (0 if faults is None
+                                  else sim.fabric.messages)
+            assert sim.fabric.messages > 0
+
+    @pytest.mark.parametrize("policy", ["lru", "fifo", "random"])
+    def test_victim_in_place_replacement(self, policy, monkeypatch):
+        # Without early recording a reply inserts its address into the
+        # main set even while the victim cache holds it, so a later
+        # eviction finds the address already there.
+        in_place = []
+        insert = VictimCache.insert
+
+        def spy(self, entry):
+            if entry.address in self._entries:
+                in_place.append(entry.address)
+            insert(self, entry)
+
+        monkeypatch.setattr(VictimCache, "insert", spy)
+        rng = np.random.default_rng(3)
+        hot = rng.integers(0, 1 << 16, size=24).astype(np.uint64)
+        streams = [rng.choice(hot, size=400) for _ in range(2)]
+        config = SpalConfig(
+            n_lcs=2,
+            cache=CacheConfig(n_blocks=8, victim_blocks=4, policy=policy),
+            early_recording=False,
+        )
+        assert_engines_identical(TABLE, config, streams=streams, trace=True)
+        assert in_place
 
 
 class TestChurnPoolGrowth:

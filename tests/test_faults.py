@@ -490,6 +490,110 @@ class TestOverload:
         assert gray.packets == base.packets  # forced misses never drop
 
 
+#: LCs the ``next_change`` property draws over, and a cycle past every
+#: window it draws (windows start before 400 and last at most 300).
+NC_LCS = 3
+NC_HORIZON = 800
+
+
+@st.composite
+def gray_schedules(draw):
+    """Random windows of every kind ``next_change`` steps over."""
+    f = FaultSchedule(seed=1)
+    window = st.tuples(st.integers(0, 400), st.integers(1, 300))
+    # Overlapping cache degradations, mostly on LC 0.
+    for start, span in draw(st.lists(window, max_size=4)):
+        f.degrade_lc_cache(
+            start, start + span,
+            lc=draw(st.sampled_from([0, 0, 1])),
+            miss_fraction=draw(st.sampled_from([0.2, 0.5, 0.9])),
+        )
+    # Stacked slowdowns, multiplier 1.0 included.
+    for start, span in draw(st.lists(window, max_size=4)):
+        f.slow_lc(
+            start, start + span,
+            lc=draw(st.sampled_from([0, 0, 2])),
+            multiplier=draw(st.sampled_from([1.0, 1.5, 2.0, 3.0])),
+        )
+    # Flaps with and without src/dst, down_cycles == period included.
+    for start, span in draw(st.lists(window, max_size=3)):
+        period = draw(st.integers(1, 64))
+        f.flap_link(
+            start, start + span, period=period,
+            down_cycles=draw(st.integers(1, period)),
+            src=draw(st.one_of(st.none(), st.integers(0, NC_LCS - 1))),
+            dst=draw(st.one_of(st.none(), st.integers(0, NC_LCS - 1))),
+        )
+    for start, span in draw(st.lists(window, max_size=3)):
+        f.degrade_fabric(
+            start, start + span,
+            extra_latency=draw(st.integers(0, 3)),
+            drop_prob=draw(st.sampled_from([0.0, 0.1, 0.3])),
+        )
+    return f
+
+
+def nc_queries(f):
+    """(kind, lc, query at a cycle) for every cursor ``next_change`` serves."""
+    pairs = [(s, d) for s in range(NC_LCS) for d in range(NC_LCS)]
+    out = [
+        ("drop", None, f.drop_prob_at),
+        ("flap", None,
+         lambda c: tuple(f.flap_drops(c, s, d) for s, d in pairs)),
+    ]
+    for lc in range(NC_LCS):
+        out.append(("cache", lc, lambda c, lc=lc: f.miss_fraction_at(c, lc)))
+        out.append((
+            "slow", lc,
+            lambda c, lc=lc: tuple(
+                f.fe_service_cycles(c, lc, base) for base in (1, 5, 40)
+            ),
+        ))
+    return out
+
+
+class TestNextChange:
+    """``FaultSchedule.next_change`` against the per-cycle queries."""
+
+    @given(
+        f=gray_schedules(),
+        probes=st.lists(st.integers(0, NC_HORIZON), max_size=6),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_queries_constant_until_next_change(self, f, probes):
+        for kind, lc, query in nc_queries(f):
+            # A cursor walk from 0 covers every cycle up to the horizon;
+            # the drawn probes also start intervals off the window edges.
+            c = 0
+            while c < NC_HORIZON:
+                c = self.check_interval(f, kind, lc, query, c)
+            for c in probes:
+                self.check_interval(f, kind, lc, query, c)
+
+    @staticmethod
+    def check_interval(f, kind, lc, query, c):
+        nxt = f.next_change(kind, c, lc)
+        assert nxt > c
+        value = query(c)
+        for x in range(c + 1, int(min(nxt, NC_HORIZON + 1))):
+            assert query(x) == value, (kind, lc, c, nxt, x)
+        return nxt
+
+    def test_no_window_ahead_is_never(self):
+        f = FaultSchedule().degrade_lc_cache(10, 20, lc=1, miss_fraction=0.5)
+        assert f.next_change("cache", 20, 1) == float("inf")
+        assert f.next_change("cache", 0, 0) == float("inf")
+        assert f.next_change("cache", 0, 1) == 10
+        assert f.next_change("cache", 10, 1) == 20
+
+    def test_unknown_kind_and_missing_lc_raise(self):
+        f = FaultSchedule()
+        with pytest.raises(FaultScheduleError):
+            f.next_change("bogus", 0)
+        with pytest.raises(FaultScheduleError):
+            f.next_change("cache", 0)
+
+
 IPV4_TABLE = random_small_table(80, seed=5, max_length=18)
 IPV6_TABLE = make_ipv6_table(80, seed=6)
 

@@ -18,6 +18,7 @@ from repro.analysis import (
     utilization,
 )
 from repro.sim.engine import Resource
+from repro.sim.shedding import SHED_POLICIES, admit_floor, shed_decision
 
 
 class TestMD1:
@@ -167,3 +168,34 @@ class TestResultJSON:
         data = json.loads(r.to_json())
         assert data["exp_id"] == "EX"
         assert data["rows"][0] == {"a": 1, "b": "x"}
+
+
+class TestShedFloor:
+    """Below ``admit_floor`` every policy admits without drawing, which is
+    what lets the array engine skip the kernel there."""
+
+    @staticmethod
+    def no_draw():
+        raise AssertionError("shed_decision drew below the admit floor")
+
+    @pytest.mark.parametrize("policy", SHED_POLICIES)
+    def test_admits_without_drawing_below_floor(self, policy):
+        for capacity in range(1, 65):
+            floor = admit_floor(capacity)
+            assert 0 <= floor < capacity
+            for backlog in range(floor):
+                for low_priority in (False, True):
+                    assert shed_decision(
+                        policy, backlog, capacity, low_priority, self.no_draw
+                    ) is None
+
+    def test_capacity_one_has_floor_zero(self):
+        assert admit_floor(1) == 0
+
+    def test_red_draws_at_the_floor(self):
+        # The floor is tight for red: its ramp starts there.
+        for capacity in range(2, 65):
+            draws = []
+            shed_decision("red", admit_floor(capacity), capacity, False,
+                          lambda: draws.append(1) or 1.0)
+            assert draws == [1]
