@@ -4,22 +4,22 @@
 The paper flushes every LR-cache after each table update and notes this
 "will not work effectively if the routing table is updated incrementally
 and very frequently".  This example quantifies that: it drives a SPAL
-router through realistic churn-skewed update streams at increasing rates,
-comparing the paper's flush policy against selective invalidation (dropping
-only the entries the updated prefix covers).
+router through bursty, churn-skewed update streams at increasing rates
+(``generate_churn``), applied to the forwarding tables mid-run, comparing
+the paper's flush policy against selective invalidation (dropping only the
+entries the updated prefix covers).
 
 Run:  python examples/routing_update_study.py
 """
 
 from repro.analysis import render_table
 from repro.core import CacheConfig, SpalConfig
-from repro.routing import generate_updates, make_rt2
+from repro.routing import generate_churn, make_rt2
 from repro.sim import SpalSimulator
 from repro.traffic import FlowPopulation, generate_router_streams, trace_spec
 
 N_LCS = 8
 PACKETS_PER_LC = 8_000
-CYCLES_PER_SECOND = int(1e9 / 5)  # 5 ns cycles
 
 
 def main() -> None:
@@ -30,26 +30,26 @@ def main() -> None:
 
     rows = []
     for rate in (100, 5_000, 25_000, 50_000):
-        interval = CYCLES_PER_SECOND // rate
-        cycles = list(range(interval, horizon, interval))
-        updates = list(generate_updates(table, max(len(cycles), 1), seed=rate))
+        updates = generate_churn(
+            table, rate_per_s=rate, horizon_cycles=horizon, seed=rate
+        )
         for policy in ("flush", "selective"):
             sim = SpalSimulator(
                 table,
                 SpalConfig(n_lcs=N_LCS, cache=CacheConfig(n_blocks=1024)),
             )
             streams = generate_router_streams(population, N_LCS, PACKETS_PER_LC)
-            kwargs = (
-                {"flush_cycles": cycles}
-                if policy == "flush"
-                else {"update_events": [(t, u.prefix) for t, u in zip(cycles, updates)]}
+            run = sim.run(
+                streams,
+                warmup_packets=PACKETS_PER_LC // 10,
+                updates=updates,
+                update_policy=policy,
             )
-            run = sim.run(streams, warmup_packets=PACKETS_PER_LC // 10, **kwargs)
             rows.append(
                 [
                     rate,
                     policy,
-                    len(cycles),
+                    run.update_events_applied,
                     f"{run.mean_lookup_cycles:.2f}",
                     f"{run.overall_hit_rate:.3f}",
                 ]

@@ -122,16 +122,14 @@ Failure semantics are fail-stop at packet boundaries.  A failed LC drops
 its own new arrivals (counted `ingress`), ignores incoming remote
 requests (the origin times out and fails over), and any lookup that
 would complete *at* a failed card is a counted `crash` drop.  Remote
-requests carry a timeout (`SpalConfig.rem_timeout_cycles`, auto-sized by
-`default_rem_timeout()` when left `None` under a fault schedule) with a
-bounded retry budget (`rem_max_retries`) and exponential backoff; each
-retry targets the next live replica from
+requests carry a timeout (`SpalConfig.default_rem_timeout()`, armed
+when the schedule has LC failures or message loss) with a bounded retry
+budget (`repro.core.config.REM_MAX_RETRIES`, two) and exponential
+backoff; each retry targets the next live replica from
 `PartitionPlan.live_replicas(address)`.  Retry exhaustion becomes a
-counted `unreachable` drop — never an unhandled exception — unless
-`on_unreachable="raise"` asks for `LookupTimeoutError` /
-`UnreachablePatternError` as a debugging aid.  LR-caches invalidate REM
-entries whose home died, so stale remote results cannot be served across
-a failure.
+counted `unreachable` drop — never an unhandled exception.  LR-caches
+invalidate REM entries whose home died, so stale remote results cannot
+be served across a failure.
 
 Degraded runs populate extra `SimulationResult` fields: `drops` (the
 `ingress`/`crash`/`unreachable` taxonomy), `retries`,

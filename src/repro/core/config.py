@@ -11,6 +11,15 @@ from ..routing import minimize as _minimize
 #: System cycle (paper Sec. 5.1): 5 ns.
 CYCLE_NS = 5.0
 
+#: FIL (fabric interface logic) processing cost per fabric hop, in cycles
+#: — the Outgoing/Incoming queue traversal of Fig. 2, charged on each side
+#: of every transfer.
+FIL_OVERHEAD_CYCLES = 3
+
+#: How many times a timed-out remote lookup is re-issued before the packet
+#: becomes a counted ``unreachable`` drop.
+REM_MAX_RETRIES = 2
+
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -63,38 +72,12 @@ class SpalConfig:
     replicas:
         Pattern replication degree (1 = the paper's design; >1 trades
         per-LC table growth for home-load spreading and failover).
-    fil_overhead_cycles:
-        FIL (fabric interface logic) processing cost per fabric hop — the
-        Outgoing/Incoming queue traversal of Fig. 2; charged on each side
-        of every transfer.
     early_recording:
         Reserve a waiting entry at the arrival LC before a remote request is
         sent (paper Sec. 3.2; ablation switch).
     cache_remote_results:
         Whether replies from remote LCs are cached locally as REM entries
         (disabling reproduces a share-nothing cache).
-    rem_timeout_cycles:
-        Remote-lookup timeout: a request to a home LC unanswered after this
-        many cycles is retried against the next live replica (see
-        ``rem_max_retries``); successive attempts back off exponentially
-        (2x per retry, capped at 8x) so congestion-induced timeouts do not
-        amplify the congestion that caused them.  ``None`` (the default) means *automatic*:
-        timeouts stay disabled — preserving the pre-fault-injection
-        behavior bit-for-bit — unless the run carries a
-        :class:`~repro.core.faults.FaultSchedule` with LC failures or
-        message-loss windows, in which case :meth:`default_rem_timeout`
-        supplies the budget.
-    rem_max_retries:
-        Bounded retry: how many times a timed-out remote lookup is
-        re-issued before the packet becomes a counted ``unreachable`` drop
-        (graceful degradation — the simulator never raises for it unless
-        ``on_unreachable="raise"``).
-    on_unreachable:
-        ``"drop"`` (default) counts retry-exhausted packets in
-        ``SimulationResult.drops``; ``"raise"`` aborts the run with
-        :class:`~repro.errors.UnreachablePatternError` (no live replica
-        holds the pattern) or :class:`~repro.errors.LookupTimeoutError`
-        (replicas live but every attempt timed out) — a debugging aid.
     fe_queue_capacity:
         Bound on each FE request queue, in queued lookups.  ``None`` (the
         default) keeps today's unbounded queues — bit-identical to the
@@ -109,12 +92,9 @@ class SpalConfig:
     shed_policy:
         How bounded queues shed load before they are hard-full:
         ``"tail_drop"`` (drop only at capacity), ``"red"`` (RED-style
-        probabilistic early drop above half occupancy, seeded by
-        ``shed_seed``), or ``"priority"`` (remote/REM traffic sheds above
-        half occupancy while local traffic rides to capacity).
-    shed_seed:
-        Seed for the RED early-drop RNG; used only when a capacity is set
-        and the policy draws (``red``).
+        probabilistic early drop above half occupancy, from an RNG with
+        the fixed seed 0), or ``"priority"`` (remote/REM traffic sheds
+        above half occupancy while local traffic rides to capacity).
     sample_interval_cycles:
         Telemetry sampling window, in cycles.  ``None`` (the default)
         disables in-run time series entirely — bit-identical to the
@@ -143,19 +123,14 @@ class SpalConfig:
     fe_lookup_cycles: int = 40
     fabric: str = "default"
     fabric_latency: Optional[int] = None
-    fil_overhead_cycles: int = 3
     partition_bits: Optional[Sequence[int]] = None
     pattern_oversubscription: Optional[int] = None
     replicas: int = 1
     early_recording: bool = True
     cache_remote_results: bool = True
-    rem_timeout_cycles: Optional[int] = None
-    rem_max_retries: int = 2
-    on_unreachable: str = "drop"
     fe_queue_capacity: Optional[int] = None
     fabric_queue_capacity: Optional[int] = None
     shed_policy: str = "tail_drop"
-    shed_seed: int = 0
     sample_interval_cycles: Optional[int] = None
     minimize: Optional[str] = None
 
@@ -181,15 +156,6 @@ class SpalConfig:
             and self.sample_interval_cycles <= 0
         ):
             raise SimulationError("sample_interval_cycles must be positive")
-        if self.rem_timeout_cycles is not None and self.rem_timeout_cycles <= 0:
-            raise SimulationError("rem_timeout_cycles must be positive")
-        if self.rem_max_retries < 0:
-            raise SimulationError("rem_max_retries must be non-negative")
-        if self.on_unreachable not in ("drop", "raise"):
-            raise SimulationError(
-                f"on_unreachable must be 'drop' or 'raise', "
-                f"got {self.on_unreachable!r}"
-            )
         if self.minimize is not None and (
             not isinstance(self.minimize, str)
             or self.minimize not in _minimize.PASS_SETS
@@ -205,13 +171,19 @@ class SpalConfig:
     def default_rem_timeout(self) -> int:
         """The automatic remote-lookup timeout used under fault injection.
 
+        Runs whose fault schedule has LC failures or message loss arm it;
+        a request unanswered this many cycles after it departed is retried
+        against the next live replica, with exponential backoff (2x per
+        retry, capped at 8x) so congestion-induced timeouts do not amplify
+        the congestion that caused them.  Other runs have no timeout.
+
         Sized to clear a healthy remote round trip with a deep FE backlog:
         two fabric crossings (latency + FIL both sides), the FE matching
         time, and a 16-lookup queueing margin — so only genuinely lost
         requests (dead home LC, dropped message) trip it.
         """
         fabric = self.make_fabric()
-        hop = fabric.latency_cycles() + 2 * self.fil_overhead_cycles
+        hop = fabric.latency_cycles() + 2 * FIL_OVERHEAD_CYCLES
         return 2 * hop + self.fe_lookup_cycles * 16
 
     def make_fabric(self):

@@ -36,16 +36,6 @@ class SimulationError(ReproError):
     """The discrete-event simulation reached an inconsistent state."""
 
 
-class LookupTimeoutError(SimulationError):
-    """A remote lookup exceeded its timeout budget with retries exhausted
-    while live replicas still existed (transient congestion or message
-    loss, not a dead pattern).
-
-    Only raised under ``SpalConfig(on_unreachable="raise")``; the default
-    policy counts the packet as a drop instead.
-    """
-
-
 class FaultScheduleError(SimulationError, ValueError):
     """A :class:`repro.core.faults.FaultSchedule` is malformed (negative
     cycle, out-of-range LC, bad degradation window or probability)."""

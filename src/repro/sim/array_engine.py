@@ -74,14 +74,11 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ..core.config import FIL_OVERHEAD_CYCLES, REM_MAX_RETRIES
 from ..core.fabric import Fabric, SharedBusFabric
 from ..core.lr_cache import LOC, REM
 from ..core.partition import apply_route_update
-from ..errors import (
-    LookupTimeoutError,
-    SimulationError,
-    UnreachablePatternError,
-)
+from ..errors import SimulationError, UnreachablePatternError
 from ..obs.timeseries import NO_SAMPLE as _NO_SAMPLE
 from ..traffic.packets import ArrivalClock
 from .shedding import admit_floor, shed_decision
@@ -99,10 +96,8 @@ _K_REPLY = 2    # reply delivery              (pkt, hop)
 _K_REMREQ = 3   # remote request delivery     (pkt, home)
 _K_RPROBE = 4   # deferred remote probe       (pkt, home, start)
 _K_TIMEOUT = 5  # remote-lookup timeout check (pkt, lc, attempt)
-_K_FLUSH = 6    # full cache flush            ()
-_K_FAULT = 7    # scripted LC fault           (kind, lc)
-_K_UPDATE = 8   # live churn update           (update,)
-_K_INVAL = 9    # legacy selective invalidate (prefix,)
+_K_FAULT = 6    # scripted LC fault           (kind, lc)
+_K_UPDATE = 7   # live churn update           (update,)
 
 # How ``send`` moves a message through the fabric: the port-pair and
 # shared-bus models inlined over their own state, anything else (a
@@ -211,8 +206,6 @@ class ArrayEngine:
         self,
         streams: Sequence[object],
         speeds: Sequence[int],
-        flush_cycles: Optional[Sequence[int]],
-        update_events: Optional[Sequence[tuple]],
         warmup_packets: int,
         sampler=None,
     ) -> Dict[str, object]:
@@ -277,12 +270,10 @@ class ArrayEngine:
         fab_in = fabric._in_free
         fab_lat = fabric.latency_cycles()
         fab_msgs = 0
-        fil = config.fil_overhead_cycles
+        fil = FIL_OVERHEAD_CYCLES
         fe_cycles = config.fe_lookup_cycles
         early_recording = config.early_recording
         cache_remote = config.cache_remote_results
-        max_retries = config.rem_max_retries
-        on_unreachable = config.on_unreachable
         partitioned = sim.partitioned
         timeout = sim._timeout
         faults = sim._faults
@@ -292,7 +283,7 @@ class ArrayEngine:
         drops_dict = sim.drops
         m_drops = sim._m_drops
         rem_rt_observe = sim._m_rem_rt.observe
-        track_failover = faults is not None or timeout is not None
+        track_failover = faults is not None
         # Bounded-queue / gray-failure knobs (None / False = legacy paths,
         # keeping unbounded runs bit-identical to older engines).
         fe_cap = config.fe_queue_capacity
@@ -454,24 +445,6 @@ class ArrayEngine:
         base = seq + 1
         seq += total
         key_fast = base + total < (1 << _SEQ_BITS)
-        if flush_cycles:
-            for t in flush_cycles:
-                t = int(t)
-                if t < 0:
-                    raise SimulationError(
-                        f"cannot schedule at {t}; current time is 0"
-                    )
-                seq += 1
-                heap.append(((t << _SEQ_BITS) | seq, _K_FLUSH, 0, 0, 0, 0))
-        if update_events:
-            for t, prefix in update_events:
-                t = int(t)
-                if t < 0:
-                    raise SimulationError(
-                        f"cannot schedule at {t}; current time is 0"
-                    )
-                seq += 1
-                heap.append(((t << _SEQ_BITS) | seq, _K_INVAL, prefix, 0, 0, 0))
         heapify(heap)
 
         feeds = [_Feed(lc, s, speeds[lc]) for lc, s in enumerate(streams)]
@@ -965,16 +938,14 @@ class ArrayEngine:
                 if s.get(a) == e and not e_wait[e]:
                     del s[a]
                     dropped += 1
-                    if sinks is not None:
-                        sinks[lc].add(a)
+                    sinks[lc].add(a)
                     ederef(e)
                 if has_victim:
                     d = vc[lc]
                     if d.get(a) == e:
                         del d[a]
                         dropped += 1
-                        if sinks is not None:
-                            sinks[lc].add(a)
+                        sinks[lc].add(a)
                         ederef(e)
             return dropped
 
@@ -1423,22 +1394,6 @@ class ArrayEngine:
                 p_served[p] = hop
                 complete(p, now + 1, now)
 
-        def exhausted(p: int, lc: int, now: int) -> None:
-            if on_unreachable == "raise":
-                live = (
-                    plan.live_replicas(p_dest[p]) if plan is not None else []
-                )
-                if live:
-                    raise LookupTimeoutError(
-                        f"lookup({p_dest[p]:#x}) from LC {lc} timed out "
-                        f"{p_att[p]} times with live replicas {live}"
-                    )
-                raise UnreachablePatternError(
-                    f"lookup({p_dest[p]:#x}) from LC {lc}: every replica of "
-                    f"its pattern has failed"
-                )
-            drop(p, "unreachable", now)
-
         def check_timeout(p: int, lc: int, attempt: int, now: int) -> None:
             nonlocal seq
             if (
@@ -1451,8 +1406,8 @@ class ArrayEngine:
                 drop(p, "crash", now)
                 return
             p_att[p] += 1
-            if p_att[p] > max_retries:
-                exhausted(p, lc, now)
+            if p_att[p] > REM_MAX_RETRIES:
+                drop(p, "unreachable", now)
                 return
             sim.retries += 1
             sim._m_retries.value += 1
@@ -1460,7 +1415,7 @@ class ArrayEngine:
                 plan.live_replicas(p_dest[p]) if plan is not None else [lc]
             )
             if not live:
-                exhausted(p, lc, now)
+                drop(p, "unreachable", now)
                 return
             home = live[(p_dest[p] + p_att[p]) % len(live)]
             if tr is not None:
@@ -1526,23 +1481,6 @@ class ArrayEngine:
                     flush_cache(lc)
                 failed[lc] = False
                 down_cycles[lc] += now - fail_at[lc]
-
-        def flush_all(now: int) -> None:
-            if has_cache:
-                for i in range(n_lcs):
-                    flush_cache(i)
-            sim.flushes += 1
-            sim._m_flushes.value += 1
-            if tr is not None:
-                tr.record("flush", now, kind="full")
-
-        def inval_prefix(prefix, now: int) -> None:
-            if has_cache:
-                inval_under(prefix, None, None)
-            sim.flushes += 1
-            sim._m_flushes.value += 1
-            if tr is not None:
-                tr.record("flush", now, kind="selective")
 
         def apply_update(update, now: int) -> None:
             prefix = update.prefix
@@ -1897,14 +1835,10 @@ class ArrayEngine:
                     p = ev[2]
                     check_timeout(p, ev[3], ev[4], now)
                     pderef(p)
-                elif kind == _K_FLUSH:
-                    flush_all(now)
                 elif kind == _K_FAULT:
                     apply_fault(ev[2], ev[3], now)
-                elif kind == _K_UPDATE:
-                    apply_update(ev[2], now)
                 else:
-                    inval_prefix(ev[2], now)
+                    apply_update(ev[2], now)
         finally:
             # ``drop`` calls itself, so its closure cell refers back to it;
             # unbinding these leaves the run's state (entry pool, sets,

@@ -29,8 +29,8 @@ class SimulationResult:
     flushes: int = 0
     extra: Dict[str, object] = field(default_factory=dict)
     #: Degraded-mode accounting, populated only on fault-injection runs
-    #: (:meth:`SpalSimulator.run` with a non-empty FaultSchedule or an
-    #: explicit ``rem_timeout_cycles``); fault-free runs keep the defaults.
+    #: (:meth:`SpalSimulator.run` with a non-empty FaultSchedule) and on
+    #: bounded-queue runs; other runs keep the defaults.
     drops: Dict[str, int] = field(default_factory=dict)
     retries: int = 0
     fabric_dropped_messages: int = 0

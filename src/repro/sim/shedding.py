@@ -18,9 +18,8 @@ Three policies:
     RED-style probabilistic early drop: above half occupancy the drop
     probability ramps linearly from near zero at ``capacity // 2`` to
     one at capacity.  Draws come from the simulator's dedicated shed
-    RNG (``SpalConfig.shed_seed``) and happen *only* when the ramp is
-    active, so tail-drop and RED runs with empty queues are
-    bit-identical.
+    RNG (fixed seed 0) and happen *only* when the ramp is active, so
+    tail-drop and RED runs with empty queues are bit-identical.
 ``priority``
     Remote/REM traffic (a lookup executing away from its arrival LC, or
     a message entering the fabric as a request) sheds above half

@@ -11,8 +11,8 @@ model:
   fabric to the home LC, where the flow repeats;
 * replies traverse the fabric back, fill the reserved entry (M=REM) and
   release any packets parked on its waiting list;
-* routing-table updates flush every LR-cache — or, with
-  ``run(updates=...)``, apply incrementally with selective invalidation.
+* routing-table updates (``run(updates=...)``) flush every LR-cache
+  under the paper's ``"flush"`` policy, or invalidate selectively.
 
 **Live route churn.**  :meth:`SpalSimulator.run` accepts a
 :class:`~repro.routing.churn.ChurnSchedule` whose timestamped updates
@@ -40,10 +40,10 @@ event heap only visits cycles where something happens.
 packet events (a fault at cycle T applies before T's arrivals).  A failed
 LC fail-stops at the packet boundary: new arrivals at it are counted
 ``ingress`` drops, new remote requests to it are silently ignored (the
-requester times out after ``rem_timeout_cycles`` and retries against the
-next live replica, up to ``rem_max_retries`` times, after which the packet
-is a counted ``unreachable`` drop — never an exception under the default
-policy), and any lookup that completes *at* a failed LC is a ``crash``
+requester times out after :meth:`SpalConfig.default_rem_timeout` cycles
+and retries against the next live replica, up to ``REM_MAX_RETRIES``
+times, after which the packet is a counted ``unreachable`` drop — never
+an exception), and any lookup that completes *at* a failed LC is a ``crash``
 drop.  FE work already accepted before the failure drains silently.
 Recovery re-admits the LC with a cold (flushed) LR-cache, and the other
 LCs drop the REM entries they had fetched from a dying LC the moment it
@@ -62,15 +62,11 @@ from typing import Dict, List, Optional, Sequence, Union
 import numpy as np
 
 from ..batching import MAX_KERNEL_WIDTH, batch_enabled
-from ..core.config import SpalConfig
+from ..core.config import FIL_OVERHEAD_CYCLES, REM_MAX_RETRIES, SpalConfig
 from ..core.faults import FaultSchedule
 from ..core.lr_cache import LOC, REM, LRCache
 from ..core.partition import PartitionPlan, apply_route_update, partition_table
-from ..errors import (
-    LookupTimeoutError,
-    SimulationError,
-    UnreachablePatternError,
-)
+from ..errors import SimulationError, UnreachablePatternError
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Tracer
 from ..routing.churn import ChurnSchedule
@@ -322,9 +318,9 @@ class SpalSimulator:
             self._home = None
         # -- fault-injection state (inert without a FaultSchedule) --------
         self._faults: Optional[FaultSchedule] = None
-        #: Remote-lookup timeout budget; config value, or the automatic
-        #: default once a schedule with failures/drops is attached in run().
-        self._timeout: Optional[int] = self.config.rem_timeout_cycles
+        #: Remote-lookup timeout budget: the automatic default once a
+        #: schedule with failures/drops is attached in run(), else off.
+        self._timeout: Optional[int] = None
         self._fault_rng: Optional[np.random.Generator] = None
         self._failed = [False] * n
         self._fail_at = [0] * n
@@ -342,12 +338,11 @@ class SpalSimulator:
             self.config.fe_queue_capacity is not None
             or self.config.fabric_queue_capacity is not None
         )
-        #: RED early-drop RNG; exists only on bounded runs so unbounded
-        #: runs stay bit-identical to the pre-overload simulator.
+        #: RED early-drop RNG (fixed seed 0); exists only on bounded runs
+        #: so unbounded runs stay bit-identical to the pre-overload
+        #: simulator.
         self._shed_rng: Optional[np.random.Generator] = (
-            np.random.default_rng(self.config.shed_seed)
-            if self._bounded
-            else None
+            np.random.default_rng(0) if self._bounded else None
         )
         #: Deepest bounded fabric source-port backlog observed (messages).
         self.max_fabric_backlog = 0
@@ -378,7 +373,7 @@ class SpalSimulator:
         """A fabric transfer including FIL processing on both sides
         (Outgoing Queue at the source, Incoming Queue at the destination,
         per Fig. 2)."""
-        fil = self.config.fil_overhead_cycles
+        fil = FIL_OVERHEAD_CYCLES
         return self.fabric.transfer(src, dst, when + fil) + fil
 
     def _send(self, src: int, dst: int, when: int, handler, *args) -> None:
@@ -398,9 +393,7 @@ class SpalSimulator:
         """
         cap = self.config.fabric_queue_capacity
         if cap is not None:
-            backlog = self.fabric.queue_backlog(
-                src, when + self.config.fil_overhead_cycles
-            )
+            backlog = self.fabric.queue_backlog(src, when + FIL_OVERHEAD_CYCLES)
             reason = shed_decision(
                 self.config.shed_policy,
                 backlog,
@@ -862,8 +855,8 @@ class SpalSimulator:
             self._drop(pkt, "crash")
             return
         pkt.attempt += 1
-        if pkt.attempt > self.config.rem_max_retries:
-            self._exhausted(pkt, lc)
+        if pkt.attempt > REM_MAX_RETRIES:
+            self._drop(pkt, "unreachable")
             return
         self.retries += 1
         self._m_retries.value += 1
@@ -874,7 +867,7 @@ class SpalSimulator:
             else [lc]
         )
         if not live:
-            self._exhausted(pkt, lc)
+            self._drop(pkt, "unreachable")
             return
         # Walk the live-replica list across attempts: the base choice is
         # live[dest % len], so offsetting by the attempt count retries a
@@ -898,26 +891,6 @@ class SpalSimulator:
             lc,
             pkt.attempt,
         )
-
-    def _exhausted(self, pkt: _Packet, lc: int) -> None:
-        """Retry budget spent: drop the packet, or raise under the
-        ``on_unreachable="raise"`` debugging policy."""
-        if self.config.on_unreachable == "raise":
-            live = (
-                self.plan.live_replicas(pkt.dest)
-                if self.plan is not None
-                else []
-            )
-            if live:
-                raise LookupTimeoutError(
-                    f"lookup({pkt.dest:#x}) from LC {lc} timed out "
-                    f"{pkt.attempt} times with live replicas {live}"
-                )
-            raise UnreachablePatternError(
-                f"lookup({pkt.dest:#x}) from LC {lc}: every replica of its "
-                f"pattern has failed"
-            )
-        self._drop(pkt, "unreachable")
 
     def _homed_at(self, address: int, lc: int) -> bool:
         """Whether ``address`` is currently homed at LC ``lc`` (stale-REM
@@ -974,27 +947,6 @@ class SpalSimulator:
                 cache.flush()
             self._failed[lc] = False
             self._down_cycles[lc] += now - self._fail_at[lc]
-
-    def _flush_all(self) -> None:
-        for cache in self.caches:
-            if cache is not None:
-                cache.flush()
-        self.flushes += 1
-        self._m_flushes.value += 1
-        tr = self._trace
-        if tr is not None:
-            tr.record("flush", self.queue.now, kind="full")
-
-    def _invalidate_prefix(self, prefix) -> None:
-        """Selective invalidation (the flush alternative) for one update."""
-        for cache in self.caches:
-            if cache is not None:
-                cache.invalidate_matching(prefix)
-        self.flushes += 1
-        self._m_flushes.value += 1
-        tr = self._trace
-        if tr is not None:
-            tr.record("flush", self.queue.now, kind="selective")
 
     # -- live route churn ----------------------------------------------------
 
@@ -1195,8 +1147,6 @@ class SpalSimulator:
         self,
         streams: Sequence[np.ndarray],
         speed_gbps: Union[int, Sequence[int]] = 40,
-        flush_cycles: Optional[Sequence[int]] = None,
-        update_events: Optional[Sequence[tuple]] = None,
         warmup_packets: int = 0,
         name: str = "spal",
         faults: Optional[FaultSchedule] = None,
@@ -1211,10 +1161,6 @@ class SpalSimulator:
         interarrival windows for ``speed_gbps`` — a single rate for every
         LC, or one rate per LC (line cards aggregate different external
         links; Sec. 5 notes Cisco-style aggregation up to 10 Gbps per LC).
-        ``flush_cycles`` injects routing-update cache flushes at the given
-        cycles (the paper's policy); ``update_events`` is a sequence of
-        ``(cycle, prefix)`` pairs invalidated *selectively* instead — a
-        cache-only shortcut that predates the full churn pipeline below.
 
         ``warmup_packets`` excludes each LC's first packets from the
         latency statistics (they are still simulated): the simulator starts
@@ -1284,6 +1230,16 @@ class SpalSimulator:
                 raise SimulationError(
                     f"need {self.config.n_lcs} per-LC speeds, got {len(speeds)}"
                 )
+        if updates is not None and len(updates) > 0 and not self.partitioned:
+            raise SimulationError(
+                "updates=... requires partitioned=True (churn routes "
+                "each update to its home LCs via the partition plan)"
+            )
+        if monitor is not None and self.config.sample_interval_cycles is None:
+            raise SimulationError(
+                "monitor=... requires config.sample_interval_cycles (the "
+                "health detectors consume sampled telemetry windows)"
+            )
         # Only past the argument checks: a rejected call leaves the
         # simulator untouched and runnable.
         self._ran = True
@@ -1296,7 +1252,7 @@ class SpalSimulator:
                 # across simulators and must come back untouched.
                 self.plan = self.plan.copy_for_faults()
                 self._home = self.plan.home_lc
-            if self._timeout is None and (faults.has_lc_events or faults.has_drops):
+            if faults.has_lc_events or faults.has_drops:
                 self._timeout = self.config.default_rem_timeout()
             self._fault_rng = np.random.default_rng(faults.seed)
             for d in faults.degradations:
@@ -1317,11 +1273,6 @@ class SpalSimulator:
             # TableError, and every translated op applies in order.
             updates = self._minimize_state.translate_schedule(updates)
         if updates is not None and len(updates) > 0:
-            if not self.partitioned or self.plan is None:
-                raise SimulationError(
-                    "updates=... requires partitioned=True (churn routes "
-                    "each update to its home LCs via the partition plan)"
-                )
             if self._minimize_state is None:
                 updates.validate(self.table)
             self._updates_armed = True
@@ -1367,11 +1318,6 @@ class SpalSimulator:
                 self.config.n_lcs,
                 monitor=monitor,
             )
-        elif monitor is not None:
-            raise SimulationError(
-                "monitor=... requires config.sample_interval_cycles (the "
-                "health detectors consume sampled telemetry windows)"
-            )
         total = sum(len(s) for s in streams)
         failover_lat: Optional[List[int]] = None
         if self._resolve_engine(engine):
@@ -1380,8 +1326,7 @@ class SpalSimulator:
             # The one array loop takes materialized arrays and chunked
             # PacketStreams alike (an array is a single-chunk stream).
             out = ArrayEngine(self).run_streamed(
-                streams, speeds, flush_cycles, update_events,
-                warmup_packets, sampler=sampler,
+                streams, speeds, warmup_packets, sampler=sampler,
             )
             horizon = out["horizon"]
             latencies = out["latencies"]
@@ -1437,12 +1382,6 @@ class SpalSimulator:
                         if hops is not None:
                             pkt.hop = hops[i]
                     self.queue.schedule(int(t), self._arrive, pkt, lc)
-            if flush_cycles:
-                for t in flush_cycles:
-                    self.queue.schedule(int(t), self._flush_all)
-            if update_events:
-                for t, prefix in update_events:
-                    self.queue.schedule(int(t), self._invalidate_prefix, prefix)
             self.phase_seconds["schedule"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             if sampler is not None:
@@ -1528,7 +1467,7 @@ class SpalSimulator:
                 else {"max_fe_backlog": list(self.max_fe_backlog)}
             ),
         )
-        if self._faults is not None or self._timeout is not None or self._bounded:
+        if self._faults is not None or self._bounded:
             # Degraded-mode metrics, populated only when the fault
             # machinery was armed: fault-free runs keep the dataclass
             # defaults and stay bit-identical to the pre-fault simulator.

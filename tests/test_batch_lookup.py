@@ -13,7 +13,7 @@ from repro.core.partition import (
     pattern_of_batch,
     select_partition_bits,
 )
-from repro.routing import Prefix, RoutingTable, random_small_table
+from repro.routing import ChurnSchedule, Prefix, RoutingTable, random_small_table
 from repro.sim import SpalSimulator
 from repro.sim.spal_sim import _Packet
 from repro.traffic import FlowPopulation, TraceSpec, generate_router_streams
@@ -216,19 +216,33 @@ class TestSimulatorFastPath:
         pop = FlowPopulation(TraceSpec("t", n_flows=400, seed=7), table)
         return generate_router_streams(pop, 2, 2500)
 
-    def _run(self, table, streams, **kw):
+    def _run(self, table, streams, flush=False, **kw):
         sim = SpalSimulator(
             table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=128)), **kw
         )
-        return sim.run(streams, flush_cycles=[4000])
+        if not flush:
+            return sim.run(streams)
+        # A mid-run next-hop change to the widest route, flushing every
+        # cache (the paper's update policy).
+        widest = min(table.prefixes(), key=lambda p: p.length)
+        updates = ChurnSchedule().announce(4000, widest, 99)
+        return sim.run(streams, updates=updates, update_policy="flush")
 
     def test_bit_identical_fast_path_on_off(self, table, streams, monkeypatch):
-        fast = self._run(table, streams, verify=True)
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        slow = self._run(table, streams, verify=True)
-        assert _result_fingerprint(fast) == _result_fingerprint(slow)
+        # Without updates the hops are precomputed through lookup_batch and
+        # verify=True checks them against the matchers; with a flush-policy
+        # announcement the hops are looked up per packet.
+        for flush in (False, True):
+            monkeypatch.setenv("REPRO_BATCH", "1")
+            fast = self._run(table, streams, flush=flush, verify=True)
+            monkeypatch.setenv("REPRO_BATCH", "0")
+            slow = self._run(table, streams, flush=flush, verify=True)
+            assert fast.flushes == slow.flushes == int(flush)
+            assert _result_fingerprint(fast) == _result_fingerprint(slow)
 
     def test_injected_plan_matches_fresh(self, table, streams):
+        # No updates: churn swaps in matchers over copied tables, which would
+        # leave the injected ones unused.
         plan = partition_table(table, 2)
         matchers = [HashReferenceMatcher(t) for t in plan.tables]
         injected = self._run(table, streams, plan=plan, matchers=matchers)

@@ -85,3 +85,36 @@ class TestSpalConfig:
             SpalConfig(minimize="light").validate()
         with pytest.raises(SimulationError):
             SpalConfig(minimize=["full"]).validate()
+
+
+class TestKnobTable:
+    """docs/ARCHITECTURE.md §10 names the consumer of every knob: a new
+    field or ``run`` argument cannot land without a row, and a deleted
+    one cannot leave its row behind."""
+
+    def test_every_knob_has_a_consumer_row(self):
+        import dataclasses
+        import inspect
+        import re
+        from pathlib import Path
+
+        from repro.sim import SpalSimulator
+
+        doc = (
+            Path(__file__).resolve().parent.parent / "docs" / "ARCHITECTURE.md"
+        ).read_text(encoding="utf-8")
+        section = doc.split("## 10. Knobs and their consumers", 1)[1]
+        rows = {
+            m.group(1): m.group(2).strip()
+            for m in re.finditer(r"^\| `([^`]+)` \|(.*)\|$", section, re.M)
+        }
+        knobs = {f"SpalConfig.{f.name}" for f in dataclasses.fields(SpalConfig)}
+        knobs |= {f"CacheConfig.{f.name}" for f in dataclasses.fields(CacheConfig)}
+        knobs |= {
+            f"run({name})"
+            for name in inspect.signature(SpalSimulator.run).parameters
+            if name != "self"
+        }
+        assert sorted(knobs - set(rows)) == [], "knobs without a row"
+        assert sorted(set(rows) - knobs) == [], "rows for deleted knobs"
+        assert all(rows.values()), "a row names no consumer"

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import CacheConfig, FaultSchedule, SpalConfig
 from repro.obs import Tracer
-from repro.routing import random_small_table
+from repro.routing import ChurnSchedule, Prefix, random_small_table
 from repro.sim import SpalSimulator
 
 
@@ -67,8 +67,14 @@ class TestConservation:
         flushes = data.draw(
             st.lists(st.integers(1, 2000), min_size=1, max_size=10)
         )
+        # Each announcement re-points a /8 over the streams' addresses
+        # and flushes every cache.
+        updates = ChurnSchedule()
+        for i, t in enumerate(sorted(flushes)):
+            updates.announce(t, Prefix(0, 8), 1 + i % 7)
         sim = SpalSimulator(TABLE, config)
-        result = sim.run(streams, flush_cycles=sorted(flushes))
+        result = sim.run(streams, updates=updates, update_policy="flush")
+        assert result.flushes == len(flushes)
         assert result.packets == sum(len(s) for s in streams)
 
     @given(st.data())

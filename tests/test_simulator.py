@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.core import CacheConfig, SpalConfig
-from repro.routing import random_small_table
+from repro.core import CacheConfig, FaultSchedule, SpalConfig
+from repro.obs import HealthMonitor
+from repro.routing import ChurnSchedule, Prefix, random_small_table
 from repro.sim import (
     ConventionalSimulator,
     EventQueue,
@@ -129,21 +130,38 @@ class TestSpalSimulator:
         {"update_policy": "sometimes"},
         {"n_streams": 1},
         {"speed_gbps": [40]},
-    ], ids=["update_policy", "stream_count", "speed_count"])
+        # Also armed with a fabric degradation, which must not leak into
+        # the correct call that follows.
+        {
+            "monitor": HealthMonitor(),
+            "faults": FaultSchedule().degrade_fabric(
+                0, 10**6, extra_latency=5
+            ),
+        },
+        {
+            "partitioned": False,
+            "updates": ChurnSchedule().announce(
+                100, Prefix.from_string("10.0.0.0/8"), 3
+            ),
+        },
+    ], ids=["update_policy", "stream_count", "speed_count",
+            "monitor_unsampled", "updates_unpartitioned"])
     def test_rejected_call_leaves_simulator_runnable(self, table, bad):
         """Simulators are single-use, but a call rejected by the argument
         checks has not used one up: a correct second call runs it, and
         only a third is refused."""
         config = SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=256))
         streams = streams_for(table, 2, 200)
-        sim = SpalSimulator(table, config)
         kwargs = dict(bad)
+        partitioned = kwargs.pop("partitioned", True)
         n_streams = kwargs.pop("n_streams", 2)
+        sim = SpalSimulator(table, config, partitioned=partitioned)
         with pytest.raises(SimulationError):
             sim.run([s.copy() for s in streams[:n_streams]], **kwargs)
         result = sim.run([s.copy() for s in streams])
         assert result.packets == 400
-        assert result.summary() == SpalSimulator(table, config).run(
+        fresh = SpalSimulator(table, config, partitioned=partitioned)
+        assert result.summary() == fresh.run(
             [s.copy() for s in streams]
         ).summary()
         with pytest.raises(SimulationError, match="single-use"):
@@ -153,23 +171,44 @@ class TestSpalSimulator:
         sim = SpalSimulator(
             table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=512))
         )
-        result = sim.run(
-            streams_for(table, 2, 1000), flush_cycles=[2000, 4000]
+        updates = (
+            ChurnSchedule()
+            .announce(2000, Prefix.from_string("10.0.0.0/8"), 3)
+            .announce(4000, Prefix.from_string("10.0.0.0/8"), 4)
         )
+        result = sim.run(
+            streams_for(table, 2, 1000), updates=updates,
+            update_policy="flush",
+        )
+        assert result.update_events_applied == 2
         assert result.flushes == 2
         assert result.packets == 2000  # flushes lose no packets
 
     def test_flush_hurts_latency(self, table):
+        """The same 15 announcements under the flush policy and under
+        selective invalidation: both change the tables and charge the
+        same FE service, so the flushes alone raise the mean."""
         streams = streams_for(table, 2, 1500, seed=9)
-        quiet = SpalSimulator(
-            table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=1024))
-        ).run([s.copy() for s in streams])
-        noisy = SpalSimulator(
-            table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=1024))
-        ).run(
-            [s.copy() for s in streams],
-            flush_cycles=list(range(500, 8000, 500)),
-        )
+        # Host routes no destination falls under: selective invalidation
+        # drops nothing for them.
+        dests = {int(a) for s in streams for a in s}
+        hosts = [a for a in range(1, 1 << 16) if a not in dests][:15]
+        updates = ChurnSchedule()
+        for t, a in zip(range(500, 8000, 500), hosts):
+            updates.announce(t, Prefix(a, 32), 1)
+
+        def run(policy):
+            return SpalSimulator(
+                table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=1024))
+            ).run(
+                [s.copy() for s in streams], updates=updates,
+                update_policy=policy,
+            )
+
+        quiet = run("selective")
+        noisy = run("flush")
+        assert quiet.invalidation_entries_dropped == 0
+        assert noisy.flushes == quiet.flushes == 15
         assert noisy.mean_lookup_cycles > quiet.mean_lookup_cycles
 
     def test_10gbps_slower_arrivals(self, table):

@@ -125,26 +125,30 @@ class TestSelectiveInvalidation:
 
 class TestSimulatorUpdateEvents:
     def test_selective_events_cheaper_than_flush(self, table):
+        from repro.routing import ChurnEvent, ChurnSchedule
         from repro.sim import SpalSimulator
         from repro.traffic import FlowPopulation, TraceSpec, generate_router_streams
 
         spec = TraceSpec("t", n_flows=300, recency=0.3, seed=1)
         pop = FlowPopulation(spec, table)
+        cycles = list(range(1000, 20000, 1000))
+        updates = ChurnSchedule([
+            ChurnEvent(t, u)
+            for t, u in zip(cycles, generate_updates(table, len(cycles), seed=3))
+        ])
 
         def run(policy):
+            # The same table changes and FE service either way; only the
+            # cache invalidation differs.
             sim = SpalSimulator(
                 table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=256))
             )
             streams = generate_router_streams(pop, 2, 2000)
-            cycles = list(range(1000, 20000, 1000))
-            if policy == "flush":
-                return sim.run(streams, flush_cycles=cycles)
-            updates = list(generate_updates(table, len(cycles), seed=3))
-            events = [(t, u.prefix) for t, u in zip(cycles, updates)]
-            return sim.run(streams, update_events=events)
+            return sim.run(streams, updates=updates, update_policy=policy)
 
         flush = run("flush")
         selective = run("selective")
+        assert flush.update_events_applied == len(cycles)
         assert selective.mean_lookup_cycles <= flush.mean_lookup_cycles
 
 
