@@ -18,7 +18,6 @@ from .faults import (
     LCSlowdown,
     LinkFlap,
 )
-from .line_card import FEStats, ForwardingEngine, LineCard
 from .lr_cache import LOC, REM, CacheEntry, CacheStats, LRCache
 from .partition import (
     PartitionPlan,
@@ -52,9 +51,6 @@ __all__ = [
     "LCSlowdown",
     "LinkFlap",
     "LCCacheDegradation",
-    "LineCard",
-    "ForwardingEngine",
-    "FEStats",
     "LRCache",
     "CacheEntry",
     "CacheStats",

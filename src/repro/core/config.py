@@ -1,12 +1,13 @@
-"""Configuration objects shared by the router facade and the simulator."""
+"""Configuration objects shared by the router and the simulator."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..errors import CacheConfigError, SimulationError
 from ..routing import minimize as _minimize
+from .lr_cache import LRCache
 
 #: System cycle (paper Sec. 5.1): 5 ns.
 CYCLE_NS = 5.0
@@ -185,6 +186,30 @@ class SpalConfig:
         fabric = self.make_fabric()
         hop = fabric.latency_cycles() + 2 * FIL_OVERHEAD_CYCLES
         return 2 * hop + self.fe_lookup_cycles * 16
+
+    def make_caches(self, registry) -> List[Optional[LRCache]]:
+        """One LR-cache per LC in the shape of :attr:`cache` (all ``None``
+        when it is ``None``), LC ``i``'s replacement policy seeded with
+        ``i`` and its instruments bound into ``registry`` (a
+        :class:`repro.obs.MetricsRegistry`) under the label ``lc=i``.
+        The simulator and the router both build their caches here."""
+        c = self.cache
+        if c is None:
+            return [None] * self.n_lcs
+        caches: List[Optional[LRCache]] = []
+        for i in range(self.n_lcs):
+            cache = LRCache(
+                n_blocks=c.n_blocks,
+                associativity=c.associativity,
+                mix=c.mix,
+                policy=c.policy,
+                victim_blocks=c.victim_blocks,
+                policy_seed=i,
+                index=c.index,
+            )
+            cache.bind_obs(registry, lc=i)
+            caches.append(cache)
+        return caches
 
     def make_fabric(self):
         from . import fabric as fabric_mod

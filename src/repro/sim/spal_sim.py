@@ -282,23 +282,7 @@ class SpalSimulator:
         #: stay bit-identical across repeats; ``scripts/profile_sim.py``
         #: reads it for the per-phase breakdown.
         self.phase_seconds: Dict[str, float] = {}
-        self.caches: List[Optional[LRCache]] = []
-        for i in range(n):
-            if self.config.cache is None:
-                self.caches.append(None)
-            else:
-                c = self.config.cache
-                cache = LRCache(
-                    n_blocks=c.n_blocks,
-                    associativity=c.associativity,
-                    mix=c.mix,
-                    policy=c.policy,
-                    victim_blocks=c.victim_blocks,
-                    policy_seed=i,
-                    index=c.index,
-                )
-                cache.bind_obs(self.obs, lc=i)
-                self.caches.append(cache)
+        self.caches: List[Optional[LRCache]] = self.config.make_caches(self.obs)
         self.fabric = self.config.make_fabric()
         self.queue = EventQueue()
         self.cache_ports = [Resource() for _ in range(n)]
@@ -1240,11 +1224,25 @@ class SpalSimulator:
                 "monitor=... requires config.sample_interval_cycles (the "
                 "health detectors consume sampled telemetry windows)"
             )
-        # Only past the argument checks: a rejected call leaves the
-        # simulator untouched and runnable.
-        self._ran = True
         if faults is not None and not faults.empty:
             faults.validate(self.config.n_lcs)
+        if updates is not None and self._minimize_state is not None:
+            # Translate the caller's schedule (expressed against the
+            # original table) into the equivalent announce/withdraw diff
+            # against the minimised table.  Translation advances a private
+            # copy of the minimiser's keys and is traffic-independent, so
+            # the existing replay machinery below applies the translated
+            # ops unmodified; a translation that nets out to zero ops
+            # simply never arms churn.  It also validates the schedule:
+            # a withdrawal of an absent prefix or a width mismatch raises
+            # TableError, and every translated op applies in order.
+            updates = self._minimize_state.translate_schedule(updates)
+        elif updates is not None and len(updates) > 0:
+            updates.validate(self.table)
+        # Only past the argument and schedule checks: a rejected call
+        # leaves the simulator untouched and runnable.
+        self._ran = True
+        if faults is not None and not faults.empty:
             self._faults = faults
             if faults.has_lc_events and self.partitioned and self.plan is not None:
                 # The plan mutates during the run (fail_lc/restore_lc), so
@@ -1261,20 +1259,7 @@ class SpalSimulator:
             # order makes the fault apply ahead of that cycle's arrivals.
             for cycle, kind, lc in faults.lc_events():
                 self.queue.schedule(cycle, self._apply_lc_fault, kind, lc)
-        if updates is not None and self._minimize_state is not None:
-            # Translate the caller's schedule (expressed against the
-            # original table) into the equivalent announce/withdraw diff
-            # against the minimised table.  Translation advances a private
-            # copy of the minimiser's keys and is traffic-independent, so
-            # the existing replay machinery below applies the translated
-            # ops unmodified; a translation that nets out to zero ops
-            # simply never arms churn.  It also validates the schedule:
-            # a withdrawal of an absent prefix or a width mismatch raises
-            # TableError, and every translated op applies in order.
-            updates = self._minimize_state.translate_schedule(updates)
         if updates is not None and len(updates) > 0:
-            if self._minimize_state is None:
-                updates.validate(self.table)
             self._updates_armed = True
             self._update_policy = update_policy
             # The run mutates forwarding state: work on private copies so

@@ -132,7 +132,7 @@ class LongestPrefixMatcher(ABC):
         Returns an :class:`UpdateResult` describing the work done.  The
         default raises :class:`NotImplementedError`; structures without an
         incremental path rely on callers falling back to a full rebuild
-        (``ForwardingEngine.apply_update`` does exactly that).
+        (:meth:`repro.core.SpalRouter.apply_update` does exactly that).
         """
         raise NotImplementedError(
             f"{type(self).__name__} has no incremental update path"

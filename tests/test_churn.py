@@ -444,7 +444,7 @@ class TestRouterInvalidation:
         assert [router.lookup(addr, lc) for lc in range(4)] == [new_hop] * 4
         # Unrelated entries survive at every LC (selectivity).
         assert any(
-            lc.cache.peek(miss_addr) is not None for lc in router.line_cards
+            cache.peek(miss_addr) is not None for cache in router.caches
         )
 
     def test_incremental_stats_accumulate(self, table):

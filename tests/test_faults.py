@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from repro.core import (
     CacheConfig,
     FaultSchedule,
-    LineCard,
     SpalConfig,
     SpalRouter,
 )
@@ -374,7 +373,7 @@ class TestRouterFacade:
         def rem_count():
             return sum(
                 1
-                for s in router.line_cards[0].cache._sets
+                for s in router.caches[0]._sets
                 for e in s.values()
                 if e.mix == REM
             )
@@ -394,19 +393,21 @@ class TestRouterFacade:
 
 class TestLineCard:
     def test_fail_recover_cycle_flushes_cache(self, table):
-        lc = LineCard(
-            0,
+        router = SpalRouter(
             table,
+            SpalConfig(n_lcs=1, cache=CacheConfig(n_blocks=16)),
             matcher_factory=LuleaTrie,
-            cache_config=CacheConfig(n_blocks=16),
         )
-        lc.lookup_local(1234)
-        assert lc.cache.occupancy() > 0
-        lc.fail()
-        assert not lc.alive
-        lc.recover()
-        assert lc.alive
-        assert lc.cache.occupancy() == 0
+        router.lookup(1234)
+        cache = router.caches[0]
+        assert cache.occupancy() > 0
+        router.fail_line_card(0)
+        assert 0 in router.plan.failed_lcs
+        assert router.metrics_snapshot()["lc.alive{lc=0}"] == 0.0
+        router.recover_line_card(0)
+        assert 0 not in router.plan.failed_lcs
+        assert router.metrics_snapshot()["lc.alive{lc=0}"] == 1.0
+        assert cache.occupancy() == 0
 
 
 class TestOverload:

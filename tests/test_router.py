@@ -37,7 +37,7 @@ class TestCorrectness:
             for a in addrs:
                 assert router.lookup(a, 0) == table.lookup(a)
         # Second and third rounds must have hit the cache.
-        assert router.line_cards[0].cache.stats.hits > 0
+        assert router.caches[0].stats.hits > 0
 
     def test_lookup_direct_bypasses_caches(self, table):
         router = make_router(table)
@@ -50,6 +50,10 @@ class TestCorrectness:
         addrs = addresses_matching(table, 100, seed=5)
         for a in addrs:
             assert router.lookup(int(a), 1) == table.lookup(int(a))
+
+    def test_minimize_rejected(self, table):
+        with pytest.raises(SimulationError, match="minimize_table"):
+            make_router(table, minimize="full")
 
     def test_arrival_lc_out_of_range(self, table):
         router = make_router(table)
@@ -78,13 +82,34 @@ class TestStatistics:
         # With 4 LCs, roughly 3/4 of first-seen addresses are remote.
         assert s.remote_requests > 0
         assert s.remote_replies == s.remote_requests
+        assert router.fabric.messages == 2 * s.remote_requests
+
+    def test_local_miss_probes_arrival_cache_once(self, table):
+        router = make_router(table, n_lcs=2)
+        addrs = [int(a) for a in addresses_matching(table, 100, seed=12)]
+        local = next(a for a in addrs if router.plan.home_lc(a) == 0)
+        router.lookup(local, 0)
+        s = router.caches[0].stats
+        assert (s.lookups, s.misses, s.insertions) == (1, 1, 1)
+        assert router.caches[1].stats.lookups == 0
+        assert router.fe_lookups == [1, 0]
+
+    def test_remote_miss_probes_each_lc_once(self, table):
+        router = make_router(table, n_lcs=2)
+        addrs = [int(a) for a in addresses_matching(table, 100, seed=13)]
+        remote = next(a for a in addrs if router.plan.home_lc(a) == 1)
+        router.lookup(remote, 0)
+        for cache in router.caches:
+            s = cache.stats
+            assert (s.lookups, s.misses, s.insertions) == (1, 1, 1)
+        assert router.fe_lookups == [0, 1]
 
     def test_remote_result_cached_as_rem(self, table):
         router = make_router(table)
         addrs = [int(a) for a in addresses_matching(table, 100, seed=8)]
         remote = next(a for a in addrs if router.plan.home_lc(a) != 0)
         router.lookup(remote, 0)
-        entry = router.line_cards[0].cache.peek(remote)
+        entry = router.caches[0].peek(remote)
         assert entry is not None
         from repro.core import REM
 
@@ -95,7 +120,7 @@ class TestStatistics:
         addrs = [int(a) for a in addresses_matching(table, 100, seed=9)]
         remote = next(a for a in addrs if router.plan.home_lc(a) != 0)
         router.lookup(remote, 0)
-        assert router.line_cards[0].cache.peek(remote) is None
+        assert router.caches[0].peek(remote) is None
 
     def test_storage_report(self, table):
         router = make_router(table)
@@ -127,9 +152,9 @@ class TestUpdates:
         for a in addrs:
             router.lookup(a, 0)
         router.apply_update(Prefix.from_string("200.1.2.0/24"), 5)
-        for lc in router.line_cards:
-            assert lc.cache.occupancy() == 0
-            assert lc.cache.stats.flushes == 1
+        for cache in router.caches:
+            assert cache.occupancy() == 0
+            assert cache.stats.flushes == 1
 
     def test_delete_route(self, table):
         router = make_router(table)

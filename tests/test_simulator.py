@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import FaultScheduleError, SimulationError, TableError
 from repro.core import CacheConfig, FaultSchedule, SpalConfig
 from repro.obs import HealthMonitor
 from repro.routing import ChurnSchedule, Prefix, random_small_table
@@ -144,19 +144,34 @@ class TestSpalSimulator:
                 100, Prefix.from_string("10.0.0.0/8"), 3
             ),
         },
+        # Schedule checks: a fault on an LC the router does not have, and
+        # a withdrawal of a prefix the table does not hold, on a plain and
+        # on a minimised simulator (whose check is the translation).
+        {"faults": FaultSchedule().fail_lc(100, 7),
+         "raises": FaultScheduleError},
+        {"updates": ChurnSchedule().withdraw(100, Prefix.from_string(
+            "203.0.113.0/24")), "raises": ValueError},
+        {"minimize": "full", "updates": ChurnSchedule().withdraw(
+            100, Prefix.from_string("203.0.113.0/24")), "raises": TableError},
     ], ids=["update_policy", "stream_count", "speed_count",
-            "monitor_unsampled", "updates_unpartitioned"])
+            "monitor_unsampled", "updates_unpartitioned", "fault_lc_range",
+            "withdraw_absent", "withdraw_absent_minimized"])
     def test_rejected_call_leaves_simulator_runnable(self, table, bad):
         """Simulators are single-use, but a call rejected by the argument
-        checks has not used one up: a correct second call runs it, and
-        only a third is refused."""
-        config = SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=256))
-        streams = streams_for(table, 2, 200)
+        or schedule checks has not used one up: a correct second call runs
+        it, and only a third is refused."""
         kwargs = dict(bad)
         partitioned = kwargs.pop("partitioned", True)
         n_streams = kwargs.pop("n_streams", 2)
+        raises = kwargs.pop("raises", SimulationError)
+        config = SpalConfig(
+            n_lcs=2, cache=CacheConfig(n_blocks=256),
+            minimize=kwargs.pop("minimize", None),
+        )
+        streams = streams_for(table, 2, 200)
+        assert Prefix.from_string("203.0.113.0/24") not in table
         sim = SpalSimulator(table, config, partitioned=partitioned)
-        with pytest.raises(SimulationError):
+        with pytest.raises(raises):
             sim.run([s.copy() for s in streams[:n_streams]], **kwargs)
         result = sim.run([s.copy() for s in streams])
         assert result.packets == 400

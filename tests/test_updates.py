@@ -111,7 +111,7 @@ class TestSelectiveInvalidation:
         router.apply_update(
             Prefix.from_string("10.0.0.0/8"), 9, invalidation="selective"
         )
-        cache = router.line_cards[0].cache
+        cache = router.caches[0]
         assert cache.peek(0x0A000001) is None
         assert cache.peek(0xC0000001) is not None
         assert router.lookup(0x0A000001, 0) == 9
