@@ -12,7 +12,12 @@ small heap of dynamic events.
 There is exactly one array loop, :meth:`ArrayEngine.run_streamed`.  A
 materialized per-LC array enters it as a single-chunk
 :class:`~repro.sim.streaming.PacketStream`, so a whole trace is simply
-the one-window case of the streaming contract.
+the one-window case of the streaming contract.  Inside it, an arriving
+packet and a remote request share one LR-cache probe (``probe``, the
+scalar ``LRCache.probe``) and one cache-port booking (``port_probe``).
+A traced run takes every arrival through ``arrive``; the untraced walk
+completes a plain hit inline, from the window columns, and sends every
+other arrival through ``arrive`` too.
 
 Determinism contract
 --------------------
@@ -216,11 +221,12 @@ class ArrayEngine:
         or materialized destination array per LC; an array is wrapped as
         a single-chunk stream.  Arrivals are pulled chunk-by-chunk and
         merged into windows of at most ``_WINDOW_CAP`` arrivals per feed.
-        A cache hit completes from the window's columns; only an arrival
-        that leaves the hit path is admitted to a packet slot.  Packet
-        and entry slots are reference-counted and recycled as packets
-        retire — peak memory follows the window cap and the in-flight
-        population, never the chunk size or the total packet count.
+        Untraced, a plain cache hit completes from the window's columns;
+        only an arrival that leaves the hit path is admitted to a packet
+        slot.  Packet and entry slots are reference-counted and recycled
+        as packets retire — peak memory follows the window cap and the
+        in-flight population, never the chunk size or the total packet
+        count.
 
         Bit-identity with the scalar loop over the materialized streams,
         at every chunk size, rests on three mechanisms:
@@ -1011,18 +1017,23 @@ class ArrayEngine:
                           reason=reason)
             eid = p_eid[p]
             if eid >= 0 and e_wait[eid]:
-                if has_cache:
-                    addr = e_addr[eid]
-                    s = fsets[e_idx[eid]]
-                    if s.get(addr) == eid:
-                        del s[addr]
-                        ederef(eid)
-                w = e_waiters[eid]
-                e_waiters[eid] = None
-                for waiter in w or ():
-                    wp = waiter if waiter >= 0 else ~waiter
-                    drop(wp, reason, now)
-                    pderef(wp)
+                abandon(eid, reason, now)
+
+        def abandon(eid: int, reason: str, now: int) -> None:
+            # Scalar _abandon: discard waiting reservation ``eid`` from its
+            # set and drop everything parked on it.  The waiters are taken
+            # first, as discarding may release the last reference.
+            w = e_waiters[eid]
+            e_waiters[eid] = None
+            addr = e_addr[eid]
+            s = fsets[e_idx[eid]]
+            if s.get(addr) == eid:
+                del s[addr]
+                ederef(eid)
+            for waiter in w or ():
+                wp = waiter if waiter >= 0 else ~waiter
+                drop(wp, reason, now)
+                pderef(wp)
 
         def send(src: int, dst: int, when: int, kind: int, a: int, b) -> None:
             nonlocal seq, fab_msgs, max_fab_backlog
@@ -1100,22 +1111,11 @@ class ArrayEngine:
 
         def shed_fe(p: int, lc: int, reason: str, home_eid: int,
                     now: int) -> None:
-            # Scalar _shed_fe: discard the home-side reservation this FE
-            # run would have filled, drop everything parked on it, then
-            # drop the packet itself (idempotent).
+            # Scalar _shed_fe: abandon the home-side reservation this FE
+            # run would have filled, then drop the packet itself
+            # (idempotent).
             if home_eid >= 0 and e_wait[home_eid]:
-                if has_cache:
-                    addr = e_addr[home_eid]
-                    s = fsets[e_idx[home_eid]]
-                    if s.get(addr) == home_eid:
-                        del s[addr]
-                        ederef(home_eid)
-                w = e_waiters[home_eid]
-                e_waiters[home_eid] = None
-                for waiter in w or ():
-                    wp = waiter if waiter >= 0 else ~waiter
-                    drop(wp, reason, now)
-                    pderef(wp)
+                abandon(home_eid, reason, now)
             drop(p, reason, now)
 
         def fe_request(p: int, lc: int, now: int, origin: int,
@@ -1209,39 +1209,10 @@ class ArrayEngine:
                     del fs[addr]
                     ederef(geid)
 
-        def probe_tail(p: int, lc: int, addr: int, now: int) -> None:
-            if has_victim:
-                d = vc[lc]
-                eid = d.pop(addr, None)
-                if eid is not None:
-                    # Holding the popped victim-cache reference until the
-                    # branch below is done with the entry.
-                    vc_hits[lc] += 1
-                    st_vhits[lc] += 1
-                    stamp[lc] = tick = stamp[lc] + 1
-                    e_last[eid] = tick
-                    place(lc, eid)
-                    if e_wait[eid]:
-                        if tr is not None:
-                            tr.record("cache.wait", now, lc=lc, pid=p_gpid[p])
-                        park(eid, p)
-                        p_ref[p] += 1
-                    else:
-                        if tr is not None:
-                            tr.record("cache.hit", now, lc=lc, pid=p_gpid[p])
-                        p_served[p] = e_hop[eid]
-                        complete(p, now + 1, now)
-                    ederef(eid)
-                    return
-            st_misses[lc] += 1
-            miss(p, lc, now)
-
-        def probe_at(p: int, lc: int, now: int) -> None:
-            if failed[lc]:
-                drop(p, "crash", now)
-                return
-            addr = p_dest[p]
-            fs = fsets[p_set[p]]
+        def probe(lc: int, fs: Dict[int, int], addr: int, now: int) -> int:
+            # LRCache.probe behind the gray check: the main set, then the
+            # victim cache.  Returns the entry id (complete or waiting), or
+            # -1 on a miss.
             if has_gray and now >= gray_at[lc]:
                 gray(lc, now, fs, addr)
             eid = fs.get(addr)
@@ -1250,18 +1221,70 @@ class ArrayEngine:
                 e_last[eid] = tick
                 if e_wait[eid]:
                     st_whits[lc] += 1
-                    if tr is not None:
-                        tr.record("cache.wait", now, lc=lc, pid=p_gpid[p])
-                    park(eid, p)
-                    p_ref[p] += 1
                 else:
                     st_hits[lc] += 1
-                    if tr is not None:
-                        tr.record("cache.hit", now, lc=lc, pid=p_gpid[p])
-                    p_served[p] = e_hop[eid]
-                    complete(p, now + 1, now)
+                return eid
+            if has_victim:
+                eid = vc[lc].pop(addr, None)
+                if eid is not None:
+                    vc_hits[lc] += 1
+                    st_vhits[lc] += 1
+                    stamp[lc] = tick = stamp[lc] + 1
+                    e_last[eid] = tick
+                    place(lc, eid)
+                    # The popped victim-cache reference.  A bypassed swap
+                    # frees the id, but only a new entry reuses it, and a
+                    # victim block is complete: the caller reads its hop.
+                    ederef(eid)
+                    return eid
+            st_misses[lc] += 1
+            return -1
+
+        def probe_at(p: int, lc: int, now: int) -> None:
+            if failed[lc]:
+                drop(p, "crash", now)
                 return
-            probe_tail(p, lc, addr, now)
+            eid = probe(lc, fsets[p_set[p]], p_dest[p], now)
+            if eid < 0:
+                miss(p, lc, now)
+            elif e_wait[eid]:
+                if tr is not None:
+                    tr.record("cache.wait", now, lc=lc, pid=p_gpid[p])
+                park(eid, p)
+                p_ref[p] += 1
+            else:
+                if tr is not None:
+                    tr.record("cache.hit", now, lc=lc, pid=p_gpid[p])
+                p_served[p] = e_hop[eid]
+                complete(p, now + 1, now)
+
+        def port_probe(p: int, lc: int, now: int, kind: int) -> None:
+            # Resource.acquire(now, 1) on LC ``lc``'s cache port: probe in
+            # the slot now, or push the deferred probe ``kind`` (_K_PROBE
+            # or _K_RPROBE) for the slot it booked.
+            nonlocal seq
+            pf = port_free[lc]
+            port_busy[lc] += 1
+            if pf > now:
+                port_free[lc] = pf + 1
+                seq += 1
+                p_ref[p] += 1
+                heappush(heap, ((pf << _SEQ_BITS) | seq, kind, p, lc, pf, 0))
+            else:
+                port_free[lc] = now + 1
+                if kind == _K_PROBE:
+                    probe_at(p, lc, now)
+                else:
+                    remote_probe_at(p, lc, now)
+
+        def arrive(p: int, lc: int, now: int) -> None:
+            # Scalar _arrive after its ingress record.
+            if failed[lc]:
+                drop(p, "ingress", now)
+            elif not has_cache:
+                dispatch(p, lc, now, home_of(p, lc))
+            else:
+                port_probe(p, lc, now, _K_PROBE)
 
         def release(waiters: Optional[list], lc: int, hop: int,
                     now: int) -> None:
@@ -1306,7 +1329,6 @@ class ArrayEngine:
                 complete(p, now + 1, now)
 
         def remote_request(p: int, home: int, now: int) -> None:
-            nonlocal seq
             if tr is not None:
                 tr.record("remote.recv", now, lc=home, pid=p_gpid[p])
             if failed[home]:
@@ -1314,57 +1336,21 @@ class ArrayEngine:
             if not has_cache:
                 fe_request(p, home, now, p_lc[p], -1)
                 return
-            pf = port_free[home]
-            if pf > now:
-                port_free[home] = pf + 1
-                port_busy[home] += 1
-                seq += 1
-                p_ref[p] += 1
-                heappush(
-                    heap, ((pf << _SEQ_BITS) | seq, _K_RPROBE, p, home, pf, 0)
-                )
-            else:
-                port_free[home] = now + 1
-                port_busy[home] += 1
-                remote_probe_at(p, home, now)
+            port_probe(p, home, now, _K_RPROBE)
 
         def remote_probe_at(p: int, home: int, now: int) -> None:
             if failed[home]:
                 return
             addr = p_dest[p]
             fidx = home * n_sets + p_idx[p]
-            fs = fsets[fidx]
-            if has_gray and now >= gray_at[home]:
-                gray(home, now, fs, addr)
-            eid = fs.get(addr)
-            if eid is not None:
-                stamp[home] = tick = stamp[home] + 1
-                e_last[eid] = tick
+            eid = probe(home, fsets[fidx], addr, now)
+            if eid >= 0:
                 if e_wait[eid]:
-                    st_whits[home] += 1
                     park(eid, ~p)
                     p_ref[p] += 1
                 else:
-                    st_hits[home] += 1
                     send(home, p_lc[p], now + 1, _K_REPLY, p, e_hop[eid])
                 return
-            if has_victim:
-                d = vc[home]
-                eid = d.pop(addr, None)
-                if eid is not None:
-                    vc_hits[home] += 1
-                    st_vhits[home] += 1
-                    stamp[home] = tick = stamp[home] + 1
-                    e_last[eid] = tick
-                    place(home, eid)
-                    if e_wait[eid]:
-                        park(eid, ~p)
-                        p_ref[p] += 1
-                    else:
-                        send(home, p_lc[p], now + 1, _K_REPLY, p, e_hop[eid])
-                    ederef(eid)
-                    return
-            st_misses[home] += 1
             note_churn(addr, home)
             home_eid = allocate(home, addr, LOC, fidx)
             if home_eid < 0:
@@ -1608,13 +1594,13 @@ class ArrayEngine:
                     # Release the spent window first, so that two
                     # windows are never live at once.
                     win = arr_t = arr_key = arr_lc = arr_dest = None
-                    arr_set = arr_meas = arr_gpid = None
+                    arr_set = arr_meas = None
                     win = build_window()
                     if win is None:
                         feeding = False
                     else:
                         (arr_t, arr_key, arr_lc, arr_dest, arr_set,
-                         arr_meas, _, _, _, arr_gpid) = win
+                         arr_meas, _, _, _, _) = win
                         ai = 0
                         n_arr = len(arr_t)
                     continue
@@ -1625,61 +1611,12 @@ class ArrayEngine:
                     elif tracing:
                         now = ak >> _SEQ_BITS
                         processed += 1
-                        i = ai
+                        p = admit(ai)
                         ai += 1
-                        lc = arr_lc[i]
-                        gp = arr_gpid.item(i)
-                        addr = arr_dest[i]
-                        tr.record("ingress", now, lc=lc, pid=gp, dest=addr)
-                        if failed[lc]:
-                            p = admit(i)
-                            drop(p, "ingress", now)
-                            maybe_retire(p)
-                            continue
-                        if not has_cache:
-                            p = admit(i)
-                            dispatch(p, lc, now, home_of(p, lc))
-                            maybe_retire(p)
-                            continue
-                        pf = port_free[lc]
-                        if pf > now:
-                            port_free[lc] = pf + 1
-                            port_busy[lc] += 1
-                            seq += 1
-                            p = admit(i)
-                            p_ref[p] += 1
-                            heappush(
-                                heap,
-                                ((pf << _SEQ_BITS) | seq, _K_PROBE, p, lc,
-                                 pf, 0),
-                            )
-                            continue
-                        port_free[lc] = now + 1
-                        port_busy[lc] += 1
-                        fs = fsets[arr_set[i]]
-                        if has_gray and now >= gray_at[lc]:
-                            gray(lc, now, fs, addr)
-                        eid = fs.get(addr)
-                        if eid is not None:
-                            stamp[lc] = tick = stamp[lc] + 1
-                            e_last[eid] = tick
-                            if e_wait[eid]:
-                                st_whits[lc] += 1
-                                tr.record("cache.wait", now, lc=lc, pid=gp)
-                                p = admit(i)
-                                park(eid, p)
-                                p_ref[p] += 1
-                            else:
-                                st_hits[lc] += 1
-                                tr.record("cache.hit", now, lc=lc, pid=gp)
-                                completed_n += 1
-                                if arr_meas[i]:
-                                    lat_cur.append(1)
-                                tr.record("complete", now + 1, lc=lc, pid=gp,
-                                          hop=e_hop[eid])
-                            continue
-                        p = admit(i)
-                        probe_tail(p, lc, addr, now)
+                        lc = p_lc[p]
+                        tr.record("ingress", now, lc=lc, pid=p_gpid[p],
+                                  dest=p_dest[p])
+                        arrive(p, lc, now)
                         maybe_retire(p)
                         continue
                     else:
@@ -1717,52 +1654,37 @@ class ArrayEngine:
                                     drop(p, "ingress", t)
                                     maybe_retire(p)
                                     continue
-                                if not has_cache:
-                                    ai = i + 1
-                                    p = admit(i)
-                                    dispatch(p, lc, t, home_of(p, lc))
-                                    maybe_retire(p)
-                                    break
-                                pf = port_free[lc]
-                                if pf > t:
-                                    ai = i + 1
-                                    port_free[lc] = pf + 1
-                                    port_busy[lc] += 1
-                                    seq += 1
-                                    p = admit(i)
-                                    p_ref[p] += 1
-                                    heappush(
-                                        heap,
-                                        ((pf << _SEQ_BITS) | seq,
-                                         _K_PROBE, p, lc, pf, 0),
-                                    )
-                                    break
-                                port_free[lc] = t + 1
-                                port_busy[lc] += 1
-                                addr = arr_dest[i]
-                                fs = fsets[arr_set[i]]
-                                if has_gray and t >= gray_at[lc]:
-                                    gray(lc, t, fs, addr)
-                                eid = fs.get(addr)
-                                if eid is not None:
-                                    stamp[lc] = tick = stamp[lc] + 1
-                                    e_last[eid] = tick
-                                    if e_wait[eid]:
-                                        st_whits[lc] += 1
-                                        p = admit(i)
-                                        park(eid, p)
-                                        p_ref[p] += 1
-                                    else:
-                                        # No slot: only a trace would read
-                                        # the completion cycle or hop.
+                                if has_cache and port_free[lc] <= t:
+                                    addr = arr_dest[i]
+                                    fs = fsets[arr_set[i]]
+                                    # Repeated by the probe in ``arrive``
+                                    # as a no-op: the cursor has moved,
+                                    # and ``addr`` is now absent or a
+                                    # reservation, which draws nothing.
+                                    if has_gray and t >= gray_at[lc]:
+                                        gray(lc, t, fs, addr)
+                                    eid = fs.get(addr)
+                                    if eid is not None:
+                                        if e_wait[eid]:
+                                            arrive(admit(i), lc, t)
+                                            continue
+                                        # A plain hit needs no slot: only a
+                                        # trace would read the completion
+                                        # cycle or hop.
+                                        port_free[lc] = t + 1
+                                        port_busy[lc] += 1
+                                        stamp[lc] = tick = stamp[lc] + 1
+                                        e_last[eid] = tick
                                         st_hits[lc] += 1
                                         completed_n += 1
                                         if arr_meas[i]:
                                             lat_cur.append(1)
-                                    continue
+                                        continue
+                                # A no-cache dispatch, a port wait or a
+                                # miss: each may push an event.
                                 ai = i + 1
                                 p = admit(i)
-                                probe_tail(p, lc, addr, t)
+                                arrive(p, lc, t)
                                 maybe_retire(p)
                                 break
                             else:
@@ -1840,11 +1762,11 @@ class ArrayEngine:
                 else:
                     apply_update(ev[2], now)
         finally:
-            # ``drop`` calls itself, so its closure cell refers back to it;
-            # unbinding these leaves the run's state (entry pool, sets,
+            # ``drop`` and ``abandon`` call each other, so their closure
+            # cells refer back to them; unbinding these leaves the run's state (entry pool, sets,
             # packet columns, windows) to plain reference counting rather
             # than to a full garbage collection.
-            drop = pderef = ederef = None
+            drop = abandon = pderef = ederef = None
         horizon = now
         if sampler is not None:
             # Pack the series before the final ``lat_cur`` flush below

@@ -618,15 +618,7 @@ class SpalSimulator:
         is idempotent either way.
         """
         if home_entry is not None and home_entry.waiting:
-            cache = self.caches[lc]
-            if cache is not None:
-                cache.discard_entry(home_entry)
-            waiters, home_entry.waiters = home_entry.waiters, []
-            for waiter in waiters:
-                if isinstance(waiter, _RemoteWaiter):
-                    self._drop(waiter.packet, reason)
-                else:
-                    self._drop(waiter, reason)
+            self._abandon(home_entry, self.caches[lc], reason)
         self._drop(pkt, reason)
 
     def _fe_done(
@@ -810,15 +802,19 @@ class SpalSimulator:
                       pid=pkt.pid, reason=reason)
         entry = pkt.entry
         if entry is not None and entry.waiting:
-            cache = self.caches[pkt.arrival_lc]
-            if cache is not None:
-                cache.discard_entry(entry)
-            waiters, entry.waiters = entry.waiters, []
-            for waiter in waiters:
-                if isinstance(waiter, _RemoteWaiter):
-                    self._drop(waiter.packet, reason)
-                else:
-                    self._drop(waiter, reason)
+            self._abandon(entry, self.caches[pkt.arrival_lc], reason)
+
+    def _abandon(self, entry, cache: Optional[LRCache], reason: str) -> None:
+        """Discard the waiting reservation ``entry`` from ``cache`` and drop
+        everything parked on it (same destination, same lost lookup)."""
+        if cache is not None:
+            cache.discard_entry(entry)
+        waiters, entry.waiters = entry.waiters, []
+        for waiter in waiters:
+            if isinstance(waiter, _RemoteWaiter):
+                self._drop(waiter.packet, reason)
+            else:
+                self._drop(waiter, reason)
 
     def _check_timeout(self, pkt: _Packet, lc: int, attempt: int) -> None:
         """The remote-lookup timeout for attempt ``attempt`` expired.

@@ -12,7 +12,9 @@ Three things live here:
   ``test_churn``/``test_faults``/``test_properties_sim``.
 * **hypothesis profiles** — a capped ``ci-smoke`` profile so the CI
   engine-identity job bounds its example budget (select it with
-  ``HYPOTHESIS_PROFILE=ci-smoke``).
+  ``HYPOTHESIS_PROFILE=ci-smoke``).  A loaded profile's
+  ``max_examples`` applies to every property test, also to one that sets
+  its own with ``@settings``; without a profile each keeps its own.
 """
 
 from __future__ import annotations
@@ -35,6 +37,28 @@ settings.register_profile("thorough", max_examples=200, deadline=None)
 _profile = os.environ.get("HYPOTHESIS_PROFILE")
 if _profile:
     settings.load_profile(_profile)
+
+
+def pytest_collection_modifyitems(config, items):
+    # An explicit ``@settings(max_examples=N)`` overrides a loaded
+    # profile, so re-wrap each property test's settings with the
+    # profile's count: a ``@given`` function's (on ``__func__`` for a
+    # method), or a state machine ``TestCase``'s class attribute.
+    if not _profile:
+        return
+    n = settings.get_profile(_profile).max_examples
+    for item in items:
+        fn = getattr(item, "obj", None)
+        fn = getattr(fn, "__func__", fn)
+        own = getattr(fn, "_hypothesis_internal_use_settings", None)
+        if own is not None and own.max_examples != n:
+            fn._hypothesis_internal_use_settings = settings(
+                own, max_examples=n
+            )
+        cls = getattr(item, "cls", None)
+        own = getattr(cls, "settings", None)
+        if isinstance(own, settings) and own.max_examples != n:
+            cls.settings = settings(own, max_examples=n)
 
 
 # -- session-scoped tables --------------------------------------------------

@@ -15,9 +15,10 @@ contract two ways:
 
 Both run each configuration through ``engine="scalar"`` and
 ``engine="array"`` and diff the full result digest.  The curated matrix
-always traces and also demands trace-stream equality: the array engine
-recycles per-packet state, so the trace (whose ``complete`` records carry
-the served next hop) is the per-packet comparison.
+runs traced and untraced: traced, it also demands trace-stream equality
+(the array engine recycles per-packet state, so the trace, whose
+``complete`` records carry the served next hop, is the per-packet
+comparison); untraced, the array engine takes its inline hit path.
 """
 
 from __future__ import annotations
@@ -392,19 +393,24 @@ CASES = {
 
 
 class TestCuratedIdentity:
+    # A traced run takes every arrival through ``arrive``; an untraced one
+    # walks the arrival window and completes plain hits inline.  Each
+    # class here has an ``...Untraced`` twin.
+    trace = True
+
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_scenario(self, case):
         config, run_kwargs, sim_kwargs = CASES[case]
         # speed_gbps is a run() argument, not a per-case stream change.
         assert_engines_identical(
-            TABLE, config, run_kwargs, sim_kwargs, trace=True
+            TABLE, config, run_kwargs, sim_kwargs, trace=self.trace
         )
 
     def test_wide_table(self):
         assert_engines_identical(
             TABLE_WIDE,
             SpalConfig(n_lcs=3, cache=CacheConfig(n_blocks=128)),
-            trace=True,
+            trace=self.trace,
         )
 
     def test_ipv6(self):
@@ -419,8 +425,12 @@ class TestCuratedIdentity:
             TABLE_V6,
             SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=64,
                                                   victim_blocks=4)),
-            streams=streams, trace=True,
+            streams=streams, trace=self.trace,
         )
+
+
+class TestCuratedIdentityUntraced(TestCuratedIdentity):
+    trace = False
 
 
 MISS_CHAIN = SpalConfig(
@@ -446,9 +456,20 @@ def scalar_trace(config, run_kwargs=None, streams=None):
     return tracer.events
 
 
+def identical_events(config, run_kwargs=None, streams=None, trace=True):
+    """Assert scalar == array at ``trace``; return the scalar trace (from
+    the traced comparison, or from a separate scalar run)."""
+    events = assert_engines_identical(
+        TABLE, config, run_kwargs, streams=streams, trace=trace
+    )
+    return events if trace else scalar_trace(config, run_kwargs, streams)
+
+
 class TestMissChain:
     """Fault-window edges on the exact cycle of the query they change,
     the bus fabric's two paths and in-place victim-cache replacement."""
+
+    trace = True
 
     @pytest.mark.parametrize("edge", ["opens", "closes"])
     def test_flap_edge_on_send_cycle(self, edge):
@@ -462,8 +483,8 @@ class TestMissChain:
         faults = FaultSchedule(seed=4).flap_link(
             start, start + 40 * period, period=period, down_cycles=down
         )
-        events = assert_engines_identical(
-            TABLE, MISS_CHAIN, {"faults": faults}, trace=True
+        events = identical_events(
+            MISS_CHAIN, {"faults": faults}, trace=self.trace
         )
         sends = [e for e in events
                  if e["name"] == "fabric.send" and e["cycle"] == when]
@@ -480,8 +501,8 @@ class TestMissChain:
         faults = FaultSchedule(seed=4).slow_lc(
             fe["cycle"], fe["cycle"] + 3000, lc=fe["lc"], multiplier=3.0
         )
-        events = assert_engines_identical(
-            TABLE, MISS_CHAIN, {"faults": faults}, trace=True
+        events = identical_events(
+            MISS_CHAIN, {"faults": faults}, trace=self.trace
         )
         (slowed,) = [e for e in events if e["name"] == "fe"
                      and (e["cycle"], e["lc"]) == (fe["cycle"], fe["lc"])]
@@ -500,12 +521,55 @@ class TestMissChain:
         faults = FaultSchedule(seed=5).degrade_lc_cache(
             hit["cycle"], hit["cycle"] + 3000, lc=hit["lc"], miss_fraction=0.9
         )
-        events = assert_engines_identical(
-            TABLE, MISS_CHAIN, {"faults": faults}, streams=streams,
-            trace=True,
+        events = identical_events(
+            MISS_CHAIN, {"faults": faults}, streams=streams,
+            trace=self.trace,
         )
         assert any(e["name"] == "cache.miss" and e["lc"] == hit["lc"]
                    and e["cycle"] == hit["cycle"] for e in events)
+
+    @pytest.mark.parametrize("where", ["local", "remote"])
+    def test_lc_fails_on_a_booked_probe_slot(self, where):
+        # A probe deferred to a booked port slot finds its LC failed on
+        # that cycle: an arrival drops as "crash", a remote request is
+        # lost and its origin times out.  Four LCs, because three see no
+        # deferred local probe on these streams.  The slot is found under
+        # a failure after the run, which arms the same timeouts.
+        config = dataclasses.replace(MISS_CHAIN, n_lcs=4)
+        late = FaultSchedule(seed=4).fail_lc(10**6, 0).recover_lc(
+            10**6 + 1, 0
+        )
+        seen = {}
+        for e in scalar_trace(config, {"faults": late}):
+            if where == "local":
+                if e["name"] == "ingress":
+                    seen[e["pid"]] = e["cycle"]
+                elif (e["name"] in ("cache.hit", "cache.miss", "cache.wait")
+                      and e["cycle"] > seen.get(e["pid"], e["cycle"])):
+                    break
+            elif e["name"] == "remote.recv":
+                seen[e["pid"], e["lc"]] = e["cycle"]
+            elif (e["name"] == "fe"
+                  and e["cycle"] > seen.get((e["pid"], e["lc"]), e["cycle"])):
+                break
+        else:
+            pytest.fail(f"no deferred {where} probe in the trace")
+        pid, lc, cycle = e["pid"], e["lc"], e["cycle"]
+        faults = FaultSchedule(seed=4).fail_lc(cycle, lc).recover_lc(
+            cycle + 1000, lc
+        )
+        events = identical_events(config, {"faults": faults},
+                                  trace=self.trace)
+        mine = [x for x in events if x.get("pid") == pid]
+        if where == "local":
+            assert ("drop", cycle, "crash") in [
+                (x["name"], x["cycle"], x.get("reason")) for x in mine
+            ]
+            assert not any(x["name"].startswith("cache.") for x in mine)
+        else:
+            assert not any(x["name"] == "fe" and x["lc"] == lc
+                           and x["cycle"] == cycle for x in mine)
+            assert any(x["name"] == "timeout.retry" for x in mine)
 
     def test_degraded_bus_takes_method_path(self):
         config = CASES["bus-degraded"][0]
@@ -513,7 +577,8 @@ class TestMissChain:
         streams = [rng.integers(0, 1 << 16, size=300).astype(np.uint64)
                    for _ in range(config.n_lcs)]
         for faults in (None, CASES["bus-degraded"][1]["faults"]):
-            sim = SpalSimulator(TABLE, config=config)
+            sim = SpalSimulator(TABLE, config=config,
+                                trace=Tracer() if self.trace else None)
             calls = []
             transfer = sim.fabric.transfer
             sim.fabric.transfer = lambda *a: calls.append(a) or transfer(*a)
@@ -546,8 +611,14 @@ class TestMissChain:
             cache=CacheConfig(n_blocks=8, victim_blocks=4, policy=policy),
             early_recording=False,
         )
-        assert_engines_identical(TABLE, config, streams=streams, trace=True)
+        assert_engines_identical(
+            TABLE, config, streams=streams, trace=self.trace
+        )
         assert in_place
+
+
+class TestMissChainUntraced(TestMissChain):
+    trace = False
 
 
 class TestChurnPoolGrowth:

@@ -25,6 +25,7 @@ size, and a finished run leaves no reference cycles behind.
 from __future__ import annotations
 
 import gc
+import sys
 import tracemalloc
 
 import numpy as np
@@ -276,6 +277,48 @@ def test_array_run_leaves_no_cyclic_garbage(name, trace):
         gc.enable()
     assert result.packets > 0
     assert freed == 0
+
+
+def _slots_at_exit(sim, streams):
+    """(slots, free slots) of the array loop's packet columns as
+    ``run_streamed`` returns, read from its frame."""
+    seen = {}
+    code = array_engine.ArrayEngine.run_streamed.__code__
+
+    def prof(frame, event, arg):
+        if event == "return" and frame.f_code is code:
+            seen["slots"] = len(frame.f_locals["p_ref"])
+            seen["free"] = len(frame.f_locals["free_slots"])
+
+    sys.setprofile(prof)
+    try:
+        result = sim.run(streams, engine="array")
+    finally:
+        sys.setprofile(None)
+    return result, seen["slots"], seen["free"]
+
+
+@pytest.mark.parametrize("trace", [False, True])
+@pytest.mark.parametrize("policy", ["tail_drop", "red", "priority"])
+def test_finished_run_frees_every_packet_slot(policy, trace):
+    """Every packet has completed or dropped when the loop ends, so each
+    slot is back on the free list.  That includes a remote request whose
+    FE run its home rejects: the rejection discards the request's fresh
+    home reservation and must still release the request parked on it."""
+    config = SpalConfig(
+        n_lcs=3, cache=CacheConfig(n_blocks=64, victim_blocks=4),
+        replicas=2, fe_lookup_cycles=5, fe_queue_capacity=2,
+        fabric_queue_capacity=4, shed_policy=policy,
+    )
+    rng = np.random.default_rng(5)
+    streams = [rng.integers(0, 1 << 16, size=1000).astype(np.uint64)
+               for _ in range(3)]
+    sim = SpalSimulator(_PROP_TABLE, config=config,
+                        trace=Tracer() if trace else None)
+    result, slots, free = _slots_at_exit(sim, streams)
+    assert result.drops["queue_full"] + result.drops["shed"] > 0
+    assert slots > 0
+    assert free == slots
 
 
 # -- stream primitives -------------------------------------------------------
