@@ -23,9 +23,9 @@ at the first event observation at-or-past its boundary.  Because the
 array engine batches arrivals, the exact event at which a window closes
 can differ *between* engines — the per-window attribution is quantized,
 and cross-engine time series may disagree on which side of a boundary a
-delta lands.  What never differs is the run's outcome: sampling on vs.
-off is bit-identical per engine, and column totals always equal the
-run-level counters.
+delta lands.  It never depends on how a stream is chunked.  What never
+differs is the run's outcome: sampling on vs. off is bit-identical per
+engine, and column totals always equal the run-level counters.
 """
 
 from __future__ import annotations

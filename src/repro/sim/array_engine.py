@@ -111,9 +111,14 @@ _FAB_PORTS = 0
 _FAB_BUS = 1
 _FAB_METHOD = 2
 
-#: Most arrivals one window takes from any one feed.  Window columns, not
-#: the chunk size, then bound the per-arrival state a run holds at once.
+#: Most arrivals one merged window holds, over all feeds together, and
+#: most arrivals one ``(home, hop)`` precompute block covers for one
+#: feed.  Window columns and precomputed prefixes, not the chunk size or
+#: the LC count, then bound the per-arrival state a run holds at once.
 _WINDOW_CAP = 8192
+
+#: A feed's precomputed homes right after a pull: none yet.
+_NO_HOMES = np.empty(0, dtype=np.int64)
 
 #: ``lat_cur`` length at which building a window moves it into
 #: ``lat_parts`` as one packed array.
@@ -149,10 +154,12 @@ def _ids_under(e_key, e_addr, value: int, span: int, kshift: int) -> List[int]:
 class _Feed:
     """One LC's chunk iterator + resumable arrival clock, with at most one
     buffered (not-yet-windowed) segment: destinations, arrival cycles and
-    the global pid of its first arrival."""
+    the global pid of its first arrival, plus ``(home, hop)`` for a
+    precomputed prefix of it (``hop`` None when hops are not
+    precomputed)."""
 
     __slots__ = ("lc", "it", "clock", "expect", "got", "done",
-                 "t", "g0", "dest")
+                 "t", "g0", "dest", "home", "hop")
 
     def __init__(self, lc: int, stream, speed: int):
         self.lc = lc
@@ -164,6 +171,8 @@ class _Feed:
         self.t: Optional[np.ndarray] = None
         self.g0 = 0
         self.dest: Optional[np.ndarray] = None
+        self.home: Optional[np.ndarray] = None
+        self.hop: Optional[np.ndarray] = None
 
 
 class _CountSeq(_SequenceABC):
@@ -220,31 +229,34 @@ class ArrayEngine:
         ``streams`` holds one :class:`~repro.sim.streaming.PacketStream`
         or materialized destination array per LC; an array is wrapped as
         a single-chunk stream.  Arrivals are pulled chunk-by-chunk and
-        merged into windows of at most ``_WINDOW_CAP`` arrivals per feed.
+        merged into windows of at most ``_WINDOW_CAP`` arrivals in total.
         Untraced, a plain cache hit completes from the window's columns;
         only an arrival that leaves the hit path is admitted to a packet
         slot.  Packet and entry slots are reference-counted and recycled
         as packets retire — peak memory follows the window cap and the
-        in-flight population, never the chunk size or the total packet
-        count.
+        in-flight population, never the chunk size, the LC count or the
+        total packet count.
 
         Bit-identity with the scalar loop over the materialized streams,
         at every chunk size, rests on three mechanisms:
 
-        * **window boundary** — the minimum over feeds of each buffer's
-          ``_WINDOW_CAP``-th arrival ``(cycle, global pid)``, or its last
-          one if the buffer is shorter; every extracted window is a
-          prefix of the one-shot stable sort, so the merged arrival order
-          (and every event key) is chunk-size independent;
+        * **window boundary** — the minimum over the ``m`` buffered feeds
+          of each buffer's ``(_WINDOW_CAP // m)``-th arrival ``(cycle,
+          global pid)``, or its last one if the buffer is shorter; every
+          extracted window is a prefix of the one-shot stable sort, so
+          the merged arrival order (and every event key) is chunk-size
+          independent;
         * **pre-assigned sequence block** — arrival sequence numbers are
           reserved up front from the *declared* stream lengths, so
           dynamic events scheduled mid-stream draw the same sequence
           numbers as in the scalar loop's up-front scheduling;
-        * **pristine-plan precompute** — ``(home, hop)`` precomputation,
-          run on each feed's slice as a window is built, temporarily
-          restores the partition plan's run-start failure view, so a
-          window built after a fault event resolves exactly like a
-          whole-trace pass at run start.
+        * **pristine-plan precompute** — each feed keeps ``(home, hop)``
+          for a precomputed prefix of its buffer and extends it by one
+          block of at most ``_WINDOW_CAP`` of its arrivals when a window
+          cut reaches past it; each block temporarily restores the
+          partition plan's run-start failure view, so a block computed
+          after a fault event resolves exactly like a whole-trace pass
+          at run start.
 
         ``sim.completed`` / ``sim.dropped_packets`` become count-only
         views (:class:`_CountSeq`) because per-packet state no longer
@@ -487,9 +499,10 @@ class ArrayEngine:
             f.g0 = pid_base[f.lc] + f.got
             f.got += n
             f.dest = dests
+            f.home = _NO_HOMES
 
         def precompute(lc: int, dests: np.ndarray):
-            # (homes, hops) for one feed's slice of a window; homes of -1
+            # (homes, hops) for one block of a feed's buffer; homes of -1
             # and no hops when precompute is off.
             nonlocal precompute_s
             if not use_pre:
@@ -559,20 +572,23 @@ class ArrayEngine:
             for f in feeds:
                 if not f.done and f.t is None:
                     pull(f)
-            # The bound is the least, over buffers, of each one's cap-th
-            # (cycle, pid), or its last one when shorter: no feed gives
-            # more than ``cap`` arrivals, and every arrival up to the
-            # bound is buffered.  A feed is done only once a pull into its
-            # empty buffer finds no chunk, so a done feed never bounds.
-            bound = None
-            for f in feeds:
-                if f.t is not None:
-                    k = min(len(f.t), cap)
-                    b = (int(f.t[k - 1]), f.g0 + k - 1)
-                    if bound is None or b < bound:
-                        bound = b
-            if bound is None:
+            # The bound is the least, over the ``m`` buffered feeds, of each
+            # buffer's (cap // m)-th (cycle, pid), or its last one when
+            # shorter: no feed gives more than cap // m arrivals, so the
+            # window holds at most ``cap`` (``m`` if there are more feeds
+            # than that), and every arrival up to the bound is buffered.
+            # A feed is done only once a pull into its empty buffer finds
+            # no chunk, so a done feed never bounds.
+            live = [f for f in feeds if f.t is not None]
+            if not live:
                 return None
+            share = max(1, cap // len(live))
+            bound = None
+            for f in live:
+                k = min(len(f.t), share)
+                b = (int(f.t[k - 1]), f.g0 + k - 1)
+                if bound is None or b < bound:
+                    bound = b
             bt, bp = bound
             parts_t = []
             parts_p = []
@@ -580,9 +596,7 @@ class ArrayEngine:
             parts_lc = []
             parts_h = []
             parts_o = []
-            for f in feeds:
-                if f.t is None:
-                    continue
+            for f in live:
                 n = len(f.t)
                 cut = int(np.searchsorted(f.t, bt, side="right"))
                 lo = int(np.searchsorted(f.t, bt, side="left"))
@@ -593,21 +607,34 @@ class ArrayEngine:
                     cut = min(cut, max(lo, bp - f.g0 + 1))
                 if cut <= 0:
                     continue
-                d = f.dest[:cut]
+                pre = len(f.home)
+                if cut > pre:
+                    # The cut reaches past the precomputed prefix: extend
+                    # it by one block of the feed's next ``cap`` arrivals
+                    # (a cut never exceeds ``cap``).
+                    homes, hops = precompute(f.lc, f.dest[pre:pre + cap])
+                    if pre:
+                        homes = np.concatenate((f.home, homes))
+                        if hops is not None:
+                            hops = np.concatenate((f.hop, hops))
+                    f.home = homes
+                    f.hop = hops
                 parts_t.append(f.t[:cut])
                 parts_p.append(np.arange(f.g0, f.g0 + cut, dtype=np.int64))
-                parts_d.append(d)
+                parts_d.append(f.dest[:cut])
                 parts_lc.append(np.full(cut, f.lc, dtype=np.int64))
-                homes, hops = precompute(f.lc, d)
-                parts_h.append(homes)
-                if hops is not None:
-                    parts_o.append(hops)
+                parts_h.append(f.home[:cut])
+                if f.hop is not None:
+                    parts_o.append(f.hop[:cut])
                 if cut == n:
-                    f.t = f.dest = None
+                    f.t = f.dest = f.home = f.hop = None
                 else:
                     f.t = f.t[cut:]
                     f.g0 += cut
                     f.dest = f.dest[cut:]
+                    f.home = f.home[cut:]
+                    if f.hop is not None:
+                        f.hop = f.hop[cut:]
             # Parts come in feed (LC) order, each with ascending pids, so
             # the concatenation is pid-ordered and a stable sort by cycle
             # is the global (cycle, pid) order.
@@ -1643,8 +1670,35 @@ class ArrayEngine:
                             smp_next != _NO_SAMPLE and has_cache
                             and not any(failed)
                         )
-                        stop = ai + 1024 if yields else n_arr
-                        while ai < j:
+                        stop = ai + 1024 if yields else never
+                        while True:
+                            if ai == j:
+                                if j < n_arr or not feeding:
+                                    break
+                                # The window ran out before the next heap
+                                # key: walk on into the next one, keeping
+                                # the yield countdown, so where the walk
+                                # yields (and so the sampled series) does
+                                # not depend on where windows are cut.
+                                processed += ai - a0
+                                win = arr_t = arr_key = arr_lc = None
+                                arr_dest = arr_set = arr_meas = None
+                                win = build_window()
+                                if win is None:
+                                    feeding = False
+                                    a0 = ai
+                                    break
+                                (arr_t, arr_key, arr_lc, arr_dest, arr_set,
+                                 arr_meas, _, _, _, _) = win
+                                stop -= n_arr
+                                ai = a0 = 0
+                                n_arr = len(arr_t)
+                                if heap:
+                                    hk = heap[0][0]
+                                    j = bisect_left(arr_key, hk, 0, n_arr)
+                                else:
+                                    j = n_arr
+                                continue
                             jj = j if j < stop else stop
                             for i in range(ai, jj):
                                 t = arr_t[i]
@@ -1688,11 +1742,13 @@ class ArrayEngine:
                                 maybe_retire(p)
                                 break
                             else:
-                                # The next heap key, or a yield point.
+                                # The next heap key, the window's end or
+                                # a yield point.
                                 ai = jj
-                                if ai == j or t >= smp_next:
-                                    break
-                                stop = ai + 1024
+                                if jj == stop:
+                                    if t >= smp_next:
+                                        break
+                                    stop = ai + 1024
                                 continue
                             if yields:
                                 if t >= smp_next:

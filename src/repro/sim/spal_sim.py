@@ -1210,6 +1210,8 @@ class SpalSimulator:
                 raise SimulationError(
                     f"need {self.config.n_lcs} per-LC speeds, got {len(speeds)}"
                 )
+        if all(len(s) <= warmup_packets for s in streams):
+            raise SimulationError("warmup_packets left no measured packets")
         if updates is not None and len(updates) > 0 and not self.partitioned:
             raise SimulationError(
                 "updates=... requires partitioned=True (churn routes "
@@ -1407,8 +1409,6 @@ class SpalSimulator:
                 f"bounded fabric port reached backlog "
                 f"{self.max_fabric_backlog} with capacity {fab_cap}"
             )
-        if len(latencies) == 0 and not self.dropped_packets:
-            raise SimulationError("warmup_packets left no measured packets")
         cache_stats = []
         for cache in self.caches:
             if cache is None:

@@ -3,13 +3,14 @@
 A :class:`PacketStream` declares its *length* up front and yields
 destinations in fixed-size chunks.  The array engine's one event loop
 (:meth:`repro.sim.array_engine.ArrayEngine.run_streamed`) pulls chunks on
-demand and merges per-LC arrival windows of at most a fixed number of
-arrivals per LC.  Only packets that leave the cache-hit path hold
-per-packet state, recycled as they retire — peak memory follows the
-window cap and the in-flight population, not the chunk size or the
-packet count.  A materialized per-LC array is simply a stream with one
-chunk (:meth:`PacketStream.from_array`), which is how
-``SpalSimulator.run`` feeds plain arrays to the array engine.
+demand and merges them into arrival windows of at most a fixed number
+of arrivals in total, whatever the LC count.  Only packets that leave
+the cache-hit path hold per-packet state, recycled as they retire —
+peak memory follows the window cap and the in-flight population, not
+the chunk size, the LC count or the packet count.  A materialized
+per-LC array is simply a stream with one chunk
+(:meth:`PacketStream.from_array`), which is how ``SpalSimulator.run``
+feeds plain arrays to the array engine.
 
 The chunking is *semantically invisible*: a run over
 ``PacketStream.from_array(a, chunk_size=c)`` is bit-identical to the run

@@ -153,9 +153,11 @@ class TestSpalSimulator:
             "203.0.113.0/24")), "raises": ValueError},
         {"minimize": "full", "updates": ChurnSchedule().withdraw(
             100, Prefix.from_string("203.0.113.0/24")), "raises": TableError},
+        # No stream is longer than the warmup, so nothing could be measured.
+        {"warmup_packets": 200},
     ], ids=["update_policy", "stream_count", "speed_count",
             "monitor_unsampled", "updates_unpartitioned", "fault_lc_range",
-            "withdraw_absent", "withdraw_absent_minimized"])
+            "withdraw_absent", "withdraw_absent_minimized", "warmup_only"])
     def test_rejected_call_leaves_simulator_runnable(self, table, bad):
         """Simulators are single-use, but a call rejected by the argument
         or schedule checks has not used one up: a correct second call runs

@@ -74,7 +74,12 @@ TestBinaryTrieStateful = BinaryTrieMachine.TestCase
 TestDPTrieStateful = DPTrieMachine.TestCase
 TestHashRefStateful = HashRefMachine.TestCase
 
-for case in (TestBinaryTrieStateful, TestDPTrieStateful, TestHashRefStateful):
-    case.settings = settings(
-        max_examples=40, stateful_step_count=30, deadline=None
-    )
+# Plain assignments, not a module-level loop: pytest collects any
+# module global bound to a TestCase, so a leftover loop variable would
+# run the last machine a second time.
+_MACHINE_SETTINGS = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
+)
+TestBinaryTrieStateful.settings = _MACHINE_SETTINGS
+TestDPTrieStateful.settings = _MACHINE_SETTINGS
+TestHashRefStateful.settings = _MACHINE_SETTINGS

@@ -18,8 +18,10 @@ This module pins that three ways:
   :func:`random_stream` chunks are consumption-order independent.
 
 It also pins the array engine's capped arrival windows: traces several
-window caps long replay exactly, peak memory does not follow the chunk
-size, and a finished run leaves no reference cycles behind.
+window caps long replay exactly, windows and precompute blocks stay
+within the cap at any LC count, a block precomputed during an outage
+sees the run-start plan, peak memory follows neither the chunk size nor
+the LC count, and a finished run leaves no reference cycles behind.
 """
 
 from __future__ import annotations
@@ -226,10 +228,11 @@ def test_capped_windows_match_scalar_and_per_packet_chunks():
     assert ev_got == ev_base
 
 
-def _run_peak(streams) -> int:
+def _run_peak(streams, n_blocks: int = 256) -> int:
     """tracemalloc peak (bytes) of one untraced array run over
     ``streams``; the simulator is built before tracing starts."""
-    config = SpalConfig(n_lcs=len(streams), cache=CacheConfig(n_blocks=256))
+    config = SpalConfig(n_lcs=len(streams),
+                        cache=CacheConfig(n_blocks=n_blocks))
     sim = SpalSimulator(_PROP_TABLE, config=config)
     gc.collect()
     tracemalloc.start()
@@ -241,9 +244,10 @@ def _run_peak(streams) -> int:
 
 
 def test_streamed_peak_memory_does_not_track_chunk_size(monkeypatch):
-    """A window takes at most ``_WINDOW_CAP`` arrivals per LC, so a chunk
-    8x the cap barely moves the peak: the chunk adds only its arrival
-    cycles, not per-arrival window state.  Under tracemalloc every
+    """A window holds at most ``_WINDOW_CAP`` arrivals, and a feed
+    precomputes homes and hops one block of at most the cap at a time, so
+    a chunk 8x the cap barely moves the peak: the chunk adds only its
+    arrival cycles, not per-arrival window state.  Under tracemalloc every
     allocation in the engine loop pays for a line-number lookup, so the
     cap is shrunk to keep the stream short; chunk / cap = 8 matches
     65,536-packet chunks at the real cap of 8,192."""
@@ -257,6 +261,123 @@ def test_streamed_peak_memory_does_not_track_chunk_size(monkeypatch):
     big = _run_peak([PacketStream.from_array(s, chunk_size=8 * cap)
                      for s in raw])
     assert big <= 1.3 * small, (big, small)
+
+
+def test_streamed_peak_memory_does_not_track_lc_count(monkeypatch):
+    """The cap bounds the whole merged window, not each LC's share of it,
+    so spreading the same arrivals over 8 LCs instead of 2 barely moves
+    the peak: an extra LC adds its buffered chunk and its precomputed
+    homes and hops (8 bytes an arrival each), not ~200-byte window
+    arrivals.  Chunks are one cap long, as the default 65,536-packet
+    chunk is longer than the real cap; eight destinations keep every LC's
+    cache warm, so the in-flight population stays small."""
+    cap = 256
+    monkeypatch.setattr(array_engine, "_WINDOW_CAP", cap)
+    total = 48 * cap
+    peaks = []
+    for n_lcs in (2, 8):
+        rng = np.random.default_rng(8)
+        raw = [rng.integers(0, 8, size=total // n_lcs).astype(np.uint64)
+               for _ in range(n_lcs)]
+        peaks.append(_run_peak(
+            [PacketStream.from_array(s, chunk_size=cap) for s in raw],
+            n_blocks=64,
+        ))
+    assert peaks[1] <= 1.3 * peaks[0], peaks
+
+
+def _window_and_block_sizes(sim, streams, kwargs):
+    """Run ``sim`` on the array engine and record, from a profile hook,
+    the length of every window ``build_window`` returns and, for every
+    ``(home, hop)`` precompute block, its LC, its length and the LCs the
+    partition plan had marked failed when the block was computed."""
+    windows = []
+    blocks = []
+    path = array_engine.__file__
+
+    def prof(frame, event, arg):
+        code = frame.f_code
+        if code.co_filename != path:
+            return
+        if event == "return" and code.co_name == "build_window":
+            if arg is not None:
+                windows.append(len(arg[0]))
+        elif event == "call" and code.co_name == "precompute":
+            f = frame.f_locals
+            blocks.append((f["lc"], len(f["dests"]),
+                           frozenset(f["plan"].failed_lcs)))
+
+    sys.setprofile(prof)
+    try:
+        result = sim.run(streams, engine="array", **kwargs)
+    finally:
+        sys.setprofile(None)
+    return result, windows, blocks
+
+
+@pytest.mark.parametrize("n_lcs", [1, 3, 16])
+def test_windows_and_precompute_blocks_are_capped(monkeypatch, n_lcs):
+    """Whatever the LC count, every window holds at most ``_WINDOW_CAP``
+    arrivals and every precompute block covers at most ``_WINDOW_CAP``
+    arrivals of one LC; each arrival is windowed and precomputed exactly
+    once, and the run equals the scalar loop."""
+    cap = 48
+    monkeypatch.setattr(array_engine, "_WINDOW_CAP", cap)
+    rng = np.random.default_rng(n_lcs)
+    raw = [rng.integers(0, 200, size=5 * cap + 7 * lc).astype(np.uint64)
+           for lc in range(n_lcs)]
+    config = SpalConfig(n_lcs=n_lcs, cache=CacheConfig(n_blocks=32),
+                        fe_lookup_cycles=5)
+    kwargs = {"warmup_packets": 3}
+    base, _, _ = _run(_PROP_TABLE, config, [s.copy() for s in raw], kwargs,
+                      engine="scalar")
+    sim = SpalSimulator(_PROP_TABLE, config=config)
+    streams = [PacketStream.from_array(s, chunk_size=3 * cap) for s in raw]
+    result, windows, blocks = _window_and_block_sizes(sim, streams, kwargs)
+    assert result_digest(result) == base
+    total = sum(len(s) for s in raw)
+    assert max(windows) <= cap
+    assert sum(windows) == total
+    assert max(n for _, n, _ in blocks) <= cap
+    for lc in range(n_lcs):
+        assert sum(n for b_lc, n, _ in blocks if b_lc == lc) == len(raw[lc])
+
+
+def test_precompute_block_after_a_fault_sees_the_pristine_plan(monkeypatch):
+    """LCs 1 and 2 fail together for a while, which leaves the patterns
+    only they hold with no live replica, and blocks of their later
+    arrivals are precomputed during that outage.  On the current plan
+    those homes would be unreachable; each block resolves them on the
+    run-start plan instead, so the run equals the scalar loop, which
+    precomputes every packet before the first event.  LC 0 receives only
+    patterns it holds, so no live packet needs a home during the
+    outage."""
+    cap = 32
+    monkeypatch.setattr(array_engine, "_WINDOW_CAP", cap)
+    config = SpalConfig(n_lcs=3, cache=CacheConfig(n_blocks=32),
+                        replicas=2, fe_lookup_cycles=5)
+    plan = SpalSimulator(_PROP_TABLE, config=config).plan
+    rng = np.random.default_rng(13)
+    pool = rng.integers(0, 1 << 32, size=4000).astype(np.uint64)
+    holders = [set(plan.live_replicas(int(a))) for a in pool]
+    held_by_0 = pool[[0 in h for h in holders]][:64]
+    only_1_2 = pool[[h == {1, 2} for h in holders]][:64]
+    n = 12 * cap
+    raw = [rng.choice(held_by_0, n), rng.choice(only_1_2, n),
+           rng.choice(only_1_2, n)]
+    out = int(n * LinkSpec(40).mean_interarrival_cycles) // 3
+
+    def kwargs():
+        return {"faults": FaultSchedule(seed=3)
+                .fail_lc(out, 1).fail_lc(out, 2)
+                .recover_lc(2 * out, 1).recover_lc(2 * out, 2)}
+
+    base, _, _ = _run(_PROP_TABLE, config, [s.copy() for s in raw],
+                      kwargs(), engine="scalar")
+    sim = SpalSimulator(_PROP_TABLE, config=config)
+    result, _, blocks = _window_and_block_sizes(sim, raw, kwargs())
+    assert any(lc > 0 and failed == {1, 2} for lc, _, failed in blocks)
+    assert result_digest(result) == base
 
 
 @pytest.mark.parametrize("trace", [False, True])

@@ -333,28 +333,21 @@ class TestSampledRun:
         assert ((series["hit_rate"] >= 0) & (series["hit_rate"] <= 1)).all()
         assert (series["fe_backlog"] >= 0).all()
 
-    @pytest.mark.parametrize("hot,crash,want", [
-        (64, False,
-         "36e7f9746f786423f022924b23b8291627ca8c01e254f21dbd77e204a44cd4c7"),
-        (4096, False,
-         "3ca79aaf7ae60d0e4658682fcb3a1cf823ad66529fc1a423ae5870821db6ad53"),
-        (64, True,
-         "fc76b869b4ac797b2dc46b13b1c0874f2553c5541252c1382634ad620b1dc8dc"),
-    ], ids=["hit-runs", "misses", "lc-down"])
-    def test_array_window_attribution_is_pinned(self, hot, crash, want):
-        """The array engine closes a window when its arrival walk hands
-        control back to the outer loop, so its series depends on where
-        the walk yields (see the ``repro.obs.timeseries`` docstring).
-        The integer columns
-        are pinned for long hit runs, for miss-heavy traffic and with an
-        LC down, so a change to the arrival loop cannot move the series
-        unnoticed."""
+    @staticmethod
+    def _attribution_digest(hot, crash, chunk_size=None):
+        """sha256 of the integer series columns of one sampled array run;
+        ``chunk_size`` feeds the same arrivals as chunked streams."""
+        from repro.sim.streaming import PacketStream
+
         table = random_small_table(60, seed=91, max_length=16)
         rng = np.random.default_rng(7)
         streams = [
             rng.integers(0, hot, size=3000).astype(np.uint64)
             for _ in range(3)
         ]
+        if chunk_size is not None:
+            streams = [PacketStream.from_array(s, chunk_size=chunk_size)
+                       for s in streams]
         config = SpalConfig(n_lcs=3, cache=CacheConfig(n_blocks=256),
                             sample_interval_cycles=97, replicas=2)
         faults = (
@@ -369,8 +362,42 @@ class TestSampledRun:
             for name, col in sorted(series.columns.items())
             if col.dtype.kind == "i"
         }
-        got = hashlib.sha256(json.dumps(ints).encode()).hexdigest()
-        assert got == want
+        return hashlib.sha256(json.dumps(ints).encode()).hexdigest()
+
+    @pytest.mark.parametrize("hot,crash,want", [
+        (64, False,
+         "a43656af4bca59a6df30c01c59bb8a9b81bf85658701f513597a26d84c3bca17"),
+        (4096, False,
+         "3ca79aaf7ae60d0e4658682fcb3a1cf823ad66529fc1a423ae5870821db6ad53"),
+        (64, True,
+         "f357af443c9aef140279ed5f98d1330d44f1e2913e32dcb2df13e7c026897b64"),
+    ], ids=["hit-runs", "misses", "lc-down"])
+    def test_array_window_attribution_is_pinned(self, hot, crash, want):
+        """The array engine closes a window when its arrival walk hands
+        control back to the outer loop, so its series depends on where
+        the walk yields (see the ``repro.obs.timeseries`` docstring).
+        The integer columns
+        are pinned for long hit runs, for miss-heavy traffic and with an
+        LC down, so a change to the arrival loop cannot move the series
+        unnoticed."""
+        assert self._attribution_digest(hot, crash) == want
+
+    @pytest.mark.parametrize("hot,crash", [
+        (64, False), (4096, False), (64, True),
+    ], ids=["hit-runs", "misses", "lc-down"])
+    def test_array_window_attribution_ignores_chunking(
+        self, monkeypatch, hot, crash
+    ):
+        """The arrival walk carries on across arrival windows, so where
+        it yields, and with it the series, does not depend on where
+        chunks or windows end."""
+        from repro.sim import array_engine
+
+        want = self._attribution_digest(hot, crash)
+        for chunk_size in (1, 64, 1000):
+            assert self._attribution_digest(hot, crash, chunk_size) == want
+        monkeypatch.setattr(array_engine, "_WINDOW_CAP", 100)
+        assert self._attribution_digest(hot, crash) == want
 
     def test_streamed_chunks_match_run_totals(self):
         from repro.sim.streaming import PacketStream
