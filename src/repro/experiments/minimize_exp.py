@@ -9,7 +9,8 @@ for free.  This experiment quantifies the stage end to end:
 * **compression** — per table and pass set: routes surviving each pass,
   the final compression ratio, explicit null routes emitted, build time
   and the seconds each pass took (``defaults_s``/``ortc_s``/``oc_s``, so
-  a regression points at one pass).  ``make_full_v4`` carries a
+  a regression points at one pass; ``full`` skips ordered covering after
+  ORTC, a provable no-op, so its ``oc_s`` is 0).  ``make_full_v4`` carries a
   realistic hop-locality model (most more-specifics forward like their
   covering aggregate), which is the structure ORTC's published ~50 %
   reductions feed on; the RT_1/RT_2 profiles keep their original uniform

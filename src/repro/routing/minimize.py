@@ -23,9 +23,10 @@ pipeline:
    exemplar): bottom-up merge of sibling pairs that share a next hop into
    their parent (whose own entry, if present, is unreachable — the two
    siblings cover its whole range), iterated with covered-entry removal to
-   a fixpoint.  After a full ORTC pass this is a provable no-op; it exists
-   as the cheap standalone pass ("light" mode) and as the historical
-   algorithm the pipeline generalises.
+   a fixpoint.  After a full ORTC pass this is a provable no-op, so
+   :func:`minimize_table` skips it there; it exists as the cheap
+   standalone pass ("light" mode) and as the historical algorithm the
+   pipeline generalises.
 
 **Columnar passes.**  A whole-table pass never walks the table entry by
 entry.  It reads the table's packed columns (:func:`table_columns`) as one
@@ -74,14 +75,22 @@ diff.  :meth:`MinimizeState.translate_schedule` maps a whole
 :class:`~repro.routing.churn.ChurnSchedule` up front (translation is
 traffic-independent), so both simulation engines replay minimised churn
 unmodified through the matchers' ``apply_update`` work/cost model.
+
+The churn state is both tables as the sorted columns the passes built,
+read-only, each with an overlay of the keys churn has touched.  Reads go
+through ``searchsorted`` on the base and apply the overlay on top; base
+positions never move, so a schedule's prefixes are located in one
+vectorised batch, and a fork copies only the overlays.  Churn costs
+scale with the schedule, not with the table.
 """
 
 from __future__ import annotations
 
+import copy
 import time
 from bisect import bisect_left, insort
-from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple, Union
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -90,7 +99,6 @@ from .arraytable import (
     _LEN_MASK,
     KEY_SHIFT,
     ArrayRoutingTable,
-    _key_dtype,
     packed_keys,
     table_columns,
 )
@@ -696,7 +704,9 @@ class MinimizeStats:
     original_routes: int
     minimized_routes: int
     after_pass: Dict[str, int] = field(default_factory=dict)
-    #: Wall-clock seconds per pass, keyed like ``after_pass``.
+    #: Wall-clock seconds per pass, keyed like ``after_pass``; ``0.0``
+    #: for an ``oc`` pass skipped straight after ``ortc`` (a provable
+    #: no-op there, see :func:`minimize_table`).
     pass_seconds: Dict[str, float] = field(default_factory=dict)
     null_routes: int = 0
     build_seconds: float = 0.0
@@ -713,13 +723,203 @@ class MinimizeStats:
         return self.original_routes / max(self.minimized_routes, 1)
 
 
-def _key_index(
-    keys: np.ndarray, hops: np.ndarray
-) -> Tuple[List[int], Dict[int, int]]:
-    """The sorted key list and the key → hop dict of a column pair,
-    sharing one int object per key."""
-    key_list = keys.tolist()
-    return key_list, dict(zip(key_list, hops.tolist()))
+#: Where a prefix sits in a table's base columns: ``{length: base row}``
+#: of the prefix and its ancestors the base holds, and the base rows
+#: ``[lo, end)`` of the prefix's subtree.
+_Located = Tuple[Dict[int, int], int, int]
+
+#: Updates located per vectorised batch (bounds the batch's temporaries).
+_LOCATE_BLOCK = 4096
+
+
+def _probe_table(
+    width: int, lengths: List[int], dtype
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per prefix length ``L``, the rungs that probe a length-``L`` prefix
+    for a table holding ``lengths``: rung ``i`` is
+    ``(vkey & masks[L, i]) + adds[L, i]`` for ``vkey = value << KEY_SHIFT``.
+
+    Rung 0 is the key just past the prefix's range (it may wrap where
+    that passes every key, and is then not read), rung 1 the prefix's own
+    key, and rung ``2 + j`` its ancestor at ``lengths[j]``.
+    ``rung_lengths[L, i]`` is the length of the key rung ``i`` probes,
+    and -1 where no key is probed: rung 0, and the rungs of
+    ``lengths[j] >= L``, which repeat rung 1.
+    """
+    full = (1 << width) - 1
+    masks, adds, rung_lengths = [], [], []
+    for length in range(width + 1):
+        m = [full << KEY_SHIFT, full << KEY_SHIFT]
+        a = [1 << (width - length + KEY_SHIFT) if length else 0, length]
+        r = [-1, length]
+        for l in lengths:
+            if l < length:
+                m.append(((full >> (width - l)) << (width - l)) << KEY_SHIFT)
+                a.append(l)
+                r.append(l)
+            else:
+                m.append(full << KEY_SHIFT)
+                a.append(length)
+                r.append(-1)
+        masks.append(m)
+        adds.append(a)
+        rung_lengths.append(r)
+    return (np.array(masks, dtype=dtype), np.array(adds, dtype=dtype),
+            np.array(rung_lengths, dtype=np.int64))
+
+
+#: An overlay lookup's "not in the overlay".
+_BASE = object()
+
+
+class _ChurnedColumns:
+    """One table under churn: the sorted ``(packed key, hop)`` columns it
+    was built with, read-only, plus an overlay of what churn changed.
+
+    ``overlay`` maps a packed key to its current hop, or to ``None`` where
+    churn withdrew it; ``overlay_keys`` holds the same keys sorted, for
+    range reads.  Every read goes through the base columns first and
+    applies the overlay on top, so a fork copies only the overlay.
+    """
+
+    __slots__ = ("width", "keys", "hops", "size", "overlay", "overlay_keys",
+                 "overlay_lengths", "levels", "_probe")
+
+    def __init__(self, keys: np.ndarray, hops: np.ndarray, width: int):
+        keys.flags.writeable = False
+        hops.flags.writeable = False
+        self.width = width
+        self.keys, self.hops = keys, hops
+        #: Routes present now (base plus overlay).
+        self.size = len(keys)
+        self.overlay: Dict[int, Optional[NextHop]] = {}
+        self.overlay_keys: List[int] = []
+        self.overlay_lengths: set = set()
+        # The prefix lengths the base holds (26 in a full IPv4 feed, 13 in
+        # IPv6): a prefix's ancestors are looked for at these lengths only.
+        lengths = np.flatnonzero(np.bincount(
+            (keys & _LEN_MASK).astype(np.int64), minlength=width + 1
+        )).tolist()
+        #: Sorted lengths the base or the overlay has ever held.
+        self.levels: List[int] = lengths
+        self._probe = _probe_table(width, lengths, keys.dtype)
+
+    def fork(self) -> "_ChurnedColumns":
+        fork = copy.copy(self)
+        fork.overlay = dict(self.overlay)
+        fork.overlay_keys = list(self.overlay_keys)
+        fork.overlay_lengths = set(self.overlay_lengths)
+        fork.levels = list(self.levels)
+        return fork
+
+    def locate(self, prefixes: Sequence[Prefix]) -> List[Optional[_Located]]:
+        """Where each prefix sits in the base columns (``None`` for a
+        prefix of another width): one ``searchsorted`` probes every
+        prefix, its ancestor candidates and its range end.  The base never
+        changes, so a whole schedule can be located before any of it is
+        applied."""
+        keys, width = self.keys, self.width
+        n = len(keys)
+        out: List[Optional[_Located]] = [None] * len(prefixes)
+        idx = [i for i, p in enumerate(prefixes) if p.width == width]
+        if not n:
+            for i in idx:
+                out[i] = ({}, 0, 0)
+            return out
+        if not idx:
+            return out
+        masks, adds, rung_lengths = self._probe
+        at_length = np.array([prefixes[i].length for i in idx])
+        vkeys = np.array([prefixes[i].value << KEY_SHIFT for i in idx],
+                         dtype=keys.dtype)
+        ladder = (masks[at_length] & vkeys[:, None]) + adds[at_length]
+        at = keys.searchsorted(ladder)
+        probed = rung_lengths[at_length]
+        r, c = ((keys.take(at, mode="clip") == ladder)
+                & (probed >= 0)).nonzero()
+        present: List[Dict[int, int]] = [{} for _ in idx]
+        for row, length, base_row in zip(r.tolist(), probed[r, c].tolist(),
+                                         at[r, c].tolist()):
+            present[row][length] = base_row
+        for j, (end, lo) in enumerate(at[:, :2].tolist()):
+            i = idx[j]
+            if (prefixes[i].last_address() + 1) >> width:
+                end = n
+            out[i] = (present[j], lo, end)
+        return out
+
+    def nearest(self, prefix: Prefix, present: Dict[int, int]) -> NextHop:
+        """Hop of ``prefix``'s nearest strict ancestor (``NO_ROUTE`` if
+        none), from its :meth:`locate` ``present``."""
+        value, width = prefix.value, self.width
+        olengths = self.overlay_lengths
+        levels = self.levels
+        for l in reversed(levels[:bisect_left(levels, prefix.length)]):
+            if l in olengths:
+                sh = width - l
+                hop = self.overlay.get(
+                    (((value >> sh) << sh) << KEY_SHIFT) | l, _BASE
+                )
+                if hop is not _BASE:
+                    if hop is not None:
+                        return hop
+                    continue
+            row = present.get(l)
+            if row is not None:
+                return self.hops.item(row)
+        return NO_ROUTE
+
+    def region(
+        self, lo: int, end: int, key: int, hi: Optional[int]
+    ) -> Dict[int, NextHop]:
+        """Packed key → hop of every route at or under the prefix whose
+        key is ``key`` (``hi``: the key just past its range, ``None`` past
+        every key), from its :meth:`locate` base rows ``[lo, end)``."""
+        out = dict(zip(self.keys[lo:end].tolist(),
+                       self.hops[lo:end].tolist()))
+        okeys = self.overlay_keys
+        if okeys:
+            a = bisect_left(okeys, key)
+            b = len(okeys) if hi is None else bisect_left(okeys, hi)
+            for k in okeys[a:b]:
+                hop = self.overlay[k]
+                if hop is None:
+                    out.pop(k, None)
+                else:
+                    out[k] = hop
+        return out
+
+    def set(self, key: int, hop: Optional[NextHop]) -> None:
+        """Record ``key``'s new hop (``None``: withdrawn) in the overlay;
+        the caller keeps :attr:`size`."""
+        if key not in self.overlay:
+            insort(self.overlay_keys, key)
+            length = key & _LEN_MASK
+            if length not in self.overlay_lengths:
+                self.overlay_lengths.add(length)
+                if length not in self.levels:
+                    insort(self.levels, length)
+        self.overlay[key] = hop
+
+    def columns(self) -> _Columns:
+        """The current table as sorted ``(packed keys, hops)`` columns."""
+        keys, hops = self.keys, self.hops
+        if not self.overlay:
+            return keys, hops
+        okeys = np.array(self.overlay_keys, dtype=keys.dtype)
+        ohops = [self.overlay[k] for k in self.overlay_keys]
+        live = np.array([h is not None for h in ohops], dtype=bool)
+        keep = np.ones(len(keys), dtype=bool)
+        if len(keys):
+            at = keys.searchsorted(okeys)
+            keep[at[keys.take(at, mode="clip") == okeys]] = False
+        keys = np.concatenate((keys[keep], okeys[live]))
+        hops = np.concatenate((
+            hops[keep],
+            np.array([h for h in ohops if h is not None], dtype=np.int64),
+        ))
+        order = np.argsort(keys)
+        return keys[order], hops[order]
 
 
 class MinimizeState:
@@ -731,6 +931,14 @@ class MinimizeState:
     the minimal announce/withdraw diff on the minimised table (splitting
     merged entries as needed), and ``state.translate_schedule`` maps a
     whole churn schedule up front.
+
+    The churn state is the original and the minimised table as the sorted
+    ``(packed key, hop)`` columns :func:`minimize_table` built, read-only,
+    each with a small overlay of the keys churn touched
+    (``_ChurnedColumns``).  Updates are located in the base columns with
+    one ``searchsorted`` per block of updates, then each costs its region
+    and a few overlay probes; a fork copies only the overlays.  Churn
+    costs scale with the schedule, not with the table.
     """
 
     def __init__(
@@ -742,12 +950,13 @@ class MinimizeState:
         stats: MinimizeStats,
     ):
         """``original`` and ``minimized`` are ``(packed keys, hops)``
-        columns sorted by key."""
+        columns sorted by key; the state marks them read-only and keeps
+        them as its churn base."""
         self.width = width
         self.passes = passes
         self.stats = stats
-        self._okeys, self._orig = _key_index(*original)
-        self._mkeys, self._min = _key_index(*minimized)
+        self._orig = _ChurnedColumns(*original, width)
+        self._min = _ChurnedColumns(*minimized, width)
         #: The minimised routing table (mutated in place by apply_update).
         self.table = _table_of(*minimized, width)
 
@@ -755,37 +964,29 @@ class MinimizeState:
 
     @property
     def original_routes(self) -> int:
-        return len(self._orig)
+        return self._orig.size
 
     @property
     def minimized_routes(self) -> int:
-        return len(self._min)
+        return self._min.size
 
     @property
     def ratio(self) -> float:
         """Current original/minimised size ratio (drifts under churn)."""
-        if not self._orig:
+        if not self._orig.size:
             return 1.0
-        return len(self._orig) / max(len(self._min), 1)
+        return self._orig.size / max(self._min.size, 1)
 
     def original_table(self) -> RoutingTable:
         """Materialise the (churn-evolved) original table — the oracle the
         equivalence contract is stated against."""
-        keys, n = self._okeys, len(self._okeys)
-        return _table_of(
-            np.fromiter(keys, dtype=_key_dtype(self.width), count=n),
-            np.fromiter(map(self._orig.__getitem__, keys), dtype=np.int64,
-                        count=n),
-            self.width,
-        )
+        return _table_of(*self._orig.columns(), self.width)
 
-    def _fork_keys(self) -> "MinimizeState":
-        """An independent copy of the packed-key state only, with no
-        table: :meth:`translate_schedule` advances it through a schedule
-        via :meth:`_advance` without touching this state (copying the
-        table would materialise a ``Prefix`` per route for nothing)."""
-        from dataclasses import replace
-
+    def _fork(self) -> "MinimizeState":
+        """An independent copy of the churn state, with no table:
+        :meth:`translate_schedule` advances it through a schedule via
+        :meth:`_advance` without touching this state.  The base columns
+        are shared (read-only); only the overlays are copied."""
         fork = MinimizeState.__new__(MinimizeState)
         fork.width = self.width
         fork.passes = self.passes
@@ -794,45 +995,10 @@ class MinimizeState:
             after_pass=dict(self.stats.after_pass),
             pass_seconds=dict(self.stats.pass_seconds),
         )
-        fork._orig = dict(self._orig)
-        fork._okeys = list(self._okeys)
-        fork._min = dict(self._min)
-        fork._mkeys = list(self._mkeys)
+        fork._orig = self._orig.fork()
+        fork._min = self._min.fork()
         fork.table = None
         return fork
-
-    # -- internals -----------------------------------------------------------
-
-    def _nearest_ancestor(
-        self, routes: Dict[int, int], value: int, length: int
-    ) -> NextHop:
-        """Hop of the nearest strict ancestor of (value, length) present in
-        ``routes`` (NO_ROUTE if uncovered) — O(width) dict probes."""
-        for l in range(length - 1, -1, -1):
-            sh = self.width - l
-            k = (((value >> sh) << sh) << KEY_SHIFT) | l
-            h = routes.get(k)
-            if h is not None:
-                return h
-        return NO_ROUTE
-
-    def _range_entries(
-        self, routes: Dict[int, int], skeys: List[int], prefix: Prefix
-    ) -> List[_Entry]:
-        """All entries at-or-under ``prefix`` via bisect on the sorted
-        packed-key list."""
-        lo = bisect_left(skeys, prefix.value << KEY_SHIFT)
-        if prefix.length:
-            hi = bisect_left(
-                skeys, (prefix.last_address() + 1) << KEY_SHIFT
-            )
-        else:
-            hi = len(skeys)
-        out = []
-        for k in skeys[lo:hi]:
-            if (k & _LEN_MASK) >= prefix.length:
-                out.append((k >> KEY_SHIFT, k & _LEN_MASK, routes[k]))
-        return out
 
     # -- churn ---------------------------------------------------------------
 
@@ -849,7 +1015,7 @@ class MinimizeState:
         against the minimised table (and already applied to
         ``self.table``).
         """
-        ops = self._advance(update)
+        ops = self._advance(update, *self._locate([update.prefix])[0])
         for op in ops:
             if op.next_hop is None:
                 self.table.remove(op.prefix)
@@ -857,63 +1023,83 @@ class MinimizeState:
                 self.table.update(op.prefix, op.next_hop)
         return ops
 
-    def _advance(self, update: RouteUpdate) -> List[RouteUpdate]:
-        """:meth:`apply_update` on the packed-key dicts alone (the caller
-        applies the returned ops to a table, if it keeps one)."""
+    def _locate(
+        self, prefixes: Sequence[Prefix]
+    ) -> List[Tuple[Optional[_Located], Optional[_Located]]]:
+        """Where each prefix sits in the original's and the minimised
+        table's base columns."""
+        return list(zip(self._orig.locate(prefixes),
+                        self._min.locate(prefixes)))
+
+    def _advance(
+        self,
+        update: RouteUpdate,
+        orig_at: Optional[_Located],
+        min_at: Optional[_Located],
+    ) -> List[RouteUpdate]:
+        """:meth:`apply_update` on the churn state alone, given where the
+        prefix sits in both base tables (:meth:`_locate`); the caller
+        applies the returned ops to a table, if it keeps one."""
         p = update.prefix
         h = update.next_hop
-        if p.width != self.width:
+        width = self.width
+        if p.width != width:
             raise TableError(
-                f"prefix width {p.width} != minimised table width {self.width}"
+                f"prefix width {p.width} != minimised table width {width}"
             )
-        k = (p.value << KEY_SHIFT) | p.length
-        if h is None:
-            if k not in self._orig:
-                raise TableError(f"withdrawal of absent prefix {p}")
-            del self._orig[k]
-            del self._okeys[bisect_left(self._okeys, k)]
-        else:
-            if k not in self._orig:
-                insort(self._okeys, k)
-            self._orig[k] = h
+        length = p.length
+        k = (p.value << KEY_SHIFT) | length
+        end = p.last_address() + 1
+        hi = None if end >> width else end << KEY_SHIFT
+        orig, mini = self._orig, self._min
+        o_present, o_lo, o_end = orig_at
+        m_present, m_lo, m_end = min_at
 
-        region = self._range_entries(self._orig, self._okeys, p)
-        base = self._nearest_ancestor(self._orig, p.value, p.length)
-        inherited = self._nearest_ancestor(self._min, p.value, p.length)
+        known = orig.overlay.get(k, _BASE)
+        present = (length in o_present) if known is _BASE else (
+            known is not None
+        )
+        if h is None:
+            if not present:
+                raise TableError(f"withdrawal of absent prefix {p}")
+            orig.size -= 1
+        elif not present:
+            orig.size += 1
+        orig.set(k, h)
+
         rebuilt = _ortc_region(
-            region,
-            self.width,
+            [(kk >> KEY_SHIFT, kk & _LEN_MASK, hop)
+             for kk, hop in orig.region(o_lo, o_end, k, hi).items()],
+            width,
             root_value=p.value,
-            root_length=p.length,
-            base_hop=base,
-            root_inherited=inherited,
+            root_length=length,
+            base_hop=orig.nearest(p, o_present),
+            root_inherited=mini.nearest(p, m_present),
         )
 
-        old = {
-            (v << KEY_SHIFT) | l: hop
-            for v, l, hop in self._range_entries(self._min, self._mkeys, p)
-        }
+        old = mini.region(m_lo, m_end, k, hi)
         new = {(v << KEY_SHIFT) | l: hop for v, l, hop in rebuilt}
         ops: List[RouteUpdate] = []
         for kk in sorted(old):
             if kk not in new:
-                prefix = Prefix(kk >> KEY_SHIFT, kk & _LEN_MASK, self.width)
+                prefix = Prefix(kk >> KEY_SHIFT, kk & _LEN_MASK, width)
                 ops.append(RouteUpdate(prefix, None))
-                del self._min[kk]
-                del self._mkeys[bisect_left(self._mkeys, kk)]
+                mini.set(kk, None)
+                mini.size -= 1
         for kk in sorted(new):
             hop = new[kk]
-            if old.get(kk) == hop:
+            was = old.get(kk)
+            if was == hop:
                 continue
-            prefix = Prefix(kk >> KEY_SHIFT, kk & _LEN_MASK, self.width)
+            prefix = Prefix(kk >> KEY_SHIFT, kk & _LEN_MASK, width)
             ops.append(RouteUpdate(prefix, hop))
-            if kk not in self._min:
-                insort(self._mkeys, kk)
-            self._min[kk] = hop
+            if was is None:
+                mini.size += 1
+            mini.set(kk, hop)
         self.stats.churn_events += 1
         self.stats.churn_ops += len(ops)
         self.stats.churn_entry_delta = (
-            len(self._min) - self.stats.minimized_routes
+            mini.size - self.stats.minimized_routes
         )
         return ops
 
@@ -923,18 +1109,24 @@ class MinimizeState:
         Each original event becomes zero or more minimised-table events at
         the *same cycle* (withdrawals before announces, applied atomically
         before that cycle's packet arrivals), computed by advancing a
-        copy of this state's packed keys through the schedule —
+        fork of this state's churn columns through the schedule —
         translation depends only on the table, never on traffic, which is
         what lets both simulation engines replay the result unmodified.
+        The fork shares the read-only base columns and copies only the
+        overlays, so translation costs what the schedule touches.
         It also validates the schedule: a withdrawal of an absent prefix
         or a width mismatch raises :class:`~repro.errors.TableError`, and
         every translated op applies cleanly, in order, to :attr:`table`.
         """
-        fork = self._fork_keys()
+        fork = self._fork()
+        source = schedule.events()
         events: List[ChurnEvent] = []
-        for ev in schedule.events():
-            for op in fork._advance(ev.update):
-                events.append(ChurnEvent(ev.cycle, op))
+        for start in range(0, len(source), _LOCATE_BLOCK):
+            block = source[start:start + _LOCATE_BLOCK]
+            located = self._locate([ev.update.prefix for ev in block])
+            for ev, (orig_at, min_at) in zip(block, located):
+                for op in fork._advance(ev.update, orig_at, min_at):
+                    events.append(ChurnEvent(ev.cycle, op))
         return ChurnSchedule(events, seed=schedule.seed)
 
 
@@ -946,7 +1138,9 @@ def minimize_table(
     ``passes`` is ``"full"`` (defaults → ortc → oc), ``"ortc"``,
     ``"light"`` (defaults → oc, no ORTC), or an explicit pass tuple.
     The returned state's ``.table`` answers every lookup identically to
-    ``table``.
+    ``table``.  An ``oc`` pass straight after ``ortc`` is skipped: ORTC's
+    output is minimal, so ordered covering provably finds nothing there
+    (its ``after_pass`` count is ORTC's and its ``pass_seconds`` is 0).
     """
     t0 = time.perf_counter()
     names = _resolve_passes(passes)
@@ -955,10 +1149,13 @@ def minimize_table(
     keys, hops = original
     after: Dict[str, int] = {}
     seconds: Dict[str, float] = {}
-    for name in names:
-        t = time.perf_counter()
-        keys, hops = _PASSES[name](keys, hops, width)
-        seconds[name] = time.perf_counter() - t
+    for i, name in enumerate(names):
+        if name == "oc" and i and names[i - 1] == "ortc":
+            seconds[name] = 0.0
+        else:
+            t = time.perf_counter()
+            keys, hops = _PASSES[name](keys, hops, width)
+            seconds[name] = time.perf_counter() - t
         after[name] = len(keys)
     stats = MinimizeStats(
         passes=names,

@@ -6,19 +6,27 @@ passes replaced, kept as the readable reference: the suite requires the
 columnar passes to reproduce them entry for entry.  The ORTC oracle is the
 module's own scalar :func:`~repro.routing.minimize._ortc_region` (the churn
 path) run with its default anchors.
+
+:class:`DictChurnOracle` is the churn state as plain key dicts and sorted
+key lists; :class:`~repro.routing.minimize.MinimizeState`, which keeps
+read-only sorted columns plus an overlay, must reproduce it op for op.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from typing import Dict, List, Sequence, Tuple, Union
 
+from repro.errors import TableError
 from repro.routing.minimize import (
     KEY_SHIFT,
     _LEN_MASK,
     _ortc_region,
     _resolve_passes,
 )
-from repro.routing.table import NO_ROUTE, RoutingTable
+from repro.routing.prefix import Prefix
+from repro.routing.table import NO_ROUTE, NextHop, RoutingTable
+from repro.routing.updates import RouteUpdate
 
 Entry = Tuple[int, int, int]  # (value, length, hop)
 
@@ -111,3 +119,102 @@ def scalar_minimize(
         entries = scalar_pass(name, entries, table.width)
         after[name] = len(entries)
     return entries, after
+
+
+class DictChurnOracle:
+    """Churn translation over key dicts: the original and the minimised
+    table each as a packed key → hop dict plus its sorted key list.
+
+    Start it from the same two tables a
+    :class:`~repro.routing.minimize.MinimizeState` holds; :meth:`advance`
+    then returns what ``MinimizeState.apply_update`` must return.
+    """
+
+    def __init__(
+        self, original: List[Entry], minimized: List[Entry], width: int
+    ):
+        self.width = width
+        self.orig = {(v << KEY_SHIFT) | l: h for v, l, h in original}
+        self.okeys = sorted(self.orig)
+        self.min = {(v << KEY_SHIFT) | l: h for v, l, h in minimized}
+        self.mkeys = sorted(self.min)
+
+    def original_entries(self) -> List[Entry]:
+        return [(k >> KEY_SHIFT, k & _LEN_MASK, self.orig[k])
+                for k in self.okeys]
+
+    def minimized_entries(self) -> List[Entry]:
+        return [(k >> KEY_SHIFT, k & _LEN_MASK, self.min[k])
+                for k in self.mkeys]
+
+    def _nearest_ancestor(
+        self, routes: Dict[int, int], value: int, length: int
+    ) -> NextHop:
+        """Hop of the nearest strict ancestor in ``routes`` (``NO_ROUTE``
+        if uncovered), one dict probe per shorter length."""
+        for l in range(length - 1, -1, -1):
+            sh = self.width - l
+            h = routes.get((((value >> sh) << sh) << KEY_SHIFT) | l)
+            if h is not None:
+                return h
+        return NO_ROUTE
+
+    @staticmethod
+    def _range_entries(
+        routes: Dict[int, int], skeys: List[int], prefix: Prefix
+    ) -> List[Entry]:
+        """Every entry at or under ``prefix``, by bisecting the sorted
+        key list."""
+        lo = bisect_left(skeys, prefix.value << KEY_SHIFT)
+        hi = (bisect_left(skeys, (prefix.last_address() + 1) << KEY_SHIFT)
+              if prefix.length else len(skeys))
+        return [(k >> KEY_SHIFT, k & _LEN_MASK, routes[k])
+                for k in skeys[lo:hi] if (k & _LEN_MASK) >= prefix.length]
+
+    def advance(self, update: RouteUpdate) -> List[RouteUpdate]:
+        p, h = update.prefix, update.next_hop
+        if p.width != self.width:
+            raise TableError(
+                f"prefix width {p.width} != minimised table width {self.width}"
+            )
+        k = (p.value << KEY_SHIFT) | p.length
+        if h is None:
+            if k not in self.orig:
+                raise TableError(f"withdrawal of absent prefix {p}")
+            del self.orig[k]
+            del self.okeys[bisect_left(self.okeys, k)]
+        else:
+            if k not in self.orig:
+                insort(self.okeys, k)
+            self.orig[k] = h
+
+        rebuilt = _ortc_region(
+            self._range_entries(self.orig, self.okeys, p),
+            self.width,
+            root_value=p.value,
+            root_length=p.length,
+            base_hop=self._nearest_ancestor(self.orig, p.value, p.length),
+            root_inherited=self._nearest_ancestor(
+                self.min, p.value, p.length
+            ),
+        )
+        old = {(v << KEY_SHIFT) | l: hop for v, l, hop
+               in self._range_entries(self.min, self.mkeys, p)}
+        new = {(v << KEY_SHIFT) | l: hop for v, l, hop in rebuilt}
+        ops: List[RouteUpdate] = []
+        for kk in sorted(old):
+            if kk not in new:
+                prefix = Prefix(kk >> KEY_SHIFT, kk & _LEN_MASK, self.width)
+                ops.append(RouteUpdate(prefix, None))
+                del self.min[kk]
+                del self.mkeys[bisect_left(self.mkeys, kk)]
+        for kk in sorted(new):
+            hop = new[kk]
+            if old.get(kk) == hop:
+                continue
+            prefix = Prefix(kk >> KEY_SHIFT, kk & _LEN_MASK, self.width)
+            ops.append(RouteUpdate(prefix, hop))
+            if kk not in self.min:
+                insort(self.mkeys, kk)
+            self.min[kk] = hop
+        return ops

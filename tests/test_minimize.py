@@ -8,7 +8,9 @@ through a full simulation replay.  The recursive ORTC constructor
 *minimality*: the array pipeline must reproduce its output bit for bit.
 The scalar walks in ``tests/minimize_oracle.py`` are the oracle for the
 columnar passes: every pass and pass set must reproduce them entry for
-entry.
+entry.  Its ``DictChurnOracle`` (the churn state as key dicts) is the
+oracle for churn: ``apply_update`` and ``translate_schedule`` must
+reproduce it op for op at widths 32 and 128.
 """
 
 import dataclasses
@@ -23,9 +25,8 @@ from repro.routing import (
     RoutingTable,
     random_small_table,
 )
-from repro.routing.churn import generate_churn
+from repro.routing.churn import ChurnEvent, ChurnSchedule, generate_churn
 from repro.routing.minimize import (
-    KEY_SHIFT,
     PASS_SETS,
     minimization_ratio,
     minimize_table,
@@ -43,7 +44,12 @@ from repro.tries import (
     MultibitTrie,
 )
 
-from .minimize_oracle import entries_of, scalar_minimize, scalar_pass
+from .minimize_oracle import (
+    DictChurnOracle,
+    entries_of,
+    scalar_minimize,
+    scalar_pass,
+)
 from .ortc_oracle import _aggregate_table_recursive
 
 MATCHERS = (BinaryTrie, LCTrie, LuleaTrie, MultibitTrie, HashReferenceMatcher)
@@ -66,6 +72,15 @@ def probe_addresses(table, rng, n_extra=60):
 def assert_equivalent(original, candidate, addrs):
     for a in addrs:
         assert candidate.lookup(a) == original.lookup(a), hex(a)
+
+
+def assert_state_holds(state, original, minimized):
+    """``state``'s churn state holds exactly these sorted entries, whatever
+    its layout: its original table, its minimised table and their sizes."""
+    assert entries_of(state.original_table()) == original
+    assert sorted(entries_of(state.table)) == minimized
+    assert state.original_routes == len(original)
+    assert state.minimized_routes == len(minimized)
 
 
 @st.composite
@@ -132,6 +147,73 @@ def oracle_tables(draw):
     for (value, length), hop in unique.items():
         table.update(Prefix(value, length, width), hop)
     return table
+
+
+@st.composite
+def churn_cases(draw):
+    """``(table, updates, mode)`` at width 32 or 128: an applicable update
+    sequence that withdraws and re-announces keys, changes the hop of base
+    keys, announces and withdraws the default route, and announces fresh
+    prefixes along a few shared paths (so regions nest and overlap)."""
+    width = draw(st.sampled_from([32, 128]))
+    hop = st.integers(NO_ROUTE, draw(st.integers(0, 6)))
+    paths = draw(
+        st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=3)
+    )
+
+    def fresh():
+        value = draw(st.one_of(st.sampled_from(paths),
+                               st.integers(0, (1 << width) - 1)))
+        length = draw(st.one_of(st.integers(0, width),
+                                st.sampled_from([1, 8, width - 1, width])))
+        mask = ((1 << length) - 1) << (width - length) if length else 0
+        return value & mask, length
+
+    live = {fresh(): draw(hop) for _ in range(draw(st.integers(0, 30)))}
+    if draw(st.booleans()):
+        table = ArrayRoutingTable(
+            [v for v, _ in live],
+            np.array([l for _, l in live], dtype=np.int64),
+            np.array(list(live.values()), dtype=np.int64),
+            width,
+        )
+    else:
+        table = RoutingTable(width)
+        for (value, length), h in live.items():
+            table.update(Prefix(value, length, width), h)
+    gone = []
+    updates = []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(
+            ("withdraw", "reannounce", "modify", "default", "fresh")
+        ))
+        if kind == "withdraw" and live:
+            key = draw(st.sampled_from(sorted(live)))
+        elif kind == "reannounce" and gone:
+            key = draw(st.sampled_from(gone))
+        elif kind == "modify" and live:
+            key = draw(st.sampled_from(sorted(live)))
+        elif kind == "default":
+            key = (0, 0)
+            kind = "withdraw" if key in live else "fresh"
+        else:
+            key, kind = fresh(), "fresh"
+        prefix = Prefix(key[0], key[1], width)
+        if kind == "withdraw":
+            del live[key]
+            gone.append(key)
+            updates.append(RouteUpdate(prefix, None))
+        else:
+            live[key] = draw(hop)
+            updates.append(RouteUpdate(prefix, live[key]))
+    return table, updates, draw(st.sampled_from(sorted(PASS_SETS)))
+
+
+def schedule_of(updates, start=0):
+    """One update every 10 cycles, from cycle ``10 * start``."""
+    return ChurnSchedule(
+        [ChurnEvent(10 * i, u) for i, u in enumerate(updates, start)]
+    )
 
 
 def wide_alphabet_table(symbols):
@@ -268,25 +350,18 @@ class TestScalarOracle:
             state = minimize_table(table, passes)
             assert entries_of(state.table) == expected
             assert state.stats.after_pass == after
-            assert state._min == {
-                (v << KEY_SHIFT) | l: h for v, l, h in expected
-            }
-            assert state._mkeys == sorted(state._min)
-            assert state._okeys == sorted(state._orig)
-            assert state._orig == {
-                (v << KEY_SHIFT) | l: h for v, l, h in entries_of(table)
-            }
+            assert_state_holds(state, sorted(entries_of(table)), expected)
         entries = entries_of(table)
         for name, transform in self.TRANSFORMS:
             assert entries_of(transform(table)) == scalar_pass(
                 name, entries, table.width
             )
 
-    def test_state_shares_key_objects(self):
-        state = minimize_table(random_small_table(200, seed=5), "full")
-        for keys, routes in ((state._okeys, state._orig),
-                             (state._mkeys, state._min)):
-            assert all(a is b for a, b in zip(keys, routes))
+    def test_state_entries_equal_its_tables(self):
+        table = random_small_table(200, seed=5)
+        state = minimize_table(table, "full")
+        expected, _ = scalar_minimize(table, "full")
+        assert_state_holds(state, sorted(entries_of(table)), expected)
 
 
 class TestEquivalenceProperties:
@@ -370,6 +445,53 @@ class TestChurn:
             addrs = probe_addresses(evolved, rng, n_extra=40)
             assert_equivalent(evolved, state.table, addrs)
             assert_equivalent(evolved, state.original_table(), addrs)
+
+    @given(churn_cases())
+    @settings(max_examples=120, deadline=None)
+    def test_churn_state_matches_dict_oracle(self, case):
+        table, updates, mode = case
+        state = minimize_table(table, mode)
+        oracle = DictChurnOracle(
+            sorted(entries_of(table)), entries_of(state.table), table.width
+        )
+        translated = state.translate_schedule(schedule_of(updates))
+        expected = []
+        for i, update in enumerate(updates):
+            ops = oracle.advance(update)
+            assert state.apply_update(update) == ops
+            expected += [ChurnEvent(10 * i, op) for op in ops]
+            assert_state_holds(state, oracle.original_entries(),
+                               oracle.minimized_entries())
+        assert translated.events() == expected
+
+    @given(churn_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_translation_leaves_state_untouched(self, case):
+        """Translating forks the state: a state that translated (before
+        and after some churn of its own) applies every update exactly
+        like a fresh state that never translated."""
+        table, updates, mode = case
+        used = minimize_table(table, mode)
+        fresh = minimize_table(table, mode)
+        half = len(updates) // 2
+        translations = [used.translate_schedule(schedule_of(updates))]
+        ops = []
+        for i, update in enumerate(updates):
+            if i == half:
+                translations.append(
+                    used.translate_schedule(schedule_of(updates[i:], i))
+                )
+            step = fresh.apply_update(update)
+            assert used.apply_update(update) == step
+            ops += [ChurnEvent(10 * i, op) for op in step]
+        assert translations[0].events() == ops
+        assert translations[1].events() == [
+            e for e in ops if e.cycle >= 10 * half
+        ]
+        assert_state_holds(used, entries_of(fresh.original_table()),
+                           sorted(entries_of(fresh.table)))
+        for counter in ("churn_events", "churn_ops", "churn_entry_delta"):
+            assert getattr(used.stats, counter) == getattr(fresh.stats, counter)
 
     def test_withdraw_absent_raises(self):
         state = minimize_table(RoutingTable(), "full")

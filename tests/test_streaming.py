@@ -112,6 +112,27 @@ def test_streamed_trace_identical():
 
 _PROP_TABLE = random_small_table(120, seed=29, max_length=20)
 
+#: Destinations for the chunking and window tests: spread over the whole
+#: 32-bit space, because ``_PROP_TABLE``'s control bits are high-order
+#: bits and every address below 2^16 shares one home set; few enough
+#: that the caches still see reuse.
+_DEST_POOL = np.random.default_rng(2004).integers(
+    0, 1 << 32, size=400, dtype=np.uint64
+)
+
+
+def _dests(rng, size: int, pool: int = 200) -> np.ndarray:
+    """``size`` destinations drawn from the first ``pool`` of the pool."""
+    return _DEST_POOL[rng.integers(0, pool, size=size)]
+
+
+def _assert_every_lc_is_home(config, raw):
+    """The run's destinations reach every LC as a home LC (so at least 2
+    whenever the router has 2), on the run-start plan."""
+    plan = SpalSimulator(_PROP_TABLE, config=config).plan
+    homes = np.unique(plan.home_lc_batch(np.concatenate(raw)))
+    assert homes.tolist() == list(range(config.n_lcs))
+
 
 def _prop_scenario(with_faults, with_churn):
     config = SpalConfig(
@@ -158,11 +179,10 @@ def test_random_chunk_boundaries_bit_identical(data):
     n = data.draw(st.integers(30, 160), label="n_packets")
 
     rng = np.random.default_rng(seed)
-    raw = [
-        rng.integers(0, 200, size=n).astype(np.uint64) for _ in range(3)
-    ]
+    raw = [_dests(rng, n) for _ in range(3)]
 
     config, kwargs = _prop_scenario(with_faults, with_churn)
+    _assert_every_lc_is_home(config, raw)
     base, ev_base, _ = _run(
         _PROP_TABLE, config, [s.copy() for s in raw], kwargs, trace=True
     )
@@ -193,7 +213,7 @@ def test_capped_windows_match_scalar_and_per_packet_chunks():
     cap = array_engine._WINDOW_CAP
     lengths = [3 * cap + 1, 3 * cap + 517, 3 * cap + 2049]
     rng = np.random.default_rng(41)
-    raw = [rng.integers(0, 400, size=n).astype(np.uint64) for n in lengths]
+    raw = [_dests(rng, n, pool=400) for n in lengths]
     horizon = int(min(lengths) * LinkSpec(40).mean_interarrival_cycles)
     config = SpalConfig(
         n_lcs=3,
@@ -201,6 +221,7 @@ def test_capped_windows_match_scalar_and_per_packet_chunks():
         replicas=2,
         fe_lookup_cycles=5,
     )
+    _assert_every_lc_is_home(config, raw)
 
     def kwargs():
         return {
@@ -324,10 +345,10 @@ def test_windows_and_precompute_blocks_are_capped(monkeypatch, n_lcs):
     cap = 48
     monkeypatch.setattr(array_engine, "_WINDOW_CAP", cap)
     rng = np.random.default_rng(n_lcs)
-    raw = [rng.integers(0, 200, size=5 * cap + 7 * lc).astype(np.uint64)
-           for lc in range(n_lcs)]
+    raw = [_dests(rng, 5 * cap + 7 * lc) for lc in range(n_lcs)]
     config = SpalConfig(n_lcs=n_lcs, cache=CacheConfig(n_blocks=32),
                         fe_lookup_cycles=5)
+    _assert_every_lc_is_home(config, raw)
     kwargs = {"warmup_packets": 3}
     base, _, _ = _run(_PROP_TABLE, config, [s.copy() for s in raw], kwargs,
                       engine="scalar")
