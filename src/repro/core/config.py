@@ -109,11 +109,10 @@ class SpalConfig:
     minimize:
         FIB-minimisation pass set applied to the routing table *before*
         partitioning: ``None`` (the default — table used as-is,
-        bit-identical to earlier revisions), ``"full"``
-        (default-removal + ORTC + ordered-covering; minimal output),
-        ``"ortc"`` (ORTC alone; equally minimal), or ``"light"``
-        (default-removal + ordered-covering; cheaper, non-minimal) — the
-        names of :data:`repro.routing.minimize.PASS_SETS`.
+        bit-identical to earlier revisions), ``"full"`` (ORTC; minimal
+        output) or ``"light"`` (default-removal + ordered-covering;
+        cheaper, non-minimal) — the names of
+        :data:`repro.routing.minimize.PASS_SETS`.
         Minimised tables answer every lookup identically to the
         original; churn schedules are translated on the fly (see
         :class:`repro.routing.minimize.MinimizeState`).

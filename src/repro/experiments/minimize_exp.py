@@ -8,13 +8,13 @@ for free.  This experiment quantifies the stage end to end:
 
 * **compression** — per table and pass set: routes surviving each pass,
   the final compression ratio, explicit null routes emitted, build time
-  and the seconds each pass took (``defaults_s``/``ortc_s``/``oc_s``, so
-  a regression points at one pass; ``full`` skips ordered covering after
-  ORTC, a provable no-op, so its ``oc_s`` is 0).  ``make_full_v4`` carries a
-  realistic hop-locality model (most more-specifics forward like their
-  covering aggregate), which is the structure ORTC's published ~50 %
-  reductions feed on; the RT_1/RT_2 profiles keep their original uniform
-  hop draws and therefore compress far less — both numbers are reported.
+  and the seconds each pass took (``ortc_s`` for ``full``,
+  ``defaults_s``/``oc_s`` for ``light``, so a regression points at one
+  pass).  ``make_full_v4`` carries a realistic hop-locality model (most
+  more-specifics forward like their covering aggregate), which is the
+  structure ORTC's published ~50 % reductions feed on; the RT_1/RT_2
+  profiles keep their original uniform hop draws and therefore compress
+  far less — both numbers are reported.
 * **storage** — per-LC CRAM at ψ: the largest packed Lulea / LC-trie
   pool over the partitions of the raw vs the minimised table, normalised
   to bytes per *original* prefix (the honest metric: minimisation does

@@ -1,32 +1,28 @@
-"""FIB minimisation: a three-pass, churn-safe table-compression pipeline.
+"""FIB minimisation: two named, churn-safe table-compression pipelines.
 
 SPAL's storage story (paper Tables 2–4) assumes each line card's CRAM holds
 its raw partition of the table.  The classical pre-partition mitigation is
 FIB minimisation — shrink the table *before* partitioning, without changing
-a single lookup answer — and this module implements the standard three-pass
-pipeline:
+a single lookup answer.  This module has three passes and names one
+pipeline per distinct output (:data:`PASS_SETS`):
 
-1. ``defaults`` — :func:`remove_default_routes` (after the SpiNNaker
-   minimiser of the same name): drop every entry whose next hop equals the
-   next hop of its nearest retained covering entry.  Such an entry is
-   *redundant*: removing it changes no longest-prefix-match answer because
-   the covering entry already supplies the same hop.
-2. ``ortc`` — :func:`ortc_table`: the Optimal Route Table Constructor
-   (Draves et al., INFOCOM 1999), reimplemented over a Patricia closure of
-   the prefix set (original prefixes plus the pairwise lowest common
-   ancestors of the sorted sequence, at most ``2n - 1`` nodes) with
-   candidate sets as hop bitmasks and O(1) collapse arithmetic for
-   path-compressed edges.  Unlike the textbook recursive construction,
-   no expanded binary trie is ever built.  Output is provably *minimal*:
-   no smaller LPM-equivalent table exists.
-3. ``oc`` — :func:`ordered_covering` (again after the SpiNNaker
-   exemplar): bottom-up merge of sibling pairs that share a next hop into
-   their parent (whose own entry, if present, is unreachable — the two
-   siblings cover its whole range), iterated with covered-entry removal to
-   a fixpoint.  After a full ORTC pass this is a provable no-op, so
-   :func:`minimize_table` skips it there; it exists as the cheap
-   standalone pass ("light" mode) and as the historical algorithm the
-   pipeline generalises.
+* ``"full"`` is ORTC alone — :func:`ortc_table`: the Optimal Route Table
+  Constructor (Draves et al., INFOCOM 1999), reimplemented over a Patricia
+  closure of the prefix set (original prefixes plus the pairwise lowest
+  common ancestors of the sorted sequence, at most ``2n - 1`` nodes) with
+  candidate sets as hop bitmasks and O(1) collapse arithmetic for
+  path-compressed edges.  Unlike the textbook recursive construction, no
+  expanded binary trie is ever built.  Output is provably *minimal*: no
+  smaller LPM-equivalent table exists.  It depends only on the forwarding
+  function, so an LPM-equivalent pre-pass cannot change it, and a sweep
+  after it finds nothing to merge.
+* ``"light"`` is ``defaults`` then ``oc``, the cheap SpiNNaker pipeline:
+  :func:`remove_default_routes` drops every entry whose next hop equals
+  the next hop of its nearest retained covering entry (removing it changes
+  no longest-prefix-match answer), and :func:`ordered_covering` merges
+  sibling pairs that share a next hop into their parent (whose own entry,
+  if present, is unreachable — the two siblings cover its whole range),
+  iterated with covered-entry removal to a fixpoint.
 
 **Columnar passes.**  A whole-table pass never walks the table entry by
 entry.  It reads the table's packed columns (:func:`table_columns`) as one
@@ -90,7 +86,7 @@ import copy
 import time
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,10 +103,10 @@ from .prefix import Prefix
 from .table import NO_ROUTE, NextHop, RoutingTable
 from .updates import RouteUpdate
 
-#: Pass sets accepted by :func:`minimize_table` / ``SpalConfig.minimize``.
+#: Pass sets accepted by :func:`minimize_table` / ``SpalConfig.minimize``:
+#: one name per distinct output.
 PASS_SETS: Dict[str, Tuple[str, ...]] = {
-    "full": ("defaults", "ortc", "oc"),
-    "ortc": ("ortc",),
+    "full": ("ortc",),
     "light": ("defaults", "oc"),
 }
 
@@ -119,20 +115,14 @@ _Entry = Tuple[int, int, int]  # (value, length, hop)
 _Columns = Tuple[np.ndarray, np.ndarray]
 
 
-def _resolve_passes(passes: Union[str, Sequence[str]]) -> Tuple[str, ...]:
-    if isinstance(passes, str):
-        try:
-            return PASS_SETS[passes]
-        except KeyError:
-            raise TableError(
-                f"unknown minimisation mode {passes!r}; "
-                f"expected one of {sorted(PASS_SETS)}"
-            ) from None
-    names = tuple(passes)
-    for name in names:
-        if name not in _PASSES:
-            raise TableError(f"unknown minimisation pass {name!r}")
-    return names
+def _resolve_passes(passes: str) -> Tuple[str, ...]:
+    try:
+        return PASS_SETS[passes]
+    except (KeyError, TypeError):
+        raise TableError(
+            f"unknown minimisation mode {passes!r}; "
+            f"expected one of {sorted(PASS_SETS)}"
+        ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +223,7 @@ class _Closure:
 
 
 # ---------------------------------------------------------------------------
-# Pass 1: covered-entry removal ("remove default routes")
+# Covered-entry removal ("remove default routes")
 # ---------------------------------------------------------------------------
 
 def _remove_covered(
@@ -255,12 +245,12 @@ def _remove_covered(
 
 
 def remove_default_routes(table: RoutingTable) -> RoutingTable:
-    """Pipeline pass 1 as a standalone transform (LPM-equivalent)."""
+    """``light``'s first pass as a standalone transform (LPM-equivalent)."""
     return _transform(table, _remove_covered)
 
 
 # ---------------------------------------------------------------------------
-# Pass 2: ORTC over a Patricia closure (path-compressed)
+# ORTC over a Patricia closure (path-compressed)
 # ---------------------------------------------------------------------------
 
 def _onehot(symbols: np.ndarray, words: int) -> np.ndarray:
@@ -594,15 +584,8 @@ def ortc_table(table: RoutingTable) -> RoutingTable:
     return _transform(table, _ortc)
 
 
-def aggregation_ratio(table: RoutingTable) -> float:
-    """Original size / aggregated size (≥ 1.0); 1.0 for an empty table."""
-    if len(table) == 0:
-        return 1.0
-    return len(table) / max(len(ortc_table(table)), 1)
-
-
 # ---------------------------------------------------------------------------
-# Pass 3: ordered covering (sibling merge + covered removal, to fixpoint)
+# Ordered covering (sibling merge + covered removal, to fixpoint)
 # ---------------------------------------------------------------------------
 
 def _merge_siblings(
@@ -670,7 +653,7 @@ def _ordered_covering(
 
 
 def ordered_covering(table: RoutingTable) -> RoutingTable:
-    """Pipeline pass 3 as a standalone transform (LPM-equivalent).
+    """``light``'s second pass as a standalone transform (LPM-equivalent).
 
     After :func:`ortc_table` this is a provable no-op (a surviving merge
     or removal would contradict ORTC's minimality); on raw tables it is
@@ -704,9 +687,7 @@ class MinimizeStats:
     original_routes: int
     minimized_routes: int
     after_pass: Dict[str, int] = field(default_factory=dict)
-    #: Wall-clock seconds per pass, keyed like ``after_pass``; ``0.0``
-    #: for an ``oc`` pass skipped straight after ``ortc`` (a provable
-    #: no-op there, see :func:`minimize_table`).
+    #: Wall-clock seconds per pass, keyed like ``after_pass``.
     pass_seconds: Dict[str, float] = field(default_factory=dict)
     null_routes: int = 0
     build_seconds: float = 0.0
@@ -946,14 +927,12 @@ class MinimizeState:
         width: int,
         original: Tuple[np.ndarray, np.ndarray],
         minimized: Tuple[np.ndarray, np.ndarray],
-        passes: Tuple[str, ...],
         stats: MinimizeStats,
     ):
         """``original`` and ``minimized`` are ``(packed keys, hops)``
         columns sorted by key; the state marks them read-only and keeps
         them as its churn base."""
         self.width = width
-        self.passes = passes
         self.stats = stats
         self._orig = _ChurnedColumns(*original, width)
         self._min = _ChurnedColumns(*minimized, width)
@@ -989,7 +968,6 @@ class MinimizeState:
         are shared (read-only); only the overlays are copied."""
         fork = MinimizeState.__new__(MinimizeState)
         fork.width = self.width
-        fork.passes = self.passes
         fork.stats = replace(
             self.stats,
             after_pass=dict(self.stats.after_pass),
@@ -1130,17 +1108,12 @@ class MinimizeState:
         return ChurnSchedule(events, seed=schedule.seed)
 
 
-def minimize_table(
-    table: RoutingTable, passes: Union[str, Sequence[str]] = "full"
-) -> MinimizeState:
+def minimize_table(table: RoutingTable, passes: str = "full") -> MinimizeState:
     """Run the minimisation pipeline; return live, churn-safe state.
 
-    ``passes`` is ``"full"`` (defaults → ortc → oc), ``"ortc"``,
-    ``"light"`` (defaults → oc, no ORTC), or an explicit pass tuple.
-    The returned state's ``.table`` answers every lookup identically to
-    ``table``.  An ``oc`` pass straight after ``ortc`` is skipped: ORTC's
-    output is minimal, so ordered covering provably finds nothing there
-    (its ``after_pass`` count is ORTC's and its ``pass_seconds`` is 0).
+    ``passes`` names a pass set: ``"full"`` (ORTC; minimal output) or
+    ``"light"`` (defaults → oc, no ORTC).  The returned state's ``.table``
+    answers every lookup identically to ``table``.
     """
     t0 = time.perf_counter()
     names = _resolve_passes(passes)
@@ -1149,13 +1122,10 @@ def minimize_table(
     keys, hops = original
     after: Dict[str, int] = {}
     seconds: Dict[str, float] = {}
-    for i, name in enumerate(names):
-        if name == "oc" and i and names[i - 1] == "ortc":
-            seconds[name] = 0.0
-        else:
-            t = time.perf_counter()
-            keys, hops = _PASSES[name](keys, hops, width)
-            seconds[name] = time.perf_counter() - t
+    for name in names:
+        t = time.perf_counter()
+        keys, hops = _PASSES[name](keys, hops, width)
+        seconds[name] = time.perf_counter() - t
         after[name] = len(keys)
     stats = MinimizeStats(
         passes=names,
@@ -1167,21 +1137,16 @@ def minimize_table(
         null_routes=int(np.count_nonzero(hops == NO_ROUTE)),
         build_seconds=time.perf_counter() - t0,
     )
-    return MinimizeState(width, original, (keys, hops), names, stats)
+    return MinimizeState(width, original, (keys, hops), stats)
 
 
-def minimization_ratio(
-    table: RoutingTable, passes: Union[str, Sequence[str]] = "full"
-) -> float:
+def minimization_ratio(table: RoutingTable, passes: str = "full") -> float:
     """Original size / minimised size (1.0 for an empty table)."""
-    if len(table) == 0:
-        return 1.0
     return minimize_table(table, passes).stats.ratio
 
 
 __all__ = [
     "PASS_SETS",
-    "aggregation_ratio",
     "MinimizeState",
     "MinimizeStats",
     "minimize_table",

@@ -15,7 +15,7 @@ read-only sorted columns plus an overlay, must reproduce it op for op.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Tuple
 
 from repro.errors import TableError
 from repro.routing.minimize import (
@@ -110,9 +110,9 @@ def scalar_pass(name: str, entries: List[Entry], width: int) -> List[Entry]:
 
 
 def scalar_minimize(
-    table: RoutingTable, passes: Union[str, Sequence[str]]
+    table: RoutingTable, passes: str
 ) -> Tuple[List[Entry], Dict[str, int]]:
-    """The pipeline as scalar walks: ``(sorted entries, after_pass)``."""
+    """A named pass set as scalar walks: ``(sorted entries, after_pass)``."""
     entries = sorted(entries_of(table))
     after: Dict[str, int] = {}
     for name in _resolve_passes(passes):

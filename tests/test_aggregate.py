@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.routing import Prefix, RoutingTable, random_small_table
-from repro.routing.minimize import aggregation_ratio, ortc_table
+from repro.routing.minimize import minimization_ratio, ortc_table
 
 from .ortc_oracle import _aggregate_table_recursive
 
@@ -99,8 +99,8 @@ class TestAtScale:
         table = RoutingTable.from_strings(
             [("10.0.0.0/9", 1), ("10.128.0.0/9", 1)]
         )
-        assert aggregation_ratio(table) == pytest.approx(2.0)
-        assert aggregation_ratio(RoutingTable()) == 1.0
+        assert minimization_ratio(table) == pytest.approx(2.0)
+        assert minimization_ratio(RoutingTable()) == 1.0
 
     def test_idempotent(self):
         table = random_small_table(200, seed=45)

@@ -47,6 +47,7 @@ from repro.tries import (
 from .minimize_oracle import (
     DictChurnOracle,
     entries_of,
+    remove_covered_entries,
     scalar_minimize,
     scalar_pass,
 )
@@ -281,17 +282,27 @@ class TestKnownCases:
         assert minimization_ratio(RoutingTable()) == 1.0
 
     def test_unknown_pass_set_rejected(self):
-        with pytest.raises(TableError):
-            minimize_table(RoutingTable(), "fastest")
+        # Only pass-set names are accepted, not pass tuples or lists.
+        for passes in ("fastest", "ortc", ("ortc",), ["oc"]):
+            with pytest.raises(TableError):
+                minimize_table(RoutingTable(), passes)
 
     def test_stats_are_populated(self):
         table = random_small_table(300, seed=7, max_length=18)
         stats = minimize_table(table, "full").stats
         assert stats.original_routes == len(table)
-        assert stats.after_pass["defaults"] >= stats.after_pass["ortc"]
-        assert stats.minimized_routes == stats.after_pass["oc"]
+        assert stats.after_pass == {"ortc": stats.minimized_routes}
+        assert tuple(stats.pass_seconds) == ("ortc",)
         assert stats.ratio >= 1.0
         assert stats.build_seconds >= 0.0
+        light = minimize_table(table, "light").stats
+        after = light.after_pass
+        assert light.original_routes == len(table)
+        assert tuple(after) == tuple(light.pass_seconds) == ("defaults", "oc")
+        assert len(table) >= after["defaults"] >= after["oc"]
+        assert after["oc"] == light.minimized_routes
+        # ORTC's output is minimal: the cheaper pipeline cannot beat it.
+        assert light.minimized_routes >= stats.minimized_routes
 
 
 class TestMinimalityOracle:
@@ -312,11 +323,10 @@ class TestMinimalityOracle:
         assert sorted(ref.routes()) == sorted(new.routes())
 
     def test_full_equals_ortc_size(self):
-        # "full" adds cheap pre/post passes but cannot beat ORTC's
-        # proven minimum — nor fall short of it.
+        # "full" is ORTC alone: its table is ortc_table's, route for route.
         table = random_small_table(500, seed=11, max_length=20)
-        assert len(minimize_table(table, "full").table) == len(
-            ortc_table(table)
+        assert entries_of(minimize_table(table, "full").table) == (
+            entries_of(ortc_table(table))
         )
 
     @pytest.mark.parametrize("symbols", [63, 64, 65])
@@ -331,11 +341,60 @@ class TestMinimalityOracle:
             assert entries_of(minimize_table(table, mode).table) == expected
 
 
+@st.composite
+def nested_tables(draw):
+    """Tables at width 32 or 128 whose prefixes nest deeply: a chain of
+    up to 12 lengths along each of a few shared paths, with or without a
+    default route, over a few hops plus explicit null routes (no-route
+    holes under covering routes)."""
+    width = draw(st.sampled_from([32, 128]))
+    n_hops = draw(st.integers(1, 6))
+    hop = st.integers(NO_ROUTE, n_hops - 1)
+    table = RoutingTable(width)
+    if draw(st.booleans()):
+        table.update(Prefix(0, 0, width), draw(st.integers(0, n_hops - 1)))
+    paths = draw(
+        st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=4)
+    )
+    for path in paths:
+        chain = draw(st.lists(st.integers(1, width), max_size=12, unique=True))
+        for length in chain:
+            shift = width - length
+            table.update(
+                Prefix((path >> shift) << shift, length, width), draw(hop)
+            )
+    return table
+
+
+class TestOrtcIgnoresDefaultsPrePass:
+    """ORTC's output depends only on the forwarding function, which
+    covered-entry removal preserves: running ``defaults`` first changes
+    nothing ORTC emits.  This is why ``full`` is ORTC alone."""
+
+    @staticmethod
+    def assert_pre_pass_changes_nothing(table):
+        assert entries_of(ortc_table(remove_default_routes(table))) == (
+            entries_of(ortc_table(table))
+        )
+        entries, width = entries_of(table), table.width
+        assert scalar_pass(
+            "ortc", remove_covered_entries(entries, width), width
+        ) == scalar_pass("ortc", entries, width)
+
+    @given(st.one_of(nested_tables(), oracle_tables()))
+    @settings(max_examples=200, deadline=None)
+    def test_defaults_then_ortc_equals_ortc(self, table):
+        self.assert_pre_pass_changes_nothing(table)
+
+    @pytest.mark.parametrize("symbols", [65, 130])
+    def test_wide_alphabet(self, symbols):
+        self.assert_pre_pass_changes_nothing(wide_alphabet_table(symbols))
+
+
 class TestScalarOracle:
     """The columnar passes reproduce the scalar walks of
     ``tests/minimize_oracle.py`` entry for entry, in sorted order."""
 
-    PASS_LISTS = [("defaults",), ("ortc",), ("oc",)] + sorted(PASS_SETS)
     TRANSFORMS = (
         ("defaults", remove_default_routes),
         ("ortc", ortc_table),
@@ -345,7 +404,7 @@ class TestScalarOracle:
     @given(oracle_tables())
     @settings(max_examples=150, deadline=None)
     def test_columnar_passes_equal_scalar_walks(self, table):
-        for passes in self.PASS_LISTS:
+        for passes in sorted(PASS_SETS):
             expected, after = scalar_minimize(table, passes)
             state = minimize_table(table, passes)
             assert entries_of(state.table) == expected
