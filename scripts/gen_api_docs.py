@@ -99,9 +99,11 @@ The same machinery backs `pattern_of_batch` /
 `PartitionPlan.home_lc_batch` (vectorized LR1 home-LC detection) and the
 `SpalSimulator` fast path, which precomputes each stream's homes and
 next hops before the first event fires and checks `verify=True` runs
-against the oracle in one batched pass.  Set `REPRO_BATCH=0` to disable
-every batch path (scalar fallbacks everywhere); outputs do not change,
-only speed.
+against the oracle in one batched pass.  Homes are batched at every
+width (uint64 columns up to 64 bits, Python-int columns above); next
+hops are batched up to 64 bits and looked up at the FE above that.
+There is no switch: the per-address methods are the oracles the batch
+paths are tested against.
 """
 
 
@@ -175,7 +177,7 @@ Churn runs populate `SimulationResult.update_events_applied`,
 `invalidation_messages`, `invalidation_entries_dropped` and
 `churn_misses` (misses caused by invalidated entries, attributed at miss
 time).  A run with no schedule is bit-identical to the pre-churn
-simulator, fast path on or off.  Experiments `updates` (E10),
+simulator, on either engine.  Experiments `updates` (E10),
 `invalidation` (E10b) and `churn` (E17) all drive this one mechanism.
 """
 

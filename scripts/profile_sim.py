@@ -17,9 +17,7 @@ construction steps (minimise, partition, matcher builds; raw and with
 ``minimize="full"``, the latter with the minimiser's seconds per pass), a
 cProfile listing of the *scalar* engine (the baseline being optimized
 away), and the batch-vs-scalar lookup throughput comparison for every
-vectorized trie kernel (via :class:`repro.obs.KernelProfile`;
-REPRO_BATCH=0 disables the batch paths everywhere — see
-docs/TUTORIAL.md).
+vectorized trie kernel (via :class:`repro.obs.KernelProfile`).
 
     python scripts/profile_sim.py [packets_per_lc] [--profile]
         [--table-size N] [--no-manifest] [--runs-dir DIR]
@@ -47,7 +45,6 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.batching import batch_enabled
 from repro.core import CacheConfig, SpalConfig
 from repro.obs import KernelProfile, MetricsRegistry
 from repro.routing import make_rt2
@@ -173,8 +170,7 @@ def lookup_throughput(
     rng = np.random.default_rng(0)
     addrs = rng.integers(0, 1 << 32, size=n_addrs, dtype=np.uint64)
     scalar_sample = addrs[: max(1, n_addrs // 10)]
-    print(f"lookup throughput over {n_addrs} random addresses "
-          f"(batch {'enabled' if batch_enabled() else 'DISABLED'}):")
+    print(f"lookup throughput over {n_addrs} random addresses:")
     for name, factory in KERNELS.items():
         matcher = factory(table)
         profile = KernelProfile(name)

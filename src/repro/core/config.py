@@ -6,7 +6,6 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..errors import CacheConfigError, SimulationError
-from ..routing import minimize as _minimize
 from .lr_cache import LRCache
 
 #: System cycle (paper Sec. 5.1): 5 ns.
@@ -109,10 +108,9 @@ class SpalConfig:
     minimize:
         FIB-minimisation pass set applied to the routing table *before*
         partitioning: ``None`` (the default — table used as-is,
-        bit-identical to earlier revisions), ``"full"`` (ORTC; minimal
-        output) or ``"light"`` (default-removal + ordered-covering;
-        cheaper, non-minimal) — the names of
-        :data:`repro.routing.minimize.PASS_SETS`.
+        bit-identical to earlier revisions) or ``"full"`` (ORTC; minimal
+        output).  The cheaper, non-minimal ``"light"`` set stays a
+        :func:`repro.routing.minimize.minimize_table` name only.
         Minimised tables answer every lookup identically to the
         original; churn schedules are translated on the fly (see
         :class:`repro.routing.minimize.MinimizeState`).
@@ -156,14 +154,9 @@ class SpalConfig:
             and self.sample_interval_cycles <= 0
         ):
             raise SimulationError("sample_interval_cycles must be positive")
-        if self.minimize is not None and (
-            not isinstance(self.minimize, str)
-            or self.minimize not in _minimize.PASS_SETS
-        ):
-            names = ", ".join(repr(name) for name in _minimize.PASS_SETS)
+        if self.minimize not in (None, "full"):
             raise SimulationError(
-                f"minimize must be None or one of {names}, "
-                f"got {self.minimize!r}"
+                f"minimize must be None or 'full', got {self.minimize!r}"
             )
         if self.cache is not None:
             self.cache.validate()

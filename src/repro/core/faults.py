@@ -34,7 +34,7 @@ the card is up, just *wrong-slow* or *wrong-lossy*:
 
 Everything is deterministic: the same schedule, seeds and streams produce
 bit-identical :class:`~repro.sim.results.SimulationResult` objects across
-repeats and across the batch fast path being on or off, and an *empty*
+repeats and across engines, and an *empty*
 schedule leaves the simulator's outputs exactly as they were without one.
 """
 

@@ -33,7 +33,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..batching import MAX_KERNEL_WIDTH, batch_enabled
 from ..errors import PartitionError, UnreachablePatternError
 from ..routing.arraytable import ArrayRoutingTable, _take, table_columns
 from ..routing.prefix import Prefix
@@ -235,16 +234,21 @@ def pattern_of(address: int, bits: Sequence[int], width: int) -> int:
     return pattern
 
 
+def _address_column(addresses, width: int) -> np.ndarray:
+    """The addresses as one numpy column: uint64 up to 64 bits, Python
+    ints (object) beyond, where numpy has no integer dtype wide enough."""
+    return np.asarray(addresses, dtype=np.uint64 if width <= 64 else object)
+
+
 def pattern_of_batch(
     addresses: np.ndarray, bits: Sequence[int], width: int
 ) -> np.ndarray:
-    """Vectorized :func:`pattern_of`: one int64 pattern per address."""
-    addrs = np.asarray(addresses, dtype=np.uint64)
+    """Vectorized :func:`pattern_of`: one int64 pattern per address, at
+    any width (uint64 up to 64 bits, Python ints above)."""
+    addrs = _address_column(addresses, width)
     pattern = np.zeros(addrs.shape[0], dtype=np.int64)
     for position in bits:
-        bit = (
-            (addrs >> np.uint64(width - 1 - position)) & np.uint64(1)
-        ).astype(np.int64)
+        bit = ((addrs >> (width - 1 - position)) & 1).astype(np.int64)
         pattern = (pattern << 1) | bit
     return pattern
 
@@ -378,23 +382,12 @@ class PartitionPlan:
         return [lc for lc in holders if lc not in self.failed_lcs]
 
     def home_lc_batch(self, addresses: Sequence[int]) -> np.ndarray:
-        """Vectorized :meth:`home_lc` over a whole address stream.
-
-        Falls back to the scalar method per address when batching is
-        disabled or the address width exceeds the uint64 kernels.
-        """
-        n = len(addresses)
-        if n == 0:
+        """Vectorized :meth:`home_lc` over a whole address stream, at any
+        width: one column body for uint64 and Python-int addresses."""
+        if len(addresses) == 0:
             return np.empty(0, dtype=np.int64)
-        width = self.width
-        if not batch_enabled() or width > MAX_KERNEL_WIDTH:
-            return np.fromiter(
-                (self.home_lc(int(a)) for a in addresses),
-                dtype=np.int64,
-                count=n,
-            )
-        addrs = np.asarray(addresses, dtype=np.uint64)
-        patterns = pattern_of_batch(addrs, self.bits, width)
+        addrs = _address_column(addresses, self.width)
+        patterns = pattern_of_batch(addrs, self.bits, self.width)
         if self.replicas_of_pattern is None:
             return np.asarray(self.lc_of_pattern, dtype=np.int64)[patterns]
         live_tab, n_live = self._live_replica_table()
@@ -404,7 +397,7 @@ class PartitionPlan:
             raise UnreachablePatternError(
                 f"all replicas of pattern {dead:#b} have failed"
             )
-        choice = (addrs % counts.astype(np.uint64)).astype(np.int64)
+        choice = (addrs % counts.astype(addrs.dtype)).astype(np.int64)
         return live_tab[patterns, choice]
 
     def _live_replica_table(self) -> tuple:

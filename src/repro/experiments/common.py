@@ -148,8 +148,7 @@ def run_spal(
     :class:`~repro.core.faults.FaultSchedule` to the run (memoized plans
     are safe: the simulator mutates a private copy under LC faults).
     ``minimize`` arms the pre-partition FIB-minimisation stage
-    (``"full"``/``"light"``; see
-    :mod:`repro.routing.minimize`); it bypasses the memoized plan cache
+    (``"full"``; see :mod:`repro.routing.minimize`); it bypasses the memoized plan cache
     since the plan must be rebuilt from the minimised table."""
     table = get_rt1() if table_id == "rt1" else get_rt2()
     n = packets_per_lc if packets_per_lc is not None else default_packets_per_lc()

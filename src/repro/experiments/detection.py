@@ -177,10 +177,10 @@ def run_detection(
             **overrides,
         )
 
-    # Window attribution is quantized to the engine's loop granularity
-    # (see TestSamplerIdentity), and ``engine="auto"`` flips on
-    # REPRO_BATCH — pin the engine so the threshold sweep over the
-    # stored series renders identically either way.
+    # A telemetry window closes at the engine's first loop observation
+    # past its boundary (see TestSamplerIdentity), so the two engines
+    # sample different series: pin the engine so the threshold sweep
+    # over the stored series always reads the same one.
     engine = "array"
 
     # -- clean anchor run: horizon, SLO and sampling interval ---------------

@@ -103,8 +103,8 @@ from .prefix import Prefix
 from .table import NO_ROUTE, NextHop, RoutingTable
 from .updates import RouteUpdate
 
-#: Pass sets accepted by :func:`minimize_table` / ``SpalConfig.minimize``:
-#: one name per distinct output.
+#: Pass sets accepted by :func:`minimize_table` (``SpalConfig.minimize``
+#: takes ``"full"`` only): one name per distinct output.
 PASS_SETS: Dict[str, Tuple[str, ...]] = {
     "full": ("ortc",),
     "light": ("defaults", "oc"),

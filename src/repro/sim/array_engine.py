@@ -197,8 +197,8 @@ class _CountSeq(_SequenceABC):
     def __getitem__(self, i):
         raise TypeError(
             "array-engine runs retain packet counts only; per-packet state "
-            "is recycled as packets retire (run with engine='scalar' or "
-            "REPRO_BATCH=0 for packet introspection, or attach a Tracer)"
+            "is recycled as packets retire (run with engine='scalar' for "
+            "packet introspection, or attach a Tracer)"
         )
 
 
@@ -453,7 +453,6 @@ class ArrayEngine:
             pid_base.append(acc)
             acc += n
         pid_base_arr = np.asarray(pid_base + [0], dtype=np.int64)
-        use_pre = sim._precompute_enabled()
         pristine_failed = set(plan.failed_lcs) if plan is not None else None
 
         # Reserve the whole arrival sequence block up front (packet p gets
@@ -502,11 +501,8 @@ class ArrayEngine:
             f.home = _NO_HOMES
 
         def precompute(lc: int, dests: np.ndarray):
-            # (homes, hops) for one block of a feed's buffer; homes of -1
-            # and no hops when precompute is off.
+            # (homes, hops) for one block of a feed's buffer.
             nonlocal precompute_s
-            if not use_pre:
-                return np.full(len(dests), -1, dtype=np.int64), None
             tp = time.perf_counter()
             if plan is not None and plan.epoch != epoch0:
                 # A fault/churn event already mutated the plan; precompute
@@ -997,9 +993,8 @@ class ArrayEngine:
         # woven in) --------------------------------------------------------
 
         def home_of(p: int, lc: int) -> int:
-            h = p_home[p]
-            if h >= 0 and (plan is None or plan.epoch == epoch0):
-                return h
+            if plan is None or plan.epoch == epoch0:
+                return p_home[p]
             if home_fn is None:
                 return lc
             return home_fn(p_dest[p])

@@ -27,7 +27,7 @@ Invalidation applies *atomically at the update cycle* — the conservative
 invalidate-before-use model, so no lookup can ever return a stale next
 hop — while the update→invalidate messages are still charged through the
 fabric model for latency/port accounting.  Churn runs are deterministic
-(bit-identical across repeats and with ``REPRO_BATCH=0``), and an empty
+(bit-identical across repeats and across engines), and an empty
 schedule reproduces the churn-free simulator exactly.
 
 Implementation is event-driven over :class:`repro.sim.engine.EventQueue`;
@@ -48,7 +48,7 @@ drop.  FE work already accepted before the failure drains silently.
 Recovery re-admits the LC with a cold (flushed) LR-cache, and the other
 LCs drop the REM entries they had fetched from a dying LC the moment it
 fails.  Fault runs are deterministic — same schedule, seeds and streams
-give bit-identical results, with the batch fast path on or off — and an
+give bit-identical results on either engine — and an
 empty schedule reproduces the fault-free simulator exactly.  Note that
 trailing timeout-check events can extend the reported horizon slightly
 past the last packet's completion on fault runs.
@@ -61,7 +61,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..batching import MAX_KERNEL_WIDTH, batch_enabled
 from ..core.config import FIL_OVERHEAD_CYCLES, REM_MAX_RETRIES, SpalConfig
 from ..core.faults import FaultSchedule
 from ..core.lr_cache import LOC, REM, LRCache
@@ -71,8 +70,9 @@ from ..obs.registry import MetricsRegistry
 from ..obs.trace import Tracer
 from ..routing.churn import ChurnSchedule
 from ..routing.table import RoutingTable
-from ..tries.reference import HashReferenceMatcher
 from ..traffic.packets import arrival_times
+from ..tries.base import MAX_KERNEL_WIDTH
+from ..tries.reference import HashReferenceMatcher
 from .engine import EventQueue, Resource
 from .results import SimulationResult
 from .shedding import shed_decision
@@ -1027,12 +1027,6 @@ class SpalSimulator:
         self.invalidation_messages += msgs
         self._m_inval_msgs.value += msgs
 
-    def _precompute_enabled(self) -> bool:
-        """True when batched (home, hop) precomputation applies: batching
-        is on and the address width fits the kernels (see
-        :meth:`_precompute_chunk`)."""
-        return batch_enabled() and self.table.width <= MAX_KERNEL_WIDTH
-
     def _counter_snapshots(self) -> List[tuple]:
         snapshots = []
         for m in {id(m): m for m in [*self._matchers, self._oracle]}.values():
@@ -1050,13 +1044,14 @@ class SpalSimulator:
 
     def _homes_hops_for(self, lc: int, dests: np.ndarray) -> tuple:
         """(homes, hops) int64 arrays for one LC's destinations (``hops``
-        is None under live churn).  Pure per element, so any chunking of a
-        stream yields identical values."""
+        is None under live churn and above the kernels' 64 bits).  Pure
+        per element, so any chunking of a stream yields identical
+        values."""
         if self.plan is not None:
             homes = self.plan.home_lc_batch(dests)
         else:
             homes = np.full(len(dests), lc, dtype=np.int64)
-        if self._updates_armed:
+        if self._updates_armed or self.table.width > MAX_KERNEL_WIDTH:
             return (homes, None)
         hops = np.empty(len(dests), dtype=np.int64)
         # Homes are LC indices, so a bincount names the ones present in
@@ -1065,13 +1060,7 @@ class SpalSimulator:
             np.bincount(homes, minlength=self.config.n_lcs)
         ):
             mask = homes == h
-            matcher = self._matchers[int(h)]
-            if hasattr(matcher, "lookup_batch"):
-                hops[mask] = matcher.lookup_batch(dests[mask])
-            else:  # duck-typed test stand-ins expose only lookup()
-                hops[mask] = [
-                    matcher.lookup(int(a)) for a in dests[mask]
-                ]
+            hops[mask] = self._matchers[int(h)].lookup_batch(dests[mask])
         if self._oracle is not None:
             expected = self._oracle.lookup_batch(dests)
             bad = np.flatnonzero(hops != expected)
@@ -1099,10 +1088,11 @@ class SpalSimulator:
         oracle here in one batched pass.  Under live churn the tables *do*
         mutate mid-run, so only the homes (a function of the immutable
         control bits) are precomputed and every FE result resolves scalar
-        at lookup time — keeping fast-path-on and -off runs bit-identical.
+        at lookup time.  Above 64 bits only the homes are precomputed too:
+        ``lookup_batch`` has no kernel there, so a precomputed hop would
+        cost one scalar lookup per arrival instead of one per FE lookup.
         Matcher access counters are restored afterwards so precomputation
-        stays side-effect free.  Callers gate on
-        :meth:`_precompute_enabled`.
+        stays side-effect free.
         """
         snapshots = self._counter_snapshots()
         out = self._homes_hops_for(lc, dests)
@@ -1111,14 +1101,12 @@ class SpalSimulator:
 
     def _resolve_engine(self, engine: str) -> bool:
         """True for the array engine, False for the scalar loop."""
-        if engine == "auto":
-            return batch_enabled()
         if engine == "array":
             return True
         if engine == "scalar":
             return False
         raise SimulationError(
-            f"engine must be 'auto', 'array' or 'scalar', got {engine!r}"
+            f"engine must be 'array' or 'scalar', got {engine!r}"
         )
 
     # -- driving ----------------------------------------------------------------
@@ -1132,7 +1120,7 @@ class SpalSimulator:
         faults: Optional[FaultSchedule] = None,
         updates: Optional[ChurnSchedule] = None,
         update_policy: str = "selective",
-        engine: str = "auto",
+        engine: str = "array",
         monitor=None,
     ) -> SimulationResult:
         """Run the router over per-LC destination streams.
@@ -1167,13 +1155,13 @@ class SpalSimulator:
         the run bit-identical to the churn-free simulator.
 
         ``engine`` selects the event-loop implementation: ``"array"`` (the
-        one packed-state loop of :mod:`repro.sim.array_engine`, which takes
-        materialized arrays and chunked
-        :class:`~repro.sim.streaming.PacketStream`\\ s alike),
+        default: the one packed-state loop of
+        :mod:`repro.sim.array_engine`, which takes materialized arrays and
+        chunked :class:`~repro.sim.streaming.PacketStream`\\ s alike) or
         ``"scalar"`` (per-packet Python objects over :class:`EventQueue` —
-        the readable reference loop; streams are materialized first), or
-        ``"auto"`` (array when batching is enabled — the ``REPRO_BATCH=0``
-        escape hatch forces scalar).  The two engines are bit-identical;
+        the readable reference loop; streams are materialized first).  Both
+        precompute every arrival's home (and, churn-free up to 64 bits, its
+        FE result) in batches.  The two engines are bit-identical;
         the differential suite in ``tests/test_engine_identity.py``
         enforces it.  The array engine recycles per-packet state, so after
         it ``self.completed`` / ``self.dropped_packets`` hold counts only;
@@ -1198,6 +1186,7 @@ class SpalSimulator:
                 "update_policy must be 'flush', 'selective' or 'rem', "
                 f"got {update_policy!r}"
             )
+        use_array = self._resolve_engine(engine)
         if len(streams) != self.config.n_lcs:
             raise SimulationError(
                 f"need {self.config.n_lcs} streams, got {len(streams)}"
@@ -1303,7 +1292,7 @@ class SpalSimulator:
             )
         total = sum(len(s) for s in streams)
         failover_lat: Optional[List[int]] = None
-        if self._resolve_engine(engine):
+        if use_array:
             from .array_engine import ArrayEngine
 
             # The one array loop takes materialized arrays and chunked
@@ -1327,16 +1316,10 @@ class SpalSimulator:
                 for s in streams
             ]
             t0 = time.perf_counter()
-            precomputed = (
-                [
-                    self._precompute_chunk(
-                        lc, np.asarray(stream, dtype=np.uint64)
-                    )
-                    for lc, stream in enumerate(streams)
-                ]
-                if self._precompute_enabled()
-                else None
-            )
+            precomputed = [
+                self._precompute_chunk(lc, np.asarray(stream))
+                for lc, stream in enumerate(streams)
+            ]
             self.phase_seconds["precompute"] = time.perf_counter() - t0
             t0 = time.perf_counter()
             tracing = self._trace is not None
@@ -1345,13 +1328,12 @@ class SpalSimulator:
                 times = arrival_times(
                     len(stream), speed_gbps=speeds[lc], seed=1000 + lc
                 )
-                homes = hops = None
-                if precomputed is not None:
-                    # Plain lists: list[i] yields a Python int with no
-                    # per-element conversion.
-                    homes = precomputed[lc][0].tolist()
-                    if precomputed[lc][1] is not None:
-                        hops = precomputed[lc][1].tolist()
+                # Plain lists: list[i] yields a Python int with no
+                # per-element conversion.
+                homes = precomputed[lc][0].tolist()
+                hops = precomputed[lc][1]
+                if hops is not None:
+                    hops = hops.tolist()
                 for i, (t, dest) in enumerate(zip(times, stream)):
                     pkt = _Packet(int(dest), lc, int(t))
                     pkt.measured = i >= warmup_packets
@@ -1360,10 +1342,9 @@ class SpalSimulator:
                         # pid assignment cannot perturb the timeline.
                         pkt.pid = next_pid
                         next_pid += 1
-                    if homes is not None:
-                        pkt.home = homes[i]
-                        if hops is not None:
-                            pkt.hop = hops[i]
+                    pkt.home = homes[i]
+                    if hops is not None:
+                        pkt.hop = hops[i]
                     self.queue.schedule(int(t), self._arrive, pkt, lc)
             self.phase_seconds["schedule"] = time.perf_counter() - t0
             t0 = time.perf_counter()
@@ -1548,7 +1529,7 @@ class SpalSimulator:
         (drops, retries, flushes, fabric drops, the remote round-trip
         histogram, eviction-kind split) are incremented live.  All values
         derive from the event timeline, keeping the snapshot bit-identical
-        across traced/untraced and fast-path on/off runs.
+        across traced/untraced runs and across engines.
         """
         obs = self.obs
         for cache in self.caches:

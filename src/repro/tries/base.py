@@ -24,9 +24,12 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..batching import MAX_KERNEL_WIDTH, batch_enabled
 from ..routing.prefix import Prefix
 from ..routing.table import NextHop, RoutingTable
+
+#: Address widths the uint64 batch kernels handle; wider tables (IPv6,
+#: width 128) take :meth:`LongestPrefixMatcher.lookup_batch`'s scalar loop.
+MAX_KERNEL_WIDTH = 64
 
 #: A compiled batch kernel: uint64 addresses -> (int64 hops, int64 accesses).
 BatchKernel = Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
@@ -160,17 +163,17 @@ class LongestPrefixMatcher(ABC):
         Returns an int64 array of next hops, element ``i`` bit-identical to
         ``lookup(int(addresses[i]))``.  Structures with an array-packed
         kernel traverse level-synchronously (all in-flight addresses advance
-        one level per vector op); everything else — and every structure when
-        ``REPRO_BATCH=0`` or the width exceeds 64 bits — falls back to a
-        scalar loop.  The access counter advances exactly as the equivalent
-        scalar loop would.
+        one level per vector op); everything else — and every structure
+        whose width exceeds 64 bits — falls back to a scalar loop.  The
+        access counter advances exactly as the equivalent scalar loop
+        would.
         """
         n = len(addresses)
         if n == 0:
             return np.empty(0, dtype=np.int64)
         width = getattr(self, "width", 0)
         profiler = self.profiler
-        if batch_enabled() and 0 < width <= MAX_KERNEL_WIDTH:
+        if 0 < width <= MAX_KERNEL_WIDTH:
             if not self._batch_compiled:
                 if profiler is not None:
                     t0 = time.perf_counter()

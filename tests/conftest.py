@@ -7,9 +7,8 @@ Three things live here:
   generation walks the synthetic prefix profiles and is the dominant
   fixed cost of several modules; building each flavour once per session
   keeps the suite fast without changing any test's inputs.
-* **fast-path toggling** — one parametrized helper for the
-  ``REPRO_BATCH`` bit-identity checks that used to be copy-pasted across
-  ``test_churn``/``test_faults``/``test_properties_sim``.
+* **result digests** — :func:`result_digest`, every result field as
+  plain values, so two runs (two engines, a golden file) compare whole.
 * **hypothesis profiles** — a capped ``ci-smoke`` profile so the CI
   engine-identity job bounds its example budget (select it with
   ``HYPOTHESIS_PROFILE=ci-smoke``).  A loaded profile's
@@ -20,9 +19,6 @@ Three things live here:
 from __future__ import annotations
 
 import os
-import subprocess
-import sys
-from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -121,74 +117,3 @@ def result_digest(r) -> dict:
             r.timeseries.digest() if r.timeseries is not None else None
         ),
     }
-
-
-# -- REPRO_BATCH fast-path helpers ------------------------------------------
-
-
-@contextmanager
-def fast_path(enabled: bool):
-    """Temporarily pin the process-wide batch fast path on or off."""
-    old = os.environ.get("REPRO_BATCH")
-    os.environ["REPRO_BATCH"] = "1" if enabled else "0"
-    try:
-        yield
-    finally:
-        if old is None:
-            os.environ.pop("REPRO_BATCH", None)
-        else:
-            os.environ["REPRO_BATCH"] = old
-
-
-def assert_fast_path_bit_identical(run=None, *, subprocess_code=None):
-    """Assert a scenario is bit-identical with the fast paths on and off.
-
-    Exactly one mode:
-
-    * ``run`` — a zero-arg callable returning a ``SimulationResult``;
-      it is invoked under ``REPRO_BATCH=1`` and ``REPRO_BATCH=0`` and
-      the results are compared field-by-field (latency bytes, horizon,
-      summary, metrics snapshot).
-    * ``subprocess_code`` — a snippet printing a result digest; it runs
-      in two fresh interpreters so the toggle is seen at *import* time
-      (kernel compilation happens on module import), and the outputs
-      must match byte-for-byte.
-    """
-    if (run is None) == (subprocess_code is None):
-        raise ValueError("pass exactly one of run= or subprocess_code=")
-    if subprocess_code is not None:
-        outs = []
-        for batch in ("1", "0"):
-            env = dict(os.environ, REPRO_BATCH=batch)
-            env["PYTHONPATH"] = os.pathsep.join(sys.path)
-            proc = subprocess.run(
-                [sys.executable, "-c", subprocess_code],
-                capture_output=True, text=True, env=env, check=True,
-            )
-            outs.append(proc.stdout)
-        assert outs[0] == outs[1], (
-            f"fast-path on/off outputs differ:\n{outs[0]}\nvs\n{outs[1]}"
-        )
-        return outs[0]
-    with fast_path(True):
-        on = run()
-    with fast_path(False):
-        off = run()
-    assert np.array_equal(on.latencies, off.latencies)
-    assert on.horizon_cycles == off.horizon_cycles
-    assert on.summary() == off.summary()
-    assert on.metrics_snapshot == off.metrics_snapshot
-    return on, off
-
-
-@pytest.fixture(scope="session")
-def fast_path_toggle():
-    """The :func:`fast_path` context manager, as a session fixture (usable
-    from ``@given`` tests, where function-scoped fixtures are barred)."""
-    return fast_path
-
-
-@pytest.fixture(scope="session")
-def fast_path_bit_identity():
-    """The :func:`assert_fast_path_bit_identical` helper as a fixture."""
-    return assert_fast_path_bit_identical

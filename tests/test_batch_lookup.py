@@ -13,6 +13,7 @@ from repro.core.partition import (
     pattern_of_batch,
     select_partition_bits,
 )
+from repro.errors import UnreachablePatternError
 from repro.routing import ChurnSchedule, Prefix, RoutingTable, random_small_table
 from repro.sim import SpalSimulator
 from repro.sim.spal_sim import _Packet
@@ -131,14 +132,13 @@ class TestBatchEqualsScalar:
 
     @pytest.mark.parametrize("factory", MATCHERS, ids=MATCHER_IDS)
     @pytest.mark.slow
-    def test_env_escape_hatch(self, factory, monkeypatch):
+    def test_env_escape_hatch(self, factory):
+        # No switch turns a kernel off, so compare it with the per-address
+        # loop directly: 500 random addresses over a 200-route table.
         table = random_small_table(200, seed=21)
         rng = np.random.default_rng(2)
         addrs = rng.integers(0, 1 << 32, size=500, dtype=np.uint64)
-        on = factory(table).lookup_batch(addrs)
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        off = factory(table).lookup_batch(addrs)
-        np.testing.assert_array_equal(on, off)
+        assert_batch_equals_scalar(factory, table, addrs)
 
     def test_insert_invalidates_compiled_kernel(self):
         table = random_small_table(100, seed=31)
@@ -176,14 +176,14 @@ class TestPartitionBatch:
         want = [plan.home_lc(int(a)) for a in addrs]
         np.testing.assert_array_equal(got, want)
 
-    def test_home_lc_batch_scalar_fallback(self, table, monkeypatch):
+    def test_home_lc_batch_scalar_fallback(self, table):
+        # An object column of Python ints takes the same body as uint64.
         plan = partition_table(table, 4)
         rng = np.random.default_rng(5)
         addrs = rng.integers(0, 1 << 32, size=500, dtype=np.uint64)
-        on = plan.home_lc_batch(addrs)
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        off = plan.home_lc_batch(addrs)
-        np.testing.assert_array_equal(on, off)
+        want = [plan.home_lc(int(a)) for a in addrs]
+        for column in (addrs, addrs.astype(object), addrs.tolist()):
+            np.testing.assert_array_equal(plan.home_lc_batch(column), want)
 
     def test_all_replicas_failed_raises(self, table):
         plan = partition_table(table, 4, replicas=2)
@@ -191,6 +191,47 @@ class TestPartitionBatch:
             plan.fail_lc(lc)
         with pytest.raises(PartitionError, match="replicas"):
             plan.home_lc_batch(np.arange(10, dtype=np.uint64))
+
+    @pytest.mark.parametrize("width", [32, 128])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_home_lc_batch_equals_home_lc_at_any_width(
+        self, ipv4_table, ipv6_table, width, data
+    ):
+        # One body for both widths and both column kinds: uint64 (values
+        # below 2**64) or Python ints in an object column.
+        n_lcs = data.draw(st.integers(2, 6), label="n_lcs")
+        replicas = data.draw(st.integers(1, min(3, n_lcs)), label="replicas")
+        plan = partition_table(
+            ipv4_table if width == 32 else ipv6_table, n_lcs,
+            replicas=replicas,
+        )
+        for lc in data.draw(st.sets(st.integers(0, n_lcs - 1)), label="failed"):
+            plan.fail_lc(lc)
+        as_object = data.draw(st.booleans(), label="object column")
+        top = width if as_object else min(width, 64)
+        addrs = data.draw(
+            st.lists(st.integers(0, (1 << top) - 1), min_size=1, max_size=64),
+            label="addrs",
+        )
+        column = np.array(addrs, dtype=object if as_object else np.uint64)
+        try:
+            want = [plan.home_lc(a) for a in addrs]
+        except UnreachablePatternError:
+            with pytest.raises(UnreachablePatternError):
+                plan.home_lc_batch(column)
+        else:
+            got = plan.home_lc_batch(column)
+            assert got.dtype == np.int64
+            np.testing.assert_array_equal(got, want)
+        if replicas > 1:
+            # Fail every holder of one address's pattern: both paths raise.
+            for lc in plan.live_replicas(addrs[0]):
+                plan.fail_lc(lc)
+            with pytest.raises(UnreachablePatternError):
+                plan.home_lc(addrs[0])
+            with pytest.raises(UnreachablePatternError):
+                plan.home_lc_batch(column)
 
 
 def _result_fingerprint(r):
@@ -216,27 +257,31 @@ class TestSimulatorFastPath:
         pop = FlowPopulation(TraceSpec("t", n_flows=400, seed=7), table)
         return generate_router_streams(pop, 2, 2500)
 
-    def _run(self, table, streams, flush=False, **kw):
+    def _run(self, table, streams, flush=False, engine="array", **kw):
         sim = SpalSimulator(
             table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=128)), **kw
         )
         if not flush:
-            return sim.run(streams)
+            return sim.run(streams, engine=engine)
         # A mid-run next-hop change to the widest route, flushing every
         # cache (the paper's update policy).
         widest = min(table.prefixes(), key=lambda p: p.length)
         updates = ChurnSchedule().announce(4000, widest, 99)
-        return sim.run(streams, updates=updates, update_policy="flush")
+        return sim.run(
+            streams, updates=updates, update_policy="flush", engine=engine
+        )
 
-    def test_bit_identical_fast_path_on_off(self, table, streams, monkeypatch):
+    def test_bit_identical_fast_path_on_off(self, table, streams):
         # Without updates the hops are precomputed through lookup_batch and
         # verify=True checks them against the matchers; with a flush-policy
-        # announcement the hops are looked up per packet.
+        # announcement the hops are looked up per packet.  The array
+        # engine's precompute blocks and the scalar loop's one
+        # whole-stream pass must agree.
         for flush in (False, True):
-            monkeypatch.setenv("REPRO_BATCH", "1")
             fast = self._run(table, streams, flush=flush, verify=True)
-            monkeypatch.setenv("REPRO_BATCH", "0")
-            slow = self._run(table, streams, flush=flush, verify=True)
+            slow = self._run(
+                table, streams, flush=flush, engine="scalar", verify=True
+            )
             assert fast.flushes == slow.flushes == int(flush)
             assert _result_fingerprint(fast) == _result_fingerprint(slow)
 

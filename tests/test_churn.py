@@ -35,6 +35,8 @@ from repro.tries import (
     UpdateResult,
 )
 
+from .conftest import result_digest
+
 
 @pytest.fixture(scope="module")
 def table():
@@ -463,7 +465,7 @@ class TestRouterInvalidation:
 
 class TestSimulatorChurn:
     def _run(self, table, updates=None, policy="selective", verify=True,
-             n_packets=1500, registry=None, trace=None):
+             n_packets=1500, registry=None, trace=None, engine="array"):
         config = SpalConfig(n_lcs=4, cache=CacheConfig(n_blocks=256))
         sim = SpalSimulator(
             table, config, verify=verify, registry=registry, trace=trace
@@ -473,7 +475,7 @@ class TestSimulatorChurn:
         if updates is not None:
             kwargs["updates"] = updates
             kwargs["update_policy"] = policy
-        return sim, sim.run(streams, speed_gbps=10, **kwargs)
+        return sim, sim.run(streams, speed_gbps=10, engine=engine, **kwargs)
 
     def test_zero_update_runs_bit_identical(self, table):
         _, base = self._run(table)
@@ -482,28 +484,14 @@ class TestSimulatorChurn:
         assert base.summary() == empty.summary()
         assert base.metrics_snapshot == empty.metrics_snapshot
 
-    def test_zero_update_bit_identity_survives_fast_path_off(
-        self, table, fast_path_bit_identity
-    ):
-        """Exercised in subprocesses (via the shared conftest helper) so
-        REPRO_BATCH=0 is seen at import."""
-        fast_path_bit_identity(subprocess_code=(
-            "import numpy as np\n"
-            "from repro.core import CacheConfig, SpalConfig\n"
-            "from repro.routing import random_small_table\n"
-            "from repro.sim import SpalSimulator\n"
-            "from repro.traffic import FlowPopulation, TraceSpec, "
-            "generate_router_streams\n"
-            "table = random_small_table(300, seed=33)\n"
-            "spec = TraceSpec('churn-test', n_flows=400, seed=1, recency=0.3)\n"
-            "streams = generate_router_streams("
-            "FlowPopulation(spec, table), 4, 800)\n"
-            "cfg = SpalConfig(n_lcs=4, cache=CacheConfig(n_blocks=256))\n"
-            "sim = SpalSimulator(table, cfg)\n"
-            "res = sim.run(streams, speed_gbps=10)\n"
-            "print(res.packets, round(res.mean_lookup_cycles, 6), "
-            "res.horizon_cycles, res.fabric_messages)\n"
-        ))
+    def test_zero_update_bit_identity_survives_fast_path_off(self, table):
+        """A zero-update run is bit-identical on the scalar loop and the
+        array engine, with an empty schedule or none."""
+        base = result_digest(self._run(table)[1])
+        for engine in ("array", "scalar"):
+            for updates in (None, ChurnSchedule()):
+                _, r = self._run(table, updates=updates, engine=engine)
+                assert result_digest(r) == base
 
     def test_churn_run_is_deterministic_and_oracle_verified(self, table):
         horizon = 150_000

@@ -23,6 +23,8 @@ from repro.routing.ipv6 import make_ipv6_table
 from repro.sim import SpalSimulator
 from repro.tries.lulea import LuleaTrie
 
+from .conftest import result_digest
+
 
 @pytest.fixture(scope="module")
 def table():
@@ -47,9 +49,11 @@ def locality_streams(n_lcs, n=400, seed=3, alphabet=1 << 14):
     ]
 
 
-def run_once(table, config, streams, faults=None, speed_gbps=40):
+def run_once(table, config, streams, faults=None, speed_gbps=40,
+             engine="array"):
     return SpalSimulator(table, config).run(
-        streams, faults=faults, speed_gbps=speed_gbps, name="t"
+        streams, faults=faults, speed_gbps=speed_gbps, name="t",
+        engine=engine,
     )
 
 
@@ -144,7 +148,9 @@ class TestDeterminism:
         assert a.horizon_cycles == b.horizon_cycles
         assert a.lc_availability == b.lc_availability
 
-    def test_fault_run_identical_with_fast_path_off(self, table, monkeypatch):
+    def test_fault_run_identical_with_fast_path_off(self, table):
+        # The array engine's precompute blocks against the scalar loop's
+        # whole-stream pass, across a fail/recover that changes the plan.
         cfg = small_config()
         streams = locality_streams(4)
         faults = lambda: (
@@ -154,8 +160,7 @@ class TestDeterminism:
             .degrade_fabric(100, 3000, extra_latency=2, drop_prob=0.15)
         )
         on = run_once(table, cfg, streams, faults=faults())
-        monkeypatch.setenv("REPRO_BATCH", "0")
-        off = run_once(table, cfg, streams, faults=faults())
+        off = run_once(table, cfg, streams, faults=faults(), engine="scalar")
         assert np.array_equal(on.latencies, off.latencies)
         assert on.drops == off.drops
         assert on.retries == off.retries
@@ -289,10 +294,7 @@ class TestPlanEpoch:
         with pytest.raises(PartitionError):
             plan.restore_lc(-1)
 
-    def test_live_replica_table_cached_per_epoch(self, table, monkeypatch):
-        # The cache belongs to the batched branch of home_lc_batch: select
-        # it rather than inherit the environment's switch.
-        monkeypatch.setenv("REPRO_BATCH", "1")
+    def test_live_replica_table_cached_per_epoch(self, table):
         plan = partition_table(table, 4, replicas=2)
         addrs = np.arange(512, dtype=np.uint64)
         plan.home_lc_batch(addrs)
@@ -647,9 +649,9 @@ class TestProperties:
 
     @given(seed=st.integers(0, 300), n=st.integers(20, 120))
     @settings(max_examples=15, deadline=None)
-    def test_zero_fault_schedule_identical_fast_path_on_off(
-        self, seed, n, fast_path_bit_identity
-    ):
+    def test_zero_fault_schedule_identical_fast_path_on_off(self, seed, n):
+        """An empty fault schedule leaves the array engine and the scalar
+        loop bit-identical to each other and to a fault-free run."""
         cfg = SpalConfig(
             n_lcs=3,
             cache=CacheConfig(n_blocks=32),
@@ -661,11 +663,16 @@ class TestProperties:
             rng.integers(0, 1 << 12, size=n).astype(np.uint64)
             for _ in range(3)
         ]
-        fast_path_bit_identity(
-            lambda: SpalSimulator(IPV4_TABLE, cfg).run(
-                [s.copy() for s in streams], faults=FaultSchedule(), name="t"
+        runs = [
+            SpalSimulator(IPV4_TABLE, cfg).run(
+                [s.copy() for s in streams], faults=faults, name="t",
+                engine=engine,
             )
-        )
+            for faults in (FaultSchedule(), None)
+            for engine in ("array", "scalar")
+        ]
+        for other in runs[1:]:
+            assert result_digest(other) == result_digest(runs[0])
 
     @given(
         fe_cap=st.one_of(st.none(), st.integers(1, 4)),
@@ -678,12 +685,10 @@ class TestProperties:
     @settings(max_examples=12, deadline=None)
     def test_conservation_bounded_gray_churn_fast_path(
         self, fe_cap, fab_cap, policy, gray, churny, seed,
-        fast_path_bit_identity,
     ):
         """The overload invariants hold at every point of the bounded x
-        gray x churn cube, with the batch fast paths on and off: every
-        offered packet completes or is one counted drop, and bounded
-        queues never reach their capacity."""
+        gray x churn cube: every offered packet completes or is one
+        counted drop, and bounded queues never reach their capacity."""
         cfg = SpalConfig(
             n_lcs=3,
             cache=CacheConfig(n_blocks=32),
@@ -713,13 +718,8 @@ class TestProperties:
             if churny
             else None
         )
-        on, _ = fast_path_bit_identity(
-            lambda: SpalSimulator(IPV4_TABLE, cfg).run(
-                [s.copy() for s in streams],
-                faults=faults,
-                updates=updates,
-                name="t",
-            )
+        on = SpalSimulator(IPV4_TABLE, cfg).run(
+            streams, faults=faults, updates=updates, name="t"
         )
         assert on.packets + on.total_drops == 450
         assert sum(on.drops.values()) == on.total_drops

@@ -179,6 +179,9 @@ class TestVerifyMode:
             def lookup(self, address):
                 return -7  # never a real hop
 
+            def lookup_batch(self, addresses):
+                return np.full(len(addresses), -7, dtype=np.int64)
+
         sim._matchers = [Liar(), Liar()]
         with pytest.raises(SimulationError, match="partition invariant"):
             sim.run(generate_router_streams(pop, 2, 50))

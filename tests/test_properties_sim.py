@@ -125,17 +125,15 @@ def _result_fields(r):
 
 class TestTracingInvariance:
     """Tracing is observation only: a traced run, a run with a disabled
-    tracer, and an untraced run produce bit-identical results — with the
-    batch fast path on or off, with and without fault injection."""
+    tracer, and an untraced run produce bit-identical results — on
+    either engine, with and without fault injection."""
 
     @given(st.data())
     @settings(max_examples=20, deadline=None)
-    def test_tracing_never_changes_any_result_field(
-        self, fast_path_toggle, data
-    ):
+    def test_tracing_never_changes_any_result_field(self, data):
         config = data.draw(sim_configs())
         streams = data.draw(small_streams(config.n_lcs))
-        batch = data.draw(st.booleans())
+        engine = data.draw(st.sampled_from(("array", "scalar")))
         faults = None
         if config.n_lcs > 1 and data.draw(st.booleans()):
             lc = data.draw(st.integers(0, config.n_lcs - 1))
@@ -144,15 +142,16 @@ class TestTracingInvariance:
             faults = FaultSchedule(seed=7).fail_lc(fail, lc).recover_lc(
                 recover, lc
             )
-        with fast_path_toggle(batch):
-            def run(trace):
-                sim = SpalSimulator(TABLE, config, trace=trace)
-                return sim.run(
-                    [s.copy() for s in streams], faults=faults, name="t"
-                )
 
-            plain = run(None)
-            disabled = run(Tracer(enabled=False))
-            traced = run(Tracer())
+        def run(trace):
+            sim = SpalSimulator(TABLE, config, trace=trace)
+            return sim.run(
+                [s.copy() for s in streams], faults=faults, name="t",
+                engine=engine,
+            )
+
+        plain = run(None)
+        disabled = run(Tracer(enabled=False))
+        traced = run(Tracer())
         for other in (disabled, traced):
             assert _result_fields(other) == _result_fields(plain)

@@ -128,6 +128,8 @@ class TestSpalSimulator:
 
     @pytest.mark.parametrize("bad", [
         {"update_policy": "sometimes"},
+        # One name per engine: "auto" is no longer one of them.
+        {"engine": "auto"},
         {"n_streams": 1},
         {"speed_gbps": [40]},
         # Also armed with a fabric degradation, which must not leak into
@@ -155,7 +157,7 @@ class TestSpalSimulator:
             100, Prefix.from_string("203.0.113.0/24")), "raises": TableError},
         # No stream is longer than the warmup, so nothing could be measured.
         {"warmup_packets": 200},
-    ], ids=["update_policy", "stream_count", "speed_count",
+    ], ids=["update_policy", "engine_auto", "stream_count", "speed_count",
             "monitor_unsampled", "updates_unpartitioned", "fault_lc_range",
             "withdraw_absent", "withdraw_absent_minimized", "warmup_only"])
     def test_rejected_call_leaves_simulator_runnable(self, table, bad):
