@@ -177,18 +177,12 @@ def run_detection(
             **overrides,
         )
 
-    # A telemetry window closes at the engine's first loop observation
-    # past its boundary (see TestSamplerIdentity), so the two engines
-    # sample different series: pin the engine so the threshold sweep
-    # over the stored series always reads the same one.
-    engine = "array"
-
     # -- clean anchor run: horizon, SLO and sampling interval ---------------
     base = SpalSimulator(
         table, make_config(), partitioned=True, plan=plan
     ).run(
         streams, speed_gbps=40, warmup_packets=n // 10,
-        name="detection-base", engine=engine,
+        name="detection-base",
     )
     horizon = base.horizon_cycles
     interval = max(64, horizon // TARGET_WINDOWS)
@@ -222,7 +216,6 @@ def run_detection(
         name="detection/gray",
         faults=faults,
         monitor=live,
-        engine=engine,
     )
     series = run.timeseries
     # Mute scoring over the cold-start transient (~10% of the stream is

@@ -17,15 +17,13 @@ sampler a *reader* closure over its own cumulative counters; the sampler
 compares successive reads, so its memory is O(windows) regardless of
 packet count or streaming chunk size.
 
-Window semantics: the engines check the sampler at their loop top with a
-single integer comparison (``now >= next_boundary``), so a window closes
-at the first event observation at-or-past its boundary.  Because the
-array engine batches arrivals, the exact event at which a window closes
-can differ *between* engines — the per-window attribution is quantized,
-and cross-engine time series may disagree on which side of a boundary a
-delta lands.  It never depends on how a stream is chunked.  What never
-differs is the run's outcome: sampling on vs. off is bit-identical per
-engine, and column totals always equal the run-level counters.
+Window semantics: a window closes before the first event whose cycle
+is at or past its boundary, so its snapshot reflects exactly the events
+strictly before that boundary.  Both engines apply this one rule (the
+array engine's arrival walk treats the next boundary as one more bound),
+so the series is identical across engines and streaming chunk sizes,
+sampling on vs. off is bit-identical on every core field, and column
+totals always equal the run-level counters.
 """
 
 from __future__ import annotations
@@ -39,7 +37,7 @@ import numpy as np
 from ..errors import ObservabilityError
 
 #: Sentinel boundary used by the engines when sampling is off: one
-#: always-false integer comparison per loop iteration, nothing else.
+#: always-false integer comparison per event, nothing else.
 NO_SAMPLE = 1 << 62
 
 #: Columns with one value per window.
@@ -231,9 +229,9 @@ class TimeSeriesSampler:
     Life cycle: the simulator constructs the sampler when
     ``sample_interval_cycles`` is set, the selected engine calls
     :meth:`bind` with its reader closure, the engine loop calls
-    :meth:`advance` whenever ``now >= next_boundary``, and the simulator
-    calls :meth:`finish` once with the run horizon to flush the final
-    partial window and pack the :class:`TimeSeries`.
+    :meth:`advance` before the first event at or past ``next_boundary``,
+    and the simulator calls :meth:`finish` once with the run horizon to
+    flush the final partial window and pack the :class:`TimeSeries`.
 
     The reader is called as ``read(now)`` and must return a dict with the
     :data:`READER_KEYS`:
@@ -275,8 +273,10 @@ class TimeSeriesSampler:
 
     def advance(self, now: int) -> int:
         """Close every window whose boundary is <= ``now``; returns the new
-        next boundary.  Multi-boundary jumps attribute all deltas to the
-        first closed window and emit zero-delta windows for the rest."""
+        next boundary.  The engines call this before the first event at
+        or past the boundary, so when one event jumps several boundaries,
+        every delta since the previous read belongs to the first closed
+        window, and the rest are zero-delta windows."""
         while self.next_boundary <= now:
             self._close(self.next_boundary)
             self.next_boundary += self.interval

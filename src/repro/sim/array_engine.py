@@ -1554,7 +1554,7 @@ class ArrayEngine:
         sim.phase_seconds["schedule"] = time.perf_counter() - t0
 
         # -- telemetry sampler (None = off: one dead integer compare per
-        # outer-loop iteration against the _NO_SAMPLE sentinel).  The
+        # event, or per hit walk, against the _NO_SAMPLE sentinel).  The
         # latency cursor walks the flushed ``lat_parts`` prefix plus the
         # live ``lat_cur`` tail, so sampler memory stays O(windows)
         # regardless of chunking. ----------------------------------------
@@ -1610,8 +1610,6 @@ class ArrayEngine:
         feeding = True
         try:
             while True:
-                if now >= smp_next:
-                    smp_next = sampler.advance(now)
                 if ai >= n_arr and feeding:
                     # Release the spent window first, so that two
                     # windows are never live at once.
@@ -1632,6 +1630,8 @@ class ArrayEngine:
                         ev = heappop(heap)
                     elif tracing:
                         now = ak >> _SEQ_BITS
+                        if now >= smp_next:
+                            smp_next = sampler.advance(now)
                         processed += 1
                         p = admit(ai)
                         ai += 1
@@ -1642,39 +1642,28 @@ class ArrayEngine:
                         maybe_retire(p)
                         continue
                     else:
-                        # One index walk over the arrivals that precede the
-                        # next heap key: hits complete inline, with no
-                        # slot; a port wait, a miss or a no-cache dispatch
-                        # may push an event, so the walk re-bisects its
-                        # end when the heap top moves.
-                        if heap:
+                        # One index walk over the arrivals that precede
+                        # the next heap key and the next sampler boundary,
+                        # whichever comes first: hits complete inline, with
+                        # no slot; a port wait, a miss or a no-cache
+                        # dispatch may push an event, so the walk
+                        # re-bisects its end when the heap top falls below
+                        # it.  Like any event, the first arrival at or past
+                        # a boundary closes the window before it runs.
+                        t = ak >> _SEQ_BITS
+                        if t >= smp_next:
+                            smp_next = sampler.advance(t)
+                        hk = smp_next << _SEQ_BITS
+                        if heap and heap[0][0] < hk:
                             hk = heap[0][0]
-                            j = bisect_left(arr_key, hk, ai, n_arr)
-                        else:
-                            hk = -1
-                            j = n_arr
+                        j = bisect_left(arr_key, hk, ai, n_arr)
                         a0 = ai
-                        # Sampler windows close only when control is back
-                        # in the outer loop.  With a sampler on a cached
-                        # router whose LCs are all up, the walk hands
-                        # control back where this loop's hit runs used to
-                        # end (after a port wait or a miss, and every 1024
-                        # arrivals) whenever a boundary is due, so the
-                        # sampled series is unchanged.
-                        yields = (
-                            smp_next != _NO_SAMPLE and has_cache
-                            and not any(failed)
-                        )
-                        stop = ai + 1024 if yields else never
                         while True:
                             if ai == j:
                                 if j < n_arr or not feeding:
                                     break
-                                # The window ran out before the next heap
-                                # key: walk on into the next one, keeping
-                                # the yield countdown, so where the walk
-                                # yields (and so the sampled series) does
-                                # not depend on where windows are cut.
+                                # The window ran out before either bound:
+                                # walk on into the next one.
                                 processed += ai - a0
                                 win = arr_t = arr_key = arr_lc = None
                                 arr_dest = arr_set = arr_meas = None
@@ -1685,17 +1674,11 @@ class ArrayEngine:
                                     break
                                 (arr_t, arr_key, arr_lc, arr_dest, arr_set,
                                  arr_meas, _, _, _, _) = win
-                                stop -= n_arr
                                 ai = a0 = 0
                                 n_arr = len(arr_t)
-                                if heap:
-                                    hk = heap[0][0]
-                                    j = bisect_left(arr_key, hk, 0, n_arr)
-                                else:
-                                    j = n_arr
+                                j = bisect_left(arr_key, hk, 0, n_arr)
                                 continue
-                            jj = j if j < stop else stop
-                            for i in range(ai, jj):
+                            for i in range(ai, j):
                                 t = arr_t[i]
                                 lc = arr_lc[i]
                                 if failed[lc]:
@@ -1737,23 +1720,12 @@ class ArrayEngine:
                                 maybe_retire(p)
                                 break
                             else:
-                                # The next heap key, the window's end or
-                                # a yield point.
-                                ai = jj
-                                if jj == stop:
-                                    if t >= smp_next:
-                                        break
-                                    stop = ai + 1024
+                                # A bound or the window's end.
+                                ai = j
                                 continue
-                            if yields:
-                                if t >= smp_next:
-                                    break
-                                stop = ai + 1024
-                            if heap:
-                                nk = heap[0][0]
-                                if nk != hk:
-                                    hk = nk
-                                    j = bisect_left(arr_key, hk, ai, j)
+                            if heap and heap[0][0] < hk:
+                                hk = heap[0][0]
+                                j = bisect_left(arr_key, hk, ai, j)
                         now = t
                         processed += ai - a0
                         continue
@@ -1764,6 +1736,8 @@ class ArrayEngine:
                 key = ev[0]
                 kind = ev[1]
                 now = key >> _SEQ_BITS
+                if now >= smp_next:
+                    smp_next = sampler.advance(now)
                 processed += 1
                 if kind == _K_PROBE:
                     p = ev[2]

@@ -56,6 +56,7 @@ past the last packet's completion on fault runs.
 
 from __future__ import annotations
 
+import operator
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -70,7 +71,7 @@ from ..obs.registry import MetricsRegistry
 from ..obs.trace import Tracer
 from ..routing.churn import ChurnSchedule
 from ..routing.table import RoutingTable
-from ..traffic.packets import arrival_times
+from ..traffic.packets import LinkSpec, arrival_times
 from ..tries.base import MAX_KERNEL_WIDTH
 from ..tries.reference import HashReferenceMatcher
 from .engine import EventQueue, Resource
@@ -1191,14 +1192,16 @@ class SpalSimulator:
             raise SimulationError(
                 f"need {self.config.n_lcs} streams, got {len(streams)}"
             )
-        if isinstance(speed_gbps, int):
-            speeds = [speed_gbps] * self.config.n_lcs
-        else:
+        try:
+            speeds = [operator.index(speed_gbps)] * self.config.n_lcs
+        except TypeError:
             speeds = list(speed_gbps)
             if len(speeds) != self.config.n_lcs:
                 raise SimulationError(
                     f"need {self.config.n_lcs} per-LC speeds, got {len(speeds)}"
                 )
+        for speed in speeds:
+            LinkSpec(speed).window  # raises on an unsupported speed
         if all(len(s) <= warmup_packets for s in streams):
             raise SimulationError("warmup_packets left no measured packets")
         if updates is not None and len(updates) > 0 and not self.partitioned:

@@ -8,7 +8,8 @@ under fault injection, live churn and tracing.  This module enforces the
 contract two ways:
 
 * a Hypothesis test drawing random (table, ψ, cache geometry, fault
-  schedule, churn schedule, stream seed) configurations, and
+  schedule, churn schedule, sampling interval and health monitor, stream
+  seed) configurations, and
 * a curated deterministic scenario matrix covering the corners the
   random draw reaches rarely (IPv6, no-cache, unpartitioned, per-LC
   speeds, bus fabric, victim caches, every update policy).
@@ -23,6 +24,7 @@ comparison); untraced, the array engine takes its inline hit path.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import numpy as np
@@ -32,10 +34,11 @@ from hypothesis import strategies as st
 
 from repro.core import CacheConfig, FaultSchedule, SpalConfig
 from repro.core.victim_cache import VictimCache
-from repro.obs import Tracer
+from repro.obs import HealthMonitor, Tracer
 from repro.routing import Prefix, random_small_table
 from repro.routing.churn import ChurnSchedule, generate_churn
 from repro.sim import SpalSimulator
+from repro.sim.streaming import PacketStream
 
 from .conftest import result_digest
 
@@ -45,13 +48,20 @@ TABLE_V6 = random_small_table(40, seed=17, max_length=48, width=128)
 
 
 def run_both(table, config, run_kwargs=None, sim_kwargs=None,
-             streams=None, trace=False, n_packets=300):
+             streams=None, trace=False, n_packets=300, chunk_size=None):
     """Run one configuration under both engines; return their digests
-    plus (trace events, simulator) pairs for deeper comparisons."""
+    plus (trace events, simulator) pairs for deeper comparisons.  A
+    ``monitor`` in ``run_kwargs`` is copied per engine, and its events
+    join the digest as ``monitor_events``; a ``chunk_size`` feeds the
+    streams as :class:`PacketStream` chunks."""
     run_kwargs = dict(run_kwargs or {})
     sim_kwargs = dict(sim_kwargs or {})
+    monitor = run_kwargs.pop("monitor", None)
     out = []
     for engine in ("scalar", "array"):
+        eng_kwargs = dict(run_kwargs)
+        if monitor is not None:
+            eng_kwargs["monitor"] = copy.deepcopy(monitor)
         if streams is None:
             rng = np.random.default_rng(5)
             eng_streams = [
@@ -60,19 +70,28 @@ def run_both(table, config, run_kwargs=None, sim_kwargs=None,
             ]
         else:
             eng_streams = [np.array(s, copy=True) for s in streams]
+        if chunk_size is not None:
+            eng_streams = [
+                PacketStream.from_array(s, chunk_size=chunk_size)
+                for s in eng_streams
+            ]
         tracer = Tracer() if trace else None
         sim = SpalSimulator(table, config=config, trace=tracer, **sim_kwargs)
-        result = sim.run(eng_streams, engine=engine, **run_kwargs)
+        result = sim.run(eng_streams, engine=engine, **eng_kwargs)
         events = tracer.events if tracer is not None else None
-        out.append((result_digest(result), events, sim))
+        digest = result_digest(result)
+        if monitor is not None:
+            digest["monitor_events"] = eng_kwargs["monitor"].events
+        out.append((digest, events, sim))
     return out
 
 
 def assert_engines_identical(table, config, run_kwargs=None,
                              sim_kwargs=None, streams=None, trace=False,
-                             n_packets=300):
+                             n_packets=300, chunk_size=None):
     (d_s, ev_s, sim_s), (d_a, ev_a, sim_a) = run_both(
-        table, config, run_kwargs, sim_kwargs, streams, trace, n_packets
+        table, config, run_kwargs, sim_kwargs, streams, trace, n_packets,
+        chunk_size,
     )
     for key in d_s:
         assert d_s[key] == d_a[key], f"engines disagree on {key!r}"
@@ -104,7 +123,7 @@ def assert_engines_identical(table, config, run_kwargs=None,
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, intervals=(None, 1, 7, 64, 256)):
     n_lcs = draw(st.integers(2, 4))
     if draw(st.booleans()):
         cache = None
@@ -179,30 +198,53 @@ def scenarios(draw):
         update_policy = draw(st.sampled_from(["flush", "selective", "rem"]))
     warmup = draw(st.sampled_from([0, 0, 25]))
     trace = draw(st.booleans())
+    chunk_size = draw(st.sampled_from([None, 1, 37]))
+    interval = draw(st.sampled_from(intervals))
+    monitor = None
+    if interval is not None:
+        config = dataclasses.replace(config, sample_interval_cycles=interval)
+        monitor = HealthMonitor(
+            slo_p99_cycles=draw(st.sampled_from([None, 8, 40])),
+            window=draw(st.sampled_from([2, 8])),
+        )
     return (config, seed, n_packets, faults, updates, update_policy,
-            warmup, trace)
+            warmup, trace, monitor, chunk_size)
+
+
+def _check_scenario(scenario):
+    (config, seed, n_packets, faults, updates, update_policy,
+     warmup, trace, monitor, chunk_size) = scenario
+    rng = np.random.default_rng(seed)
+    streams = [
+        rng.integers(0, 1 << 16, size=n_packets).astype(np.uint64)
+        for _ in range(config.n_lcs)
+    ]
+    run_kwargs = {"warmup_packets": warmup}
+    if faults is not None:
+        run_kwargs["faults"] = faults
+    if updates is not None:
+        run_kwargs["updates"] = updates
+        run_kwargs["update_policy"] = update_policy
+    if monitor is not None:
+        run_kwargs["monitor"] = monitor
+    assert_engines_identical(
+        TABLE, config, run_kwargs, streams=streams, trace=trace,
+        chunk_size=chunk_size,
+    )
 
 
 class TestRandomizedIdentity:
     @given(scenarios())
     @settings(max_examples=30, deadline=None)
     def test_engines_bit_identical(self, scenario):
-        (config, seed, n_packets, faults, updates, update_policy,
-         warmup, trace) = scenario
-        rng = np.random.default_rng(seed)
-        streams = [
-            rng.integers(0, 1 << 16, size=n_packets).astype(np.uint64)
-            for _ in range(config.n_lcs)
-        ]
-        run_kwargs = {"warmup_packets": warmup}
-        if faults is not None:
-            run_kwargs["faults"] = faults
-        if updates is not None:
-            run_kwargs["updates"] = updates
-            run_kwargs["update_policy"] = update_policy
-        assert_engines_identical(
-            TABLE, config, run_kwargs, streams=streams, trace=trace
-        )
+        _check_scenario(scenario)
+
+    @given(scenarios(intervals=(1, 7, 64, 256)))
+    @settings(max_examples=20, deadline=None)
+    def test_sampler_series_bit_identical(self, scenario):
+        """Every draw is sampled: the series, digested with the other
+        fields, and the health monitor's events match across engines."""
+        _check_scenario(scenario)
 
 
 # -- curated corners ---------------------------------------------------------
@@ -677,11 +719,11 @@ SAMPLED_CASES = ("clean-traced", "no-cache", "gray-failures",
 
 class TestSamplerIdentity:
     """Enabling ``sample_interval_cycles`` must not change any core
-    result field, metric or trace event — per engine — and the sampled
-    run's series must be self-consistent (window totals equal the run
-    totals).  The series itself may differ *between* engines (window
-    attribution is quantized to each engine's loop granularity), so the
-    cross-engine comparison pops it before diffing.
+    result field, metric or trace event, and the sampled run's series
+    must be self-consistent (window totals equal the run totals).  Both
+    engines close a window before the first event at or past its
+    boundary, so the series is part of the cross-engine comparison like
+    any other field.
     """
 
     @pytest.mark.parametrize("case", SAMPLED_CASES)
@@ -691,26 +733,26 @@ class TestSamplerIdentity:
         off = run_both(TABLE, config, run_kwargs, sim_kwargs, trace=True)
         on = run_both(TABLE, sampled, run_kwargs, sim_kwargs, trace=True)
         for (d_off, ev_off, _), (d_on, ev_on, sim_on) in zip(off, on):
-            ts = d_on.pop("timeseries")
-            assert d_off.pop("timeseries") is None
+            ts = d_on["timeseries"]
+            assert d_off["timeseries"] is None
             assert ts is not None and len(ts["columns"]["t_end"]) > 0
             for key in d_off:
-                assert d_off[key] == d_on[key], f"sampling changed {key!r}"
+                if key != "timeseries":
+                    assert d_off[key] == d_on[key], \
+                        f"sampling changed {key!r}"
             assert ev_off == ev_on, "sampling changed the trace stream"
             # Window deltas must re-add to the run totals exactly.
             assert sum(ts["columns"]["completed"]) == len(sim_on.completed)
             assert sum(ts["columns"]["dropped"]) == \
                 len(sim_on.dropped_packets)
             assert sum(ts["columns"]["lat_count"]) == len(d_on["latencies"])
-        # Core fields still agree across engines with sampling on.
+        # Every field, the series included, agrees across engines.
         d_scalar, d_array = on[0][0], on[1][0]
         for key in d_scalar:
             assert d_scalar[key] == d_array[key], \
                 f"sampled engines disagree on {key!r}"
 
     def test_sampler_streamed_chunk_independent(self):
-        from repro.sim.streaming import PacketStream
-
         config = SpalConfig(
             n_lcs=3, cache=CacheConfig(n_blocks=64, victim_blocks=4)
         )

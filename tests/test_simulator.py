@@ -132,6 +132,8 @@ class TestSpalSimulator:
         {"engine": "auto"},
         {"n_streams": 1},
         {"speed_gbps": [40]},
+        {"speed_gbps": 7},
+        {"speed_gbps": [40, 3]},
         # Also armed with a fabric degradation, which must not leak into
         # the correct call that follows.
         {
@@ -158,6 +160,7 @@ class TestSpalSimulator:
         # No stream is longer than the warmup, so nothing could be measured.
         {"warmup_packets": 200},
     ], ids=["update_policy", "engine_auto", "stream_count", "speed_count",
+            "speed_unsupported", "speed_unsupported_per_lc",
             "monitor_unsampled", "updates_unpartitioned", "fault_lc_range",
             "withdraw_absent", "withdraw_absent_minimized", "warmup_only"])
     def test_rejected_call_leaves_simulator_runnable(self, table, bad):
@@ -237,6 +240,18 @@ class TestSpalSimulator:
         result = sim.run(streams_for(table, 2, 500), speed_gbps=10)
         # Mean interarrival 40 cycles -> horizon near 40*500.
         assert result.horizon_cycles >= 35 * 500
+
+    def test_integral_speed_scalar_accepted(self, table):
+        """Any integral scalar is one speed for every LC."""
+        config = SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=512))
+        streams = streams_for(table, 2, 300)
+        want = SpalSimulator(table, config).run(
+            [s.copy() for s in streams], speed_gbps=10
+        )
+        got = SpalSimulator(table, config).run(
+            [s.copy() for s in streams], speed_gbps=np.int64(10)
+        )
+        assert got.summary() == want.summary()
 
     def test_remote_sharing_cuts_fe_load(self, table):
         """The same popular destinations hit at all LCs; with sharing, each

@@ -334,8 +334,8 @@ class TestSampledRun:
         assert (series["fe_backlog"] >= 0).all()
 
     @staticmethod
-    def _attribution_digest(hot, crash, chunk_size=None):
-        """sha256 of the integer series columns of one sampled array run;
+    def _attribution_digest(hot, crash, chunk_size=None, engine="array"):
+        """sha256 of the integer series columns of one sampled run;
         ``chunk_size`` feeds the same arrivals as chunked streams."""
         from repro.sim.streaming import PacketStream
 
@@ -355,7 +355,7 @@ class TestSampledRun:
             if crash else None
         )
         series = SpalSimulator(table, config=config).run(
-            streams, engine="array", faults=faults
+            streams, engine=engine, faults=faults
         ).timeseries
         ints = {
             name: col.tolist()
@@ -366,21 +366,21 @@ class TestSampledRun:
 
     @pytest.mark.parametrize("hot,crash,want", [
         (64, False,
-         "a43656af4bca59a6df30c01c59bb8a9b81bf85658701f513597a26d84c3bca17"),
+         "a62c10d5842b5d6088817f406c3fc8d2205cdcaec893cfeecb71a24009346931"),
         (4096, False,
-         "3ca79aaf7ae60d0e4658682fcb3a1cf823ad66529fc1a423ae5870821db6ad53"),
+         "6028d31146df840bd518c4284da2cec82a496cd80d10ad325b18df83a7136594"),
         (64, True,
-         "f357af443c9aef140279ed5f98d1330d44f1e2913e32dcb2df13e7c026897b64"),
+         "34c0b38212acd319b019ee7493fb36dc0f54838761f4cb3183e7d578df53703e"),
     ], ids=["hit-runs", "misses", "lc-down"])
-    def test_array_window_attribution_is_pinned(self, hot, crash, want):
-        """The array engine closes a window when its arrival walk hands
-        control back to the outer loop, so its series depends on where
-        the walk yields (see the ``repro.obs.timeseries`` docstring).
-        The integer columns
+    def test_window_attribution_is_pinned(self, hot, crash, want):
+        """Each engine closes a window before the first event at or past
+        its boundary, so both produce one series.  The integer columns
         are pinned for long hit runs, for miss-heavy traffic and with an
-        LC down, so a change to the arrival loop cannot move the series
+        LC down, so a change to either loop cannot move the series
         unnoticed."""
-        assert self._attribution_digest(hot, crash) == want
+        for engine in ("scalar", "array"):
+            assert self._attribution_digest(hot, crash, engine=engine) \
+                == want, engine
 
     @pytest.mark.parametrize("hot,crash", [
         (64, False), (4096, False), (64, True),
@@ -388,9 +388,8 @@ class TestSampledRun:
     def test_array_window_attribution_ignores_chunking(
         self, monkeypatch, hot, crash
     ):
-        """The arrival walk carries on across arrival windows, so where
-        it yields, and with it the series, does not depend on where
-        chunks or windows end."""
+        """The arrival walk carries on across arrival windows, so the
+        series does not depend on where chunks or windows end."""
         from repro.sim import array_engine
 
         want = self._attribution_digest(hot, crash)
