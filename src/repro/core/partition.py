@@ -338,10 +338,8 @@ class PartitionPlan:
     #: LCs currently marked failed (affects ``home_lc`` replica choice).
     failed_lcs: "set[int]" = field(default_factory=set)
     #: Mutation counter: bumped by every :meth:`fail_lc`/:meth:`restore_lc`.
-    #: Consumers that cache anything derived from the failure state (the
-    #: simulator's precomputed per-stream homes, the padded live-replica
-    #: table below) key their caches on this and recompute on mismatch —
-    #: the fix for silently-stale fast paths after a mid-run ``fail_lc``.
+    #: Anything cached from the failure state (the padded live-replica
+    #: table below) keys on this and recomputes on mismatch.
     epoch: int = 0
     #: Cached ``(epoch, live_tab, n_live)`` for :meth:`home_lc_batch`.
     _live_cache: Optional[tuple] = field(
@@ -353,13 +351,16 @@ class PartitionPlan:
         return self.tables[0].width
 
     def home_lc(self, address: int) -> int:
-        """The home LC of an address (LR1 detector).
+        """The home LC of an address (LR1 detector): :meth:`home_of_pattern`
+        of its control-bit pattern."""
+        return self.home_of_pattern(
+            pattern_of(address, self.bits, self.width), address
+        )
 
-        With replication, load spreads across the pattern's live replicas
-        (selected by low address bits, so one flow always lands on the same
-        replica and stays cacheable there); failed LCs are skipped.
-        """
-        pattern = pattern_of(address, self.bits, self.width)
+    def home_of_pattern(self, pattern: int, address: int) -> int:
+        """The home LC of ``address``, whose control-bit pattern is
+        ``pattern``: with replication, the live replica its low bits pick
+        (one flow stays on one replica, cacheable there)."""
         if self.replicas_of_pattern is None:
             return self.lc_of_pattern[pattern]
         replicas = self.replicas_of_pattern[pattern]
@@ -467,16 +468,9 @@ class PartitionPlan:
         forwarding tables, because a churn run *mutates* them — a shared
         (possibly memoized) plan must never see another run's updates.
         """
-        return PartitionPlan(
-            bits=self.bits,
-            n_lcs=self.n_lcs,
-            lc_of_pattern=self.lc_of_pattern,
-            tables=[t.copy() for t in self.tables],
-            source_version=self.source_version,
-            replicas_of_pattern=self.replicas_of_pattern,
-            failed_lcs=set(self.failed_lcs),
-            epoch=self.epoch,
-        )
+        plan = self.copy_for_faults()
+        plan.tables = [t.copy() for t in self.tables]
+        return plan
 
     def partition_sizes(self) -> List[int]:
         return [len(t) for t in self.tables]

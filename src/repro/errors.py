@@ -15,6 +15,12 @@ class TableError(ReproError):
     """A routing-table operation failed (duplicate/missing prefix, ...)."""
 
 
+class ChurnScheduleError(TableError, ValueError):
+    """A :class:`repro.routing.churn.ChurnSchedule` does not apply cleanly,
+    in order, to the table it is run against (withdrawal of an absent
+    prefix, width mismatch) -- on a plain or on a minimised table."""
+
+
 class PartitionError(ReproError):
     """Table partitioning could not satisfy the request."""
 

@@ -23,6 +23,7 @@ from typing import Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from ..errors import ChurnScheduleError
 from .prefix import Prefix
 from .table import NextHop, RoutingTable
 from .updates import RouteUpdate, UpdateMix, generate_updates
@@ -118,7 +119,8 @@ class ChurnSchedule:
 
     def validate(self, table: RoutingTable) -> None:
         """Check the schedule applies cleanly, in order, to ``table`` (no
-        withdrawal of an absent prefix, widths match) without changing it.
+        withdrawal of an absent prefix, widths match) without changing it;
+        raise :class:`~repro.errors.ChurnScheduleError` if not.
 
         Only the schedule's own prefixes are looked at: each is checked
         against the events before it, then against ``table``'s exact-match
@@ -128,14 +130,14 @@ class ChurnSchedule:
         touched: Dict[Prefix, bool] = {}
         for e in self.events():
             if e.prefix.width != table.width:
-                raise ValueError(
+                raise ChurnScheduleError(
                     f"prefix width {e.prefix.width} != table width "
-                    f"{table.width}: {e}"
+                    f"{table.width} at cycle {e.cycle}: {e.prefix}"
                 )
             if e.next_hop is None:
                 present = touched.get(e.prefix)
                 if not (e.prefix in table if present is None else present):
-                    raise ValueError(
+                    raise ChurnScheduleError(
                         f"withdrawal of absent prefix at cycle {e.cycle}: "
                         f"{e.prefix}"
                     )

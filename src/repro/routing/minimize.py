@@ -90,7 +90,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import TableError
+from ..errors import ChurnScheduleError, TableError
 from .arraytable import (
     _LEN_MASK,
     KEY_SHIFT,
@@ -1093,8 +1093,10 @@ class MinimizeState:
         The fork shares the read-only base columns and copies only the
         overlays, so translation costs what the schedule touches.
         It also validates the schedule: a withdrawal of an absent prefix
-        or a width mismatch raises :class:`~repro.errors.TableError`, and
-        every translated op applies cleanly, in order, to :attr:`table`.
+        or a width mismatch raises
+        :class:`~repro.errors.ChurnScheduleError`, as
+        :meth:`ChurnSchedule.validate` does on a plain table, and every
+        translated op applies cleanly, in order, to :attr:`table`.
         """
         fork = self._fork()
         source = schedule.events()
@@ -1103,8 +1105,13 @@ class MinimizeState:
             block = source[start:start + _LOCATE_BLOCK]
             located = self._locate([ev.update.prefix for ev in block])
             for ev, (orig_at, min_at) in zip(block, located):
-                for op in fork._advance(ev.update, orig_at, min_at):
-                    events.append(ChurnEvent(ev.cycle, op))
+                try:
+                    ops = fork._advance(ev.update, orig_at, min_at)
+                except TableError as exc:
+                    raise ChurnScheduleError(
+                        f"churn event at cycle {ev.cycle}: {exc}"
+                    ) from None
+                events.extend(ChurnEvent(ev.cycle, op) for op in ops)
         return ChurnSchedule(events, seed=schedule.seed)
 
 

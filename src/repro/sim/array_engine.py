@@ -83,7 +83,7 @@ from ..core.config import FIL_OVERHEAD_CYCLES, REM_MAX_RETRIES
 from ..core.fabric import Fabric, SharedBusFabric
 from ..core.lr_cache import LOC, REM
 from ..core.partition import apply_route_update
-from ..errors import SimulationError, UnreachablePatternError
+from ..errors import SimulationError
 from ..obs.timeseries import NO_SAMPLE as _NO_SAMPLE
 from ..traffic.packets import ArrivalClock
 from .shedding import admit_floor, shed_decision
@@ -112,13 +112,13 @@ _FAB_BUS = 1
 _FAB_METHOD = 2
 
 #: Most arrivals one merged window holds, over all feeds together, and
-#: most arrivals one ``(home, hop)`` precompute block covers for one
+#: most arrivals one ``(pattern, hop)`` precompute block covers for one
 #: feed.  Window columns and precomputed prefixes, not the chunk size or
 #: the LC count, then bound the per-arrival state a run holds at once.
 _WINDOW_CAP = 8192
 
-#: A feed's precomputed homes right after a pull: none yet.
-_NO_HOMES = np.empty(0, dtype=np.int64)
+#: A feed's precomputed patterns right after a pull: none yet.
+_NO_PATTERNS = np.empty(0, dtype=np.int64)
 
 #: ``lat_cur`` length at which building a window moves it into
 #: ``lat_parts`` as one packed array.
@@ -154,12 +154,12 @@ def _ids_under(e_key, e_addr, value: int, span: int, kshift: int) -> List[int]:
 class _Feed:
     """One LC's chunk iterator + resumable arrival clock, with at most one
     buffered (not-yet-windowed) segment: destinations, arrival cycles and
-    the global pid of its first arrival, plus ``(home, hop)`` for a
-    precomputed prefix of it (``hop`` None when hops are not
-    precomputed)."""
+    the global pid of its first arrival, plus ``(pat, hop)`` -- control-bit
+    pattern and FE result -- for a precomputed prefix of it (``hop`` None
+    when hops are not precomputed)."""
 
     __slots__ = ("lc", "it", "clock", "expect", "got", "done",
-                 "t", "g0", "dest", "home", "hop")
+                 "t", "g0", "dest", "pat", "hop")
 
     def __init__(self, lc: int, stream, speed: int):
         self.lc = lc
@@ -171,7 +171,7 @@ class _Feed:
         self.t: Optional[np.ndarray] = None
         self.g0 = 0
         self.dest: Optional[np.ndarray] = None
-        self.home: Optional[np.ndarray] = None
+        self.pat: Optional[np.ndarray] = None
         self.hop: Optional[np.ndarray] = None
 
 
@@ -238,7 +238,7 @@ class ArrayEngine:
         total packet count.
 
         Bit-identity with the scalar loop over the materialized streams,
-        at every chunk size, rests on three mechanisms:
+        at every chunk size, rests on two mechanisms:
 
         * **window boundary** — the minimum over the ``m`` buffered feeds
           of each buffer's ``(_WINDOW_CAP // m)``-th arrival ``(cycle,
@@ -249,20 +249,20 @@ class ArrayEngine:
         * **pre-assigned sequence block** — arrival sequence numbers are
           reserved up front from the *declared* stream lengths, so
           dynamic events scheduled mid-stream draw the same sequence
-          numbers as in the scalar loop's up-front scheduling;
-        * **pristine-plan precompute** — each feed keeps ``(home, hop)``
-          for a precomputed prefix of its buffer and extends it by one
-          block of at most ``_WINDOW_CAP`` of its arrivals when a window
-          cut reaches past it; each block temporarily restores the
-          partition plan's run-start failure view, so a block computed
-          after a fault event resolves exactly like a whole-trace pass
-          at run start.
+          numbers as in the scalar loop's up-front scheduling.
+
+        Each feed keeps ``(pattern, hop)`` for a precomputed prefix of its
+        buffer and extends it by one block of at most ``_WINDOW_CAP`` of
+        its arrivals when a window cut reaches past it.  Neither value
+        depends on the failure state, so a block computed after a fault
+        event equals a whole-trace pass at run start; the home LC is read
+        from the pattern through the live plan when a packet misses.
 
         ``sim.completed`` / ``sim.dropped_packets`` become count-only
         views (:class:`_CountSeq`) because per-packet state no longer
         exists once the run finishes.
         """
-        from .streaming import PacketStream
+        from .streaming import PacketStream, check_destinations
 
         sim = self.sim
         config = sim.config
@@ -270,8 +270,11 @@ class ArrayEngine:
         tr = sim._trace
         tracing = tr is not None
         plan = sim.plan
-        epoch0 = sim._plan_epoch
-        home_fn = sim._home
+        lc_of_pattern = (
+            plan.lc_of_pattern
+            if plan is not None and plan.replicas_of_pattern is None
+            else None
+        )
         matchers = sim._matchers
         oracle = sim._oracle
         fabric = sim.fabric
@@ -453,7 +456,7 @@ class ArrayEngine:
             pid_base.append(acc)
             acc += n
         pid_base_arr = np.asarray(pid_base + [0], dtype=np.int64)
-        pristine_failed = set(plan.failed_lcs) if plan is not None else None
+        width = sim.table.width
 
         # Reserve the whole arrival sequence block up front (packet p gets
         # ``base + p``, lc-major) so dynamic events scheduled mid-stream
@@ -471,7 +474,8 @@ class ArrayEngine:
         def pull(f: _Feed) -> None:
             # Load the feed's next non-empty chunk and its arrival cycles
             # into its empty buffer; marks the feed done (validating the
-            # declared length) at the end.
+            # declared length) at the end.  Destinations are checked
+            # before the uint64 cast could wrap a negative one.
             while True:
                 try:
                     dests = next(f.it)
@@ -483,7 +487,7 @@ class ArrayEngine:
                         ) from None
                     f.done = True
                     return
-                dests = np.asarray(dests)
+                dests = check_destinations(np.asarray(dests), width, f.lc)
                 if dests.dtype != object:
                     dests = dests.astype(np.uint64, copy=False)
                 n = len(dests)
@@ -498,28 +502,13 @@ class ArrayEngine:
             f.g0 = pid_base[f.lc] + f.got
             f.got += n
             f.dest = dests
-            f.home = _NO_HOMES
+            f.pat = _NO_PATTERNS
 
         def precompute(lc: int, dests: np.ndarray):
-            # (homes, hops) for one block of a feed's buffer.
+            # (patterns, hops) for one block of a feed's buffer.
             nonlocal precompute_s
             tp = time.perf_counter()
-            if plan is not None and plan.epoch != epoch0:
-                # A fault/churn event already mutated the plan; precompute
-                # must see the run-start view or its homes (and
-                # unreachable-pattern behavior) would depend on when the
-                # window was built.
-                saved_failed = plan.failed_lcs
-                saved_epoch = plan.epoch
-                plan.failed_lcs = set(pristine_failed)
-                plan.epoch = epoch0
-                try:
-                    out = sim._precompute_chunk(lc, dests)
-                finally:
-                    plan.failed_lcs = saved_failed
-                    plan.epoch = saved_epoch
-            else:
-                out = sim._precompute_chunk(lc, dests)
+            out = sim._precompute_chunk(lc, dests)
             precompute_s += time.perf_counter() - tp
             return out
 
@@ -538,7 +527,7 @@ class ArrayEngine:
         p_lc: List[int] = []
         p_at: List[int] = []
         p_meas: List[bool] = []
-        p_home: List[int] = []
+        p_pat: List[int] = []
         p_hop: List[Optional[int]] = []
         p_ct: List[int] = []
         p_eid: List[int] = []
@@ -547,7 +536,7 @@ class ArrayEngine:
         p_sent: List[int] = []
         p_served: List[Optional[int]] = []
         p_ref: List[int] = []
-        slot_cols = (p_gpid, p_dest, p_idx, p_set, p_lc, p_at, p_meas, p_home,
+        slot_cols = (p_gpid, p_dest, p_idx, p_set, p_lc, p_at, p_meas, p_pat,
                      p_hop, p_ct, p_eid, p_att, p_drop, p_sent, p_served,
                      p_ref)
         free_slots: List[int] = []
@@ -590,7 +579,7 @@ class ArrayEngine:
             parts_p = []
             parts_d = []
             parts_lc = []
-            parts_h = []
+            parts_pat = []
             parts_o = []
             for f in live:
                 n = len(f.t)
@@ -603,32 +592,32 @@ class ArrayEngine:
                     cut = min(cut, max(lo, bp - f.g0 + 1))
                 if cut <= 0:
                     continue
-                pre = len(f.home)
+                pre = len(f.pat)
                 if cut > pre:
                     # The cut reaches past the precomputed prefix: extend
                     # it by one block of the feed's next ``cap`` arrivals
                     # (a cut never exceeds ``cap``).
-                    homes, hops = precompute(f.lc, f.dest[pre:pre + cap])
+                    pats, hops = precompute(f.lc, f.dest[pre:pre + cap])
                     if pre:
-                        homes = np.concatenate((f.home, homes))
+                        pats = np.concatenate((f.pat, pats))
                         if hops is not None:
                             hops = np.concatenate((f.hop, hops))
-                    f.home = homes
+                    f.pat = pats
                     f.hop = hops
                 parts_t.append(f.t[:cut])
                 parts_p.append(np.arange(f.g0, f.g0 + cut, dtype=np.int64))
                 parts_d.append(f.dest[:cut])
                 parts_lc.append(np.full(cut, f.lc, dtype=np.int64))
-                parts_h.append(f.home[:cut])
+                parts_pat.append(f.pat[:cut])
                 if f.hop is not None:
                     parts_o.append(f.hop[:cut])
                 if cut == n:
-                    f.t = f.dest = f.home = f.hop = None
+                    f.t = f.dest = f.pat = f.hop = None
                 else:
                     f.t = f.t[cut:]
                     f.g0 += cut
                     f.dest = f.dest[cut:]
-                    f.home = f.home[cut:]
+                    f.pat = f.pat[cut:]
                     if f.hop is not None:
                         f.hop = f.hop[cut:]
             # Parts come in feed (LC) order, each with ascending pids, so
@@ -665,7 +654,7 @@ class ArrayEngine:
                     if warmup_packets > 0 else [True] * len(tl)
                 ),
                 wi,
-                np.concatenate(parts_h)[order],
+                np.concatenate(parts_pat)[order],
                 np.concatenate(parts_o)[order] if parts_o else None,
                 wp,
             )
@@ -673,7 +662,7 @@ class ArrayEngine:
         # The current arrival window: lists for what the hit path reads
         # (cycle, key, LC, destination, flat set index, measured flag),
         # then arrays for what only an admitted packet needs (set index,
-        # home, hop -- None under churn -- and global pid).
+        # pattern, hop -- None under churn -- and global pid).
         win = None
 
         def admit(i: int) -> int:
@@ -681,7 +670,7 @@ class ArrayEngine:
             # an arrival that leaves the hit path -- a port wait, a waiting
             # hit, a miss, a no-cache dispatch or an ingress drop -- takes
             # one; a plain hit completes from the window columns alone.
-            (w_t, _, w_lc, w_dest, w_set, w_meas, w_idx, w_home, w_hop,
+            (w_t, _, w_lc, w_dest, w_set, w_meas, w_idx, w_pat, w_hop,
              w_gpid) = win
             if free_slots:
                 p = free_slots.pop()
@@ -695,7 +684,7 @@ class ArrayEngine:
             p_lc[p] = w_lc[i]
             p_at[p] = w_t[i]
             p_meas[p] = w_meas[i]
-            p_home[p] = w_home.item(i)
+            p_pat[p] = w_pat.item(i)
             p_hop[p] = w_hop.item(i) if w_hop is not None else None
             p_ct[p] = -1
             p_eid[p] = -1
@@ -993,11 +982,13 @@ class ArrayEngine:
         # woven in) --------------------------------------------------------
 
         def home_of(p: int, lc: int) -> int:
-            if plan is None or plan.epoch == epoch0:
-                return p_home[p]
-            if home_fn is None:
+            # Scalar _home_of; an unreplicated plan has one holder per
+            # pattern, whatever has failed.
+            if lc_of_pattern is not None:
+                return lc_of_pattern[p_pat[p]]
+            if plan is None:
                 return lc
-            return home_fn(p_dest[p])
+            return plan.home_of_pattern(p_pat[p], p_dest[p])
 
         def note_churn(dest: int, lc: int) -> None:
             if ci is not None:
@@ -1448,12 +1439,6 @@ class ArrayEngine:
         # -- faults and churn (scalar transliterations, with refcounts
         # woven in) --------------------------------------------------------
 
-        def homed_at(address: int, lc: int) -> bool:
-            try:
-                return plan.home_lc(address) == lc
-            except UnreachablePatternError:
-                return True
-
         def apply_fault(kind: str, lc: int, now: int) -> None:
             sim.fault_event_count += 1
             if tr is not None:
@@ -1464,7 +1449,9 @@ class ArrayEngine:
                 if partitioned and plan is not None:
                     for i in range(n_lcs):
                         if i != lc and has_cache and not failed[i]:
-                            inval_remote(i, lambda addr: homed_at(addr, lc))
+                            inval_remote(
+                                i, lambda addr: sim._homed_at(addr, lc)
+                            )
                     plan.fail_lc(lc)
                 failed[lc] = True
                 fail_at[lc] = now

@@ -56,8 +56,8 @@ past the last packet's completion on fault runs.
 
 from __future__ import annotations
 
-import operator
 import time
+from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
@@ -65,7 +65,12 @@ import numpy as np
 from ..core.config import FIL_OVERHEAD_CYCLES, REM_MAX_RETRIES, SpalConfig
 from ..core.faults import FaultSchedule
 from ..core.lr_cache import LOC, REM, LRCache
-from ..core.partition import PartitionPlan, apply_route_update, partition_table
+from ..core.partition import (
+    PartitionPlan,
+    apply_route_update,
+    partition_table,
+    pattern_of_batch,
+)
 from ..errors import SimulationError, UnreachablePatternError
 from ..obs.registry import MetricsRegistry
 from ..obs.trace import Tracer
@@ -77,6 +82,7 @@ from ..tries.reference import HashReferenceMatcher
 from .engine import EventQueue, Resource
 from .results import SimulationResult
 from .shedding import shed_decision
+from .streaming import PacketStream, check_destinations
 
 
 class _Packet:
@@ -89,7 +95,7 @@ class _Packet:
         "complete_time",
         "entry",
         "measured",
-        "home",
+        "pattern",
         "hop",
         "attempt",
         "dropped",
@@ -98,14 +104,15 @@ class _Packet:
         "served",
     )
 
-    def __init__(self, dest: int, arrival_lc: int, arrival_time: int):
+    def __init__(self, dest: int, arrival_lc: int, arrival_time: int,
+                 pattern: int):
         self.dest = dest
         self.arrival_lc = arrival_lc
         self.arrival_time = arrival_time
         self.complete_time = -1
         self.entry = None        # reserved LR-cache entry at the arrival LC
         self.measured = True     # False during the warmup window
-        self.home = -1           # precomputed home LC (-1 = compute on demand)
+        self.pattern = pattern   # dest's control-bit pattern (0 unpartitioned)
         self.hop = None          # precomputed FE result (None = look up at FE)
         self.attempt = 0         # remote-request attempt (bumped per retry)
         self.dropped = None      # drop reason, or None while in flight
@@ -296,11 +303,6 @@ class SpalSimulator:
         self.dropped_packets: List[_Packet] = []
         self.flushes = 0
         self._oracle = HashReferenceMatcher(table) if verify else None
-        # Pre-computed control-bit home mapping for speed.
-        if partitioned and self.plan is not None:
-            self._home = self.plan.home_lc
-        else:
-            self._home = None
         # -- fault-injection state (inert without a FaultSchedule) --------
         self._faults: Optional[FaultSchedule] = None
         #: Remote-lookup timeout budget: the automatic default once a
@@ -333,11 +335,6 @@ class SpalSimulator:
         self.max_fabric_backlog = 0
         self.fabric_dropped_messages = 0
         self.fault_event_count = 0
-        #: Plan epoch captured when per-stream homes were precomputed; any
-        #: later plan mutation (a fault event, or the caller poking
-        #: ``plan.fail_lc`` from an update hook) invalidates the
-        #: precomputed homes and _home_of recomputes them scalar.
-        self._plan_epoch = self.plan.epoch if self.plan is not None else 0
         # -- live-churn state (inert without run(updates=...)) ------------
         self._updates_armed = False
         self._update_policy = "selective"
@@ -425,13 +422,11 @@ class SpalSimulator:
             self.queue.schedule(arrive, handler, *args)
 
     def _home_of(self, pkt: _Packet, arrival_lc: int) -> int:
-        if pkt.home >= 0 and (
-            self.plan is None or self.plan.epoch == self._plan_epoch
-        ):
-            return pkt.home
-        if self._home is None:
+        """The packet's home LC under the plan's live failure state (the
+        arrival LC on an unpartitioned router)."""
+        if self.plan is None:
             return arrival_lc
-        return self._home(pkt.dest)
+        return self.plan.home_of_pattern(pkt.pattern, pkt.dest)
 
     def _arrive(self, pkt: _Packet, lc: int) -> None:
         """Packet header reaches the LR-cache stage of LC ``lc``."""
@@ -447,7 +442,7 @@ class SpalSimulator:
         now = self.queue.now
         cache = self.caches[lc]
         if cache is None:
-            self._dispatch(pkt, lc, now)
+            self._dispatch(pkt, lc, now, self._home_of(pkt, lc))
             return
         start, _ = self.cache_ports[lc].acquire(now, 1)
         if start > now:
@@ -527,11 +522,7 @@ class SpalSimulator:
                 pkt.entry = cache.allocate(pkt.dest, LOC if local else REM)
         self._dispatch(pkt, lc, now, home)
 
-    def _dispatch(
-        self, pkt: _Packet, lc: int, now: int, home: Optional[int] = None
-    ) -> None:
-        if home is None:
-            home = self._home_of(pkt, lc)
+    def _dispatch(self, pkt: _Packet, lc: int, now: int, home: int) -> None:
         if home == lc:
             self._fe_request(pkt, lc, now, origin=None)
         else:
@@ -1028,39 +1019,49 @@ class SpalSimulator:
         self.invalidation_messages += msgs
         self._m_inval_msgs.value += msgs
 
-    def _counter_snapshots(self) -> List[tuple]:
-        snapshots = []
-        for m in {id(m): m for m in [*self._matchers, self._oracle]}.values():
-            c = getattr(m, "counter", None)
-            if c is not None:
-                snapshots.append((c, c.lookups, c.accesses, c.max_accesses))
-        return snapshots
+    def _precompute_chunk(self, lc: int, dests: np.ndarray) -> tuple:
+        """(patterns, hops) int64 arrays for one chunk of LC ``lc``'s
+        destinations, resolved ahead of the event loop (patterns are 0
+        unpartitioned; ``hops`` is None under live churn and above the
+        kernels' 64 bits, where the FE resolves each hop scalar).
 
-    @staticmethod
-    def _restore_counters(snapshots: List[tuple]) -> None:
-        for c, lookups, accesses, max_accesses in snapshots:
-            c.lookups = lookups
-            c.accesses = accesses
-            c.max_accesses = max_accesses
-
-    def _homes_hops_for(self, lc: int, dests: np.ndarray) -> tuple:
-        """(homes, hops) int64 arrays for one LC's destinations (``hops``
-        is None under live churn and above the kernels' 64 bits).  Pure
-        per element, so any chunking of a stream yields identical
-        values."""
-        if self.plan is not None:
-            homes = self.plan.home_lc_batch(dests)
+        The home LC, which also depends on which replicas are live, is read
+        from the pattern (:meth:`PartitionPlan.home_of_pattern`) when a
+        packet misses.  Both values are pure per element and blind to
+        failures, so any chunking, at any point of the run, yields
+        identical values.  Churn-free, the forwarding tables are immutable
+        during :meth:`run`: one :func:`pattern_of_batch` plus one
+        :meth:`lookup_batch` per primary holder replace scalar lookups in
+        the handlers, and ``verify=True`` checks the chunk against the
+        oracle in one pass.  Matcher access counters are restored
+        afterwards so precomputation stays side-effect free.
+        """
+        plan = self.plan
+        if plan is None:
+            patterns = np.zeros(len(dests), dtype=np.int64)
         else:
-            homes = np.full(len(dests), lc, dtype=np.int64)
+            patterns = pattern_of_batch(dests, plan.bits, self.table.width)
         if self._updates_armed or self.table.width > MAX_KERNEL_WIDTH:
-            return (homes, None)
+            return (patterns, None)
+        if plan is None:
+            holders = np.full(len(dests), lc, dtype=np.int64)
+        else:
+            holders = np.asarray(plan.lc_of_pattern, dtype=np.int64)[patterns]
+        counters = [
+            (c, c.lookups, c.accesses, c.max_accesses)
+            for c in (getattr(m, "counter", None)
+                      for m in (*self._matchers, self._oracle))
+            if c is not None
+        ]
         hops = np.empty(len(dests), dtype=np.int64)
-        # Homes are LC indices, so a bincount names the ones present in
+        # Every holder of a pattern answers its addresses with the
+        # whole-table LPM, so the primary holder's matcher serves them.
+        # Holders are LC indices, so a bincount names the ones present in
         # ascending order at a fraction of np.unique's sort.
         for h in np.flatnonzero(
-            np.bincount(homes, minlength=self.config.n_lcs)
+            np.bincount(holders, minlength=self.config.n_lcs)
         ):
-            mask = homes == h
+            mask = holders == h
             hops[mask] = self._matchers[int(h)].lookup_batch(dests[mask])
         if self._oracle is not None:
             expected = self._oracle.lookup_batch(dests)
@@ -1069,36 +1070,15 @@ class SpalSimulator:
                 i = int(bad[0])
                 raise SimulationError(
                     f"partition invariant violated at LC "
-                    f"{int(homes[i])}: lookup({int(dests[i]):#x}) = "
+                    f"{int(holders[i])}: lookup({int(dests[i]):#x}) = "
                     f"{int(hops[i])}, whole table says "
                     f"{int(expected[i])}"
                 )
-        return (homes, hops)
-
-    def _precompute_chunk(self, lc: int, dests: np.ndarray) -> tuple:
-        """Resolve one chunk of LC ``lc``'s packets' home LC (and,
-        churn-free, FE result) ahead of the event loop.
-
-        Without ``updates=...`` the forwarding tables are immutable during
-        :meth:`run` (flushes and selective invalidations only touch
-        caches), so the per-packet ``(home, hop)`` pair is known before the
-        packet's first event fires.  One vectorized
-        :meth:`PartitionPlan.home_lc_batch` plus per-home-LC
-        :meth:`lookup_batch` calls replace scalar lookups in the event
-        handlers; with ``verify=True`` the chunk is checked against the
-        oracle here in one batched pass.  Under live churn the tables *do*
-        mutate mid-run, so only the homes (a function of the immutable
-        control bits) are precomputed and every FE result resolves scalar
-        at lookup time.  Above 64 bits only the homes are precomputed too:
-        ``lookup_batch`` has no kernel there, so a precomputed hop would
-        cost one scalar lookup per arrival instead of one per FE lookup.
-        Matcher access counters are restored afterwards so precomputation
-        stays side-effect free.
-        """
-        snapshots = self._counter_snapshots()
-        out = self._homes_hops_for(lc, dests)
-        self._restore_counters(snapshots)
-        return out
+        for c, lookups, accesses, max_accesses in counters:
+            c.lookups, c.accesses, c.max_accesses = (
+                lookups, accesses, max_accesses
+            )
+        return (patterns, hops)
 
     def _resolve_engine(self, engine: str) -> bool:
         """True for the array engine, False for the scalar loop."""
@@ -1161,11 +1141,12 @@ class SpalSimulator:
         chunked :class:`~repro.sim.streaming.PacketStream`\\ s alike) or
         ``"scalar"`` (per-packet Python objects over :class:`EventQueue` —
         the readable reference loop; streams are materialized first).  Both
-        precompute every arrival's home (and, churn-free up to 64 bits, its
-        FE result) in batches.  The two engines are bit-identical;
-        the differential suite in ``tests/test_engine_identity.py``
-        enforces it.  The array engine recycles per-packet state, so after
-        it ``self.completed`` / ``self.dropped_packets`` hold counts only;
+        precompute every arrival's control-bit pattern (and, churn-free up
+        to 64 bits, its FE result) in batches.  The two engines are
+        bit-identical; the differential suite in
+        ``tests/test_engine_identity.py`` enforces it.  The array engine
+        recycles per-packet state, so after it ``self.completed`` /
+        ``self.dropped_packets`` hold counts only;
         per-packet introspection needs the scalar loop or a tracer (whose
         ``complete`` records carry the served next hop).
 
@@ -1192,18 +1173,29 @@ class SpalSimulator:
             raise SimulationError(
                 f"need {self.config.n_lcs} streams, got {len(streams)}"
             )
+        # A scalar speed is every LC's; each MUST pass LinkSpec's rule.
         try:
-            speeds = [operator.index(speed_gbps)] * self.config.n_lcs
-        except TypeError:
             speeds = list(speed_gbps)
-            if len(speeds) != self.config.n_lcs:
-                raise SimulationError(
-                    f"need {self.config.n_lcs} per-LC speeds, got {len(speeds)}"
-                )
+        except TypeError:
+            speeds = [speed_gbps] * self.config.n_lcs
+        if len(speeds) != self.config.n_lcs:
+            raise SimulationError(
+                f"need {self.config.n_lcs} per-LC speeds, got {len(speeds)}"
+            )
         for speed in speeds:
             LinkSpec(speed).window  # raises on an unsupported speed
+        if not isinstance(warmup_packets, Integral) or warmup_packets < 0:
+            raise SimulationError(
+                "warmup_packets must be a non-negative integer, got "
+                f"{warmup_packets!r}"
+            )
         if all(len(s) <= warmup_packets for s in streams):
             raise SimulationError("warmup_packets left no measured packets")
+        # Materialized streams MUST hold addresses of the table's width;
+        # a PacketStream's chunks are checked as the run reads them.
+        for lc, stream in enumerate(streams):
+            if not isinstance(stream, PacketStream):
+                check_destinations(np.asarray(stream), self.table.width, lc)
         if updates is not None and len(updates) > 0 and not self.partitioned:
             raise SimulationError(
                 "updates=... requires partitioned=True (churn routes "
@@ -1225,7 +1217,7 @@ class SpalSimulator:
             # ops unmodified; a translation that nets out to zero ops
             # simply never arms churn.  It also validates the schedule:
             # a withdrawal of an absent prefix or a width mismatch raises
-            # TableError, and every translated op applies in order.
+            # ChurnScheduleError, as updates.validate does unminimised.
             updates = self._minimize_state.translate_schedule(updates)
         elif updates is not None and len(updates) > 0:
             updates.validate(self.table)
@@ -1239,7 +1231,6 @@ class SpalSimulator:
                 # work on a private copy: injected/memoized plans are shared
                 # across simulators and must come back untouched.
                 self.plan = self.plan.copy_for_faults()
-                self._home = self.plan.home_lc
             if faults.has_lc_events or faults.has_drops:
                 self._timeout = self.config.default_rem_timeout()
             self._fault_rng = np.random.default_rng(faults.seed)
@@ -1258,7 +1249,6 @@ class SpalSimulator:
             # rebuilt over the copies, while the simulator's own matchers
             # and oracle are private already and patch in place.
             self.plan = self.plan.copy_for_updates()
-            self._home = self.plan.home_lc
             if self._matchers_injected:
                 self._matchers = [
                     HashReferenceMatcher(t) for t in self.plan.tables
@@ -1282,7 +1272,6 @@ class SpalSimulator:
             # packet arrivals (stable heap order).
             for ev in updates.events():
                 self.queue.schedule(ev.cycle, self._apply_churn_update, ev.update)
-        self._plan_epoch = self.plan.epoch if self.plan is not None else 0
         # -- in-run telemetry (None = off = bit-identical) -----------------
         sampler = None
         if self.config.sample_interval_cycles is not None:
@@ -1308,15 +1297,14 @@ class SpalSimulator:
             failover_lat = out["failover"]
             t0 = time.perf_counter()
         else:
-            from .streaming import PacketStream
-
             # The scalar loop is the readable reference implementation,
             # not the scale path (it allocates a _Packet per arrival
             # regardless): materialize streams up front so chunked input
             # still runs — and runs bit-identically.
             streams = [
-                s.materialize() if isinstance(s, PacketStream) else s
-                for s in streams
+                check_destinations(s.materialize(), self.table.width, lc)
+                if isinstance(s, PacketStream) else s
+                for lc, s in enumerate(streams)
             ]
             t0 = time.perf_counter()
             precomputed = [
@@ -1333,19 +1321,18 @@ class SpalSimulator:
                 )
                 # Plain lists: list[i] yields a Python int with no
                 # per-element conversion.
-                homes = precomputed[lc][0].tolist()
+                patterns = precomputed[lc][0].tolist()
                 hops = precomputed[lc][1]
                 if hops is not None:
                     hops = hops.tolist()
                 for i, (t, dest) in enumerate(zip(times, stream)):
-                    pkt = _Packet(int(dest), lc, int(t))
+                    pkt = _Packet(int(dest), lc, int(t), patterns[i])
                     pkt.measured = i >= warmup_packets
                     if tracing:
                         # Sequential per run, touched only by the tracer —
                         # pid assignment cannot perturb the timeline.
                         pkt.pid = next_pid
                         next_pid += 1
-                    pkt.home = homes[i]
                     if hops is not None:
                         pkt.hop = hops[i]
                     self.queue.schedule(int(t), self._arrive, pkt, lc)

@@ -46,6 +46,17 @@ def _as_dest_array(chunk) -> np.ndarray:
     return np.ascontiguousarray(arr.astype(np.uint64, copy=False))
 
 
+def check_destinations(dests: np.ndarray, width: int, lc: int) -> np.ndarray:
+    """``dests`` (LC ``lc``'s), once every one is a ``width``-bit address:
+    ``0 <= d < 2**width``; otherwise :class:`SimulationError`."""
+    if len(dests) and (dests.min() < 0 or int(dests.max()) >> width):
+        raise SimulationError(
+            f"stream for LC {lc} holds a destination outside the "
+            f"{width}-bit address space"
+        )
+    return dests
+
+
 class PacketStream:
     """A per-LC destination source of known length, consumed in chunks.
 

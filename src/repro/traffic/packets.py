@@ -9,6 +9,7 @@ line rate.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
@@ -36,9 +37,11 @@ class LinkSpec:
 
     @property
     def window(self) -> Tuple[int, int]:
+        """The interarrival window; a speed MUST be an integer key of
+        :data:`INTERARRIVAL_WINDOWS` (``40.0`` is not one)."""
         try:
-            return INTERARRIVAL_WINDOWS[self.speed_gbps]
-        except KeyError:
+            return INTERARRIVAL_WINDOWS[operator.index(self.speed_gbps)]
+        except (KeyError, TypeError):
             raise SimulationError(
                 f"unsupported LC speed {self.speed_gbps} Gbps; "
                 f"supported: {sorted(INTERARRIVAL_WINDOWS)}"
@@ -61,17 +64,16 @@ def arrival_times(
     seed: int = 0,
     start_cycle: int = 0,
 ) -> np.ndarray:
-    """Cycle numbers of ``n_packets`` arrivals at one LC (int64 array)."""
+    """Cycle numbers of ``n_packets`` arrivals at one LC (int64 array):
+    :class:`ArrivalClock`'s process drawn in one chunk."""
     if n_packets < 0:
         raise SimulationError("n_packets must be non-negative")
-    low, high = LinkSpec(speed_gbps).window
-    rng = np.random.default_rng(seed)
-    gaps = rng.integers(low, high + 1, size=n_packets, dtype=np.int64)
-    return start_cycle + np.cumsum(gaps)
+    return ArrivalClock(speed_gbps, seed, start_cycle).next(n_packets)
 
 
 class ArrivalClock:
-    """Resumable :func:`arrival_times` — the same process drawn in chunks.
+    """One LC's arrival process, resumable: interarrival gaps drawn
+    uniformly from the link's window.
 
     ``next(n)`` returns the next ``n`` arrival cycles; concatenating the
     chunks of any split reproduces ``arrival_times(total, ...)``

@@ -324,7 +324,9 @@ class TestCachePortSaturation:
     def test_same_cycle_probes_serialize_without_double_booking(self):
         """N packets hitting one LC's cache in the same cycle must consume
         exactly N port slots: the deferred probes run in the slot reserved
-        at arrival instead of acquiring a second one."""
+        at arrival instead of acquiring a second one.  The packets are
+        built by hand, so each carries the pattern the run would have
+        precomputed for it."""
         table = random_small_table(100, seed=61)
         sim = SpalSimulator(
             table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=64))
@@ -332,7 +334,9 @@ class TestCachePortSaturation:
         rng = np.random.default_rng(6)
         dests = rng.choice(1 << 32, size=16, replace=False)
         for dest in dests:
-            sim.queue.schedule(0, sim._arrive, _Packet(int(dest), 0, 0), 0)
+            pattern = pattern_of(int(dest), sim.plan.bits, table.width)
+            pkt = _Packet(int(dest), 0, 0, pattern)
+            sim.queue.schedule(0, sim._arrive, pkt, 0)
         sim.queue.run()
         assert sim.cache_ports[0].busy_cycles == len(dests)
         assert len(sim.completed) == len(dests)

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import CacheConfig, SpalConfig, SpalRouter
-from repro.errors import SimulationError, TrieError
+from repro.errors import ChurnScheduleError, SimulationError, TrieError
 from repro.obs import Tracer
 from repro.routing import (
     ArrayRoutingTable,
@@ -150,6 +150,30 @@ class TestChurnGenerator:
         wide = ChurnSchedule().announce(1, Prefix(0, 0, 128), 1)
         with pytest.raises(ValueError, match="width"):
             wide.validate(table)
+
+    @pytest.mark.parametrize("bad", ["withdraw_absent", "width"])
+    def test_one_error_type_minimised_or_not(self, table, bad):
+        """One bad schedule raises one error type on both paths: checked
+        by ``ChurnSchedule.validate`` on a plain simulator and by the
+        translation onto the minimised table on a minimised one."""
+        absent = Prefix.from_string("203.0.113.0/24")
+        assert absent not in table
+        schedule = (
+            ChurnSchedule().announce(50, Prefix.from_string("10.0.0.0/8"), 3)
+            .withdraw(100, absent)
+            if bad == "withdraw_absent"
+            else ChurnSchedule().announce(100, Prefix(0, 0, 128), 1)
+        )
+        streams = streams_for(table, 2, 50)
+        for minimize in (None, "full"):
+            sim = SpalSimulator(
+                table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=64),
+                                  minimize=minimize)
+            )
+            with pytest.raises(ChurnScheduleError, match="cycle 100"):
+                sim.run([s.copy() for s in streams], updates=schedule)
+        # Still a ValueError, as the older checks expect.
+        assert issubclass(ChurnScheduleError, ValueError)
 
 
 @st.composite

@@ -7,9 +7,10 @@ post-run cache/queue state — matches the scalar loop exactly, including
 under fault injection, live churn and tracing.  This module enforces the
 contract two ways:
 
-* a Hypothesis test drawing random (table, ψ, cache geometry, fault
-  schedule, churn schedule, sampling interval and health monitor, stream
-  seed) configurations, and
+* a Hypothesis test drawing random (table, ψ, replica count from 1 to ψ,
+  cache geometry, fault schedule, churn schedule, sampling interval and
+  health monitor, stream seed) configurations, with destinations that
+  make every LC a home, and
 * a curated deterministic scenario matrix covering the corners the
   random draw reaches rarely (IPv6, no-cache, unpartitioned, per-LC
   speeds, bus fabric, victim caches, every update policy).
@@ -45,6 +46,13 @@ from .conftest import result_digest
 TABLE = random_small_table(60, seed=91, max_length=16)
 TABLE_WIDE = random_small_table(250, seed=5, max_length=24)
 TABLE_V6 = random_small_table(40, seed=17, max_length=48, width=128)
+
+#: Destinations for the random draws, over the whole 32-bit space: the
+#: control bits of ``TABLE``'s plans include bit 0, so destinations below
+#: 2**16 would all fall in one pattern and reach one home LC.
+DEST_POOL = np.random.default_rng(2004).integers(
+    0, 1 << 32, size=400, dtype=np.uint64
+)
 
 
 def run_both(table, config, run_kwargs=None, sim_kwargs=None,
@@ -137,7 +145,7 @@ def scenarios(draw, intervals=(None, 1, 7, 64, 256)):
     config = SpalConfig(
         n_lcs=n_lcs,
         cache=cache,
-        replicas=draw(st.sampled_from([1, 2])),
+        replicas=draw(st.integers(1, n_lcs)),
         fe_lookup_cycles=draw(st.sampled_from([1, 5])),
     )
     if draw(st.booleans()):
@@ -216,9 +224,14 @@ def _check_scenario(scenario):
      warmup, trace, monitor, chunk_size) = scenario
     rng = np.random.default_rng(seed)
     streams = [
-        rng.integers(0, 1 << 16, size=n_packets).astype(np.uint64)
+        DEST_POOL[rng.integers(0, len(DEST_POOL), size=n_packets)]
         for _ in range(config.n_lcs)
     ]
+    # Every LC is some arrival's home on the run-start plan, so failures
+    # and replica choices reach every card.
+    plan = SpalSimulator(TABLE, config=config).plan
+    homes = np.unique(plan.home_lc_batch(np.concatenate(streams)))
+    assert homes.tolist() == list(range(config.n_lcs))
     run_kwargs = {"warmup_packets": warmup}
     if faults is not None:
         run_kwargs["faults"] = faults

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.errors import FaultScheduleError, SimulationError, TableError
+from repro.errors import (
+    ChurnScheduleError,
+    FaultScheduleError,
+    SimulationError,
+)
 from repro.core import CacheConfig, FaultSchedule, SpalConfig
 from repro.obs import HealthMonitor
 from repro.routing import ChurnSchedule, Prefix, random_small_table
@@ -134,6 +138,9 @@ class TestSpalSimulator:
         {"speed_gbps": [40]},
         {"speed_gbps": 7},
         {"speed_gbps": [40, 3]},
+        # One rule for a scalar and a per-LC speed: an integer rate.
+        {"speed_gbps": 40.0},
+        {"speed_gbps": [40.0, 10.0]},
         # Also armed with a fabric degradation, which must not leak into
         # the correct call that follows.
         {
@@ -154,15 +161,23 @@ class TestSpalSimulator:
         {"faults": FaultSchedule().fail_lc(100, 7),
          "raises": FaultScheduleError},
         {"updates": ChurnSchedule().withdraw(100, Prefix.from_string(
-            "203.0.113.0/24")), "raises": ValueError},
+            "203.0.113.0/24")), "raises": ChurnScheduleError},
         {"minimize": "full", "updates": ChurnSchedule().withdraw(
-            100, Prefix.from_string("203.0.113.0/24")), "raises": TableError},
+            100, Prefix.from_string("203.0.113.0/24")),
+         "raises": ChurnScheduleError},
         # No stream is longer than the warmup, so nothing could be measured.
         {"warmup_packets": 200},
+        {"warmup_packets": -5},
+        {"warmup_packets": 1.5},
+        # Destinations outside the table's 32-bit address space.
+        {"bad_dest": 2**40 + 5},
+        {"bad_dest": -1},
     ], ids=["update_policy", "engine_auto", "stream_count", "speed_count",
-            "speed_unsupported", "speed_unsupported_per_lc",
-            "monitor_unsampled", "updates_unpartitioned", "fault_lc_range",
-            "withdraw_absent", "withdraw_absent_minimized", "warmup_only"])
+            "speed_unsupported", "speed_unsupported_per_lc", "speed_float",
+            "speed_float_per_lc", "monitor_unsampled",
+            "updates_unpartitioned", "fault_lc_range", "withdraw_absent",
+            "withdraw_absent_minimized", "warmup_only", "warmup_negative",
+            "warmup_fractional", "dest_too_wide", "dest_negative"])
     def test_rejected_call_leaves_simulator_runnable(self, table, bad):
         """Simulators are single-use, but a call rejected by the argument
         or schedule checks has not used one up: a correct second call runs
@@ -171,15 +186,20 @@ class TestSpalSimulator:
         partitioned = kwargs.pop("partitioned", True)
         n_streams = kwargs.pop("n_streams", 2)
         raises = kwargs.pop("raises", SimulationError)
+        bad_dest = kwargs.pop("bad_dest", None)
         config = SpalConfig(
             n_lcs=2, cache=CacheConfig(n_blocks=256),
             minimize=kwargs.pop("minimize", None),
         )
         streams = streams_for(table, 2, 200)
         assert Prefix.from_string("203.0.113.0/24") not in table
+        bad_streams = [s.copy() for s in streams[:n_streams]]
+        if bad_dest is not None:
+            bad_streams[1] = bad_streams[1].astype(np.int64)
+            bad_streams[1][5] = bad_dest
         sim = SpalSimulator(table, config, partitioned=partitioned)
         with pytest.raises(raises):
-            sim.run([s.copy() for s in streams[:n_streams]], **kwargs)
+            sim.run(bad_streams, **kwargs)
         result = sim.run([s.copy() for s in streams])
         assert result.packets == 400
         fresh = SpalSimulator(table, config, partitioned=partitioned)

@@ -14,14 +14,16 @@ This module pins that three ways:
   trace-stream** equality;
 * unit pins for the stream primitives themselves: the resumable
   :class:`ArrivalClock` equals one-shot :func:`arrival_times` under any
-  split, declared-length violations fail loudly, and
+  split, declared-length violations and destinations outside the
+  table's width fail loudly, and
   :func:`random_stream` chunks are consumption-order independent.
 
 It also pins the array engine's capped arrival windows: traces several
 window caps long replay exactly, windows and precompute blocks stay
 within the cap at any LC count, a block precomputed during an outage
-sees the run-start plan, peak memory follows neither the chunk size nor
-the LC count, and a finished run leaves no reference cycles behind.
+equals one precomputed at run start, peak memory follows neither the
+chunk size nor the LC count, and a finished run leaves no reference
+cycles behind.
 """
 
 from __future__ import annotations
@@ -266,8 +268,8 @@ def _run_peak(streams, n_blocks: int = 256) -> int:
 
 def test_streamed_peak_memory_does_not_track_chunk_size(monkeypatch):
     """A window holds at most ``_WINDOW_CAP`` arrivals, and a feed
-    precomputes homes and hops one block of at most the cap at a time, so
-    a chunk 8x the cap barely moves the peak: the chunk adds only its
+    precomputes patterns and hops one block of at most the cap at a time,
+    so a chunk 8x the cap barely moves the peak: the chunk adds only its
     arrival cycles, not per-arrival window state.  Under tracemalloc every
     allocation in the engine loop pays for a line-number lookup, so the
     cap is shrunk to keep the stream short; chunk / cap = 8 matches
@@ -288,7 +290,7 @@ def test_streamed_peak_memory_does_not_track_lc_count(monkeypatch):
     """The cap bounds the whole merged window, not each LC's share of it,
     so spreading the same arrivals over 8 LCs instead of 2 barely moves
     the peak: an extra LC adds its buffered chunk and its precomputed
-    homes and hops (8 bytes an arrival each), not ~200-byte window
+    patterns and hops (8 bytes an arrival each), not ~200-byte window
     arrivals.  Chunks are one cap long, as the default 65,536-packet
     chunk is longer than the real cap; eight destinations keep every LC's
     cache warm, so the in-flight population stays small."""
@@ -310,8 +312,8 @@ def test_streamed_peak_memory_does_not_track_lc_count(monkeypatch):
 def _window_and_block_sizes(sim, streams, kwargs):
     """Run ``sim`` on the array engine and record, from a profile hook,
     the length of every window ``build_window`` returns and, for every
-    ``(home, hop)`` precompute block, its LC, its length and the LCs the
-    partition plan had marked failed when the block was computed."""
+    ``(pattern, hop)`` precompute block, its LC, its length and the LCs
+    the partition plan had marked failed when the block was computed."""
     windows = []
     blocks = []
     path = array_engine.__file__
@@ -326,7 +328,7 @@ def _window_and_block_sizes(sim, streams, kwargs):
         elif event == "call" and code.co_name == "precompute":
             f = frame.f_locals
             blocks.append((f["lc"], len(f["dests"]),
-                           frozenset(f["plan"].failed_lcs)))
+                           frozenset(sim.plan.failed_lcs)))
 
     sys.setprofile(prof)
     try:
@@ -367,10 +369,10 @@ def test_windows_and_precompute_blocks_are_capped(monkeypatch, n_lcs):
 def test_precompute_block_after_a_fault_sees_the_pristine_plan(monkeypatch):
     """LCs 1 and 2 fail together for a while, which leaves the patterns
     only they hold with no live replica, and blocks of their later
-    arrivals are precomputed during that outage.  On the current plan
-    those homes would be unreachable; each block resolves them on the
-    run-start plan instead, so the run equals the scalar loop, which
-    precomputes every packet before the first event.  LC 0 receives only
+    arrivals are precomputed during that outage.  A block holds each
+    arrival's pattern and hop, which no failure changes, so a block
+    computed mid-outage equals the scalar loop's pass before the first
+    event, and the run equals the scalar loop.  LC 0 receives only
     patterns it holds, so no live packet needs a home during the
     outage."""
     cap = 32
@@ -487,6 +489,19 @@ def test_stream_overproduction_raises():
     sim = SpalSimulator(_PROP_TABLE, config=SpalConfig(n_lcs=1))
     with pytest.raises(SimulationError, match="declared 3"):
         sim.run([s], engine="array")
+
+
+@pytest.mark.parametrize("engine", ["array", "scalar"])
+@pytest.mark.parametrize("bad", [2**40 + 5, -1], ids=["too_wide", "negative"])
+def test_streamed_destination_outside_width_raises(engine, bad):
+    """A chunk's destinations are checked as the run reads them: the
+    bad one sits in the second chunk, and the array engine checks it
+    before its uint64 cast could wrap a negative one."""
+    chunks = [np.arange(4, dtype=np.int64), np.array([7, bad], dtype=np.int64)]
+    s = PacketStream(6, lambda: iter(chunks))
+    sim = SpalSimulator(_PROP_TABLE, config=SpalConfig(n_lcs=1))
+    with pytest.raises(SimulationError, match="outside the 32-bit"):
+        sim.run([s], engine=engine)
 
 
 def test_stream_validation():
