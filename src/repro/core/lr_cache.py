@@ -32,6 +32,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..errors import CacheConfigError
+from .config import CacheConfig
 from .replacement import ReplacementPolicy, make_policy
 from .victim_cache import VictimCache
 
@@ -89,24 +90,9 @@ class CacheStats:
 class LRCache:
     """Set-associative lookup-result cache with mix-aware replacement.
 
-    Parameters
-    ----------
-    n_blocks:
-        Total capacity in blocks (β in the paper; 1K–8K evaluated).
-    associativity:
-        Blocks per set (paper default 4).
-    mix:
-        γ — the fraction of each set reserved for REM results (0.0–1.0).
-        The paper recommends 0.5, or 0.25 for 1K-block caches.
-    policy:
-        Replacement policy name ("lru" | "fifo" | "random").
-    victim_blocks:
-        Victim-cache capacity (0 disables it; paper default 8).
-    index:
-        Set-index function: ``"mod"`` uses the low address bits (the
-        hardware-obvious choice — but IP host bits are sparse, so popular
-        flows can collide), ``"xor"`` folds the high half of the address
-        onto the low bits first, spreading network bits into the index.
+    The shape parameters are :class:`~repro.core.config.CacheConfig`'s
+    fields, with its domains and defaults; ``policy_seed`` seeds the
+    ``"random"`` policy.
     """
 
     def __init__(
@@ -119,16 +105,8 @@ class LRCache:
         policy_seed: int = 0,
         index: str = "mod",
     ):
-        if n_blocks <= 0:
-            raise CacheConfigError(f"n_blocks must be positive, got {n_blocks}")
-        if associativity <= 0 or n_blocks % associativity:
-            raise CacheConfigError(
-                f"associativity {associativity} must divide n_blocks {n_blocks}"
-            )
-        if not 0.0 <= mix <= 1.0:
-            raise CacheConfigError(f"mix must be in [0, 1], got {mix}")
-        if victim_blocks < 0:
-            raise CacheConfigError("victim_blocks must be non-negative")
+        # The one statement of the shape rules: raises CacheConfigError.
+        CacheConfig(n_blocks, associativity, mix, policy, victim_blocks, index)
         self.n_blocks = n_blocks
         self.associativity = associativity
         self.n_sets = n_blocks // associativity
@@ -136,8 +114,6 @@ class LRCache:
         #: Per-set REM capacity target (γ·assoc, rounded to nearest block).
         self.rem_target = round(mix * associativity)
         self.loc_target = associativity - self.rem_target
-        if index not in ("mod", "xor"):
-            raise CacheConfigError(f"index must be 'mod' or 'xor', got {index!r}")
         self.index = index
         self._policy: ReplacementPolicy = make_policy(policy, policy_seed)
         self._sets: List[Dict[int, CacheEntry]] = [

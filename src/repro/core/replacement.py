@@ -57,12 +57,13 @@ class RandomPolicy(ReplacementPolicy):
         return candidates[self._rng.randrange(len(candidates))]
 
 
+#: Every replacement policy by name: the domain of ``CacheConfig.policy``.
+POLICIES = {cls.name: cls for cls in (LRUPolicy, FIFOPolicy, RandomPolicy)}
+
+
 def make_policy(name: str, seed: int = 0) -> ReplacementPolicy:
-    """Factory: ``"lru"`` | ``"fifo"`` | ``"random"``."""
-    if name == "lru":
-        return LRUPolicy()
-    if name == "fifo":
-        return FIFOPolicy()
-    if name == "random":
-        return RandomPolicy(seed)
-    raise CacheConfigError(f"unknown replacement policy {name!r}")
+    """Factory: a policy of :data:`POLICIES` (``seed`` drives ``"random"``)."""
+    cls = POLICIES.get(name)
+    if cls is None:
+        raise CacheConfigError(f"unknown replacement policy {name!r}")
+    return cls(seed) if cls is RandomPolicy else cls()

@@ -33,7 +33,7 @@ from ..routing.prefix import Prefix
 from ..routing.table import NextHop, RoutingTable
 from ..tries.base import LongestPrefixMatcher, UpdateResult
 from ..tries.lulea import LuleaTrie
-from .config import SpalConfig
+from .config import UPDATE_POLICIES, SpalConfig, check, one_of
 from .lr_cache import LOC, REM, LRCache
 from .partition import PartitionPlan, apply_route_update, partition_table
 
@@ -85,7 +85,6 @@ class SpalRouter:
         registry: Optional["MetricsRegistry"] = None,
     ):
         self.config = config or SpalConfig()
-        self.config.validate()
         if self.config.minimize is not None:
             raise SimulationError(
                 "SpalRouter partitions the table it is given; minimise it "
@@ -240,11 +239,8 @@ class SpalRouter:
         rebuilt over its updated table otherwise; the patch vs rebuild
         split and the modeled service cycles accumulate in :attr:`stats`.
         """
-        if invalidation not in ("flush", "selective", "rem"):
-            raise SimulationError(
-                "invalidation must be 'flush', 'selective' or 'rem', "
-                f"got {invalidation!r}"
-            )
+        check(invalidation, one_of(UPDATE_POLICIES), "invalidation",
+              SimulationError)
         if next_hop is None:
             self.table.remove(prefix)
         else:

@@ -10,10 +10,9 @@ entry id, and one event loop merges sorted arrival windows against a
 small heap of dynamic events.
 
 There is exactly one array loop, :meth:`ArrayEngine.run_streamed`.  A
-materialized per-LC array enters it as a single-chunk
-:class:`~repro.sim.streaming.PacketStream`, so a whole trace is simply
-the one-window case of the streaming contract.  Inside it, an arriving
-packet and a remote request share one LR-cache probe (``probe``, the
+materialized per-LC array enters it as a single chunk, so a whole trace
+is simply the one-window case of the streaming contract.  Inside it, an
+arriving packet and a remote request share one LR-cache probe (``probe``, the
 scalar ``LRCache.probe``) and one cache-port booking (``port_probe``).
 A traced run takes every arrival through ``arrive``; the untraced walk
 completes a plain hit inline, from the window columns, and sends every
@@ -87,6 +86,7 @@ from ..errors import SimulationError
 from ..obs.timeseries import NO_SAMPLE as _NO_SAMPLE
 from ..traffic.packets import ArrivalClock
 from .shedding import admit_floor, shed_decision
+from .streaming import PacketStream, dest_column
 
 #: Bits reserved for the event sequence number in the packed key
 #: ``(cycle << _SEQ_BITS) | seq``.  Keys are Python ints, so the cycle
@@ -156,14 +156,18 @@ class _Feed:
     buffered (not-yet-windowed) segment: destinations, arrival cycles and
     the global pid of its first arrival, plus ``(pat, hop)`` -- control-bit
     pattern and FE result -- for a precomputed prefix of it (``hop`` None
-    when hops are not precomputed)."""
+    when hops are not precomputed).  A stream's chunks pass
+    :func:`dest_column` as they are read; ``run()`` checked an array."""
 
     __slots__ = ("lc", "it", "clock", "expect", "got", "done",
                  "t", "g0", "dest", "pat", "hop")
 
-    def __init__(self, lc: int, stream, speed: int):
+    def __init__(self, lc: int, stream, speed: int, width: int):
         self.lc = lc
-        self.it = stream.chunks()
+        if isinstance(stream, PacketStream):
+            self.it = (dest_column(c, width, lc) for c in stream.chunks())
+        else:
+            self.it = iter((stream,))
         self.clock = ArrivalClock(speed, seed=1000 + lc)
         self.expect = len(stream)
         self.got = 0
@@ -227,8 +231,8 @@ class ArrayEngine:
         packet state.
 
         ``streams`` holds one :class:`~repro.sim.streaming.PacketStream`
-        or materialized destination array per LC; an array is wrapped as
-        a single-chunk stream.  Arrivals are pulled chunk-by-chunk and
+        or checked destination array (:func:`dest_column`) per LC; an
+        array is a single chunk.  Arrivals are pulled chunk-by-chunk and
         merged into windows of at most ``_WINDOW_CAP`` arrivals in total.
         Untraced, a plain cache hit completes from the window's columns;
         only an arrival that leaves the hit path is admitted to a packet
@@ -262,8 +266,6 @@ class ArrayEngine:
         views (:class:`_CountSeq`) because per-packet state no longer
         exists once the run finishes.
         """
-        from .streaming import PacketStream, check_destinations
-
         sim = self.sim
         config = sim.config
         n_lcs = config.n_lcs
@@ -444,10 +446,6 @@ class ArrayEngine:
 
         # -- streamed arrival feeds ---------------------------------------
         t0 = time.perf_counter()
-        streams = [
-            s if isinstance(s, PacketStream) else PacketStream.from_array(s)
-            for s in streams
-        ]
         lengths = [len(s) for s in streams]
         total = sum(lengths)
         pid_base: List[int] = []
@@ -456,7 +454,6 @@ class ArrayEngine:
             pid_base.append(acc)
             acc += n
         pid_base_arr = np.asarray(pid_base + [0], dtype=np.int64)
-        width = sim.table.width
 
         # Reserve the whole arrival sequence block up front (packet p gets
         # ``base + p``, lc-major) so dynamic events scheduled mid-stream
@@ -467,15 +464,15 @@ class ArrayEngine:
         key_fast = base + total < (1 << _SEQ_BITS)
         heapify(heap)
 
-        feeds = [_Feed(lc, s, speeds[lc]) for lc, s in enumerate(streams)]
+        feeds = [_Feed(lc, s, speeds[lc], sim.table.width)
+                 for lc, s in enumerate(streams)]
         cap = _WINDOW_CAP
         precompute_s = 0.0
 
         def pull(f: _Feed) -> None:
             # Load the feed's next non-empty chunk and its arrival cycles
             # into its empty buffer; marks the feed done (validating the
-            # declared length) at the end.  Destinations are checked
-            # before the uint64 cast could wrap a negative one.
+            # declared length) at the end.
             while True:
                 try:
                     dests = next(f.it)
@@ -487,9 +484,6 @@ class ArrayEngine:
                         ) from None
                     f.done = True
                     return
-                dests = check_destinations(np.asarray(dests), width, f.lc)
-                if dests.dtype != object:
-                    dests = dests.astype(np.uint64, copy=False)
                 n = len(dests)
                 if n:
                     break

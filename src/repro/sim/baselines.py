@@ -51,10 +51,8 @@ class ConventionalSimulator:
     """Timed conventional router: per-LC FE queue, full table, no caches."""
 
     def __init__(self, n_lcs: int, fe_lookup_cycles: int = 40):
-        if n_lcs <= 0:
-            raise SimulationError("n_lcs must be positive")
-        if fe_lookup_cycles <= 0:
-            raise SimulationError("fe_lookup_cycles must be positive")
+        # SpalConfig's domains are the rules for both (SimulationError).
+        SpalConfig(n_lcs=n_lcs, fe_lookup_cycles=fe_lookup_cycles)
         self.n_lcs = n_lcs
         self.fe_lookup_cycles = fe_lookup_cycles
 

@@ -33,10 +33,6 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-#: The shed policies accepted by :class:`~repro.core.config.SpalConfig`.
-SHED_POLICIES = ("tail_drop", "red", "priority")
-
-
 def admit_floor(capacity: int) -> int:
     """The backlog below which :func:`shed_decision` admits under every
     policy without calling ``rand``: ``capacity // 2``, where ``red``'s
@@ -58,7 +54,7 @@ def shed_decision(
     Parameters
     ----------
     policy:
-        One of :data:`SHED_POLICIES`.
+        One of :data:`repro.core.config.SHED_POLICIES`.
     backlog:
         Items already queued ahead of this one.
     capacity:

@@ -57,12 +57,19 @@ past the last packet's completion on fault runs.
 from __future__ import annotations
 
 import time
-from numbers import Integral
 from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from ..core.config import FIL_OVERHEAD_CYCLES, REM_MAX_RETRIES, SpalConfig
+from ..core.config import (
+    FIL_OVERHEAD_CYCLES,
+    REM_MAX_RETRIES,
+    UPDATE_POLICIES,
+    SpalConfig,
+    check,
+    integer,
+    one_of,
+)
 from ..core.faults import FaultSchedule
 from ..core.lr_cache import LOC, REM, LRCache
 from ..core.partition import (
@@ -82,7 +89,7 @@ from ..tries.reference import HashReferenceMatcher
 from .engine import EventQueue, Resource
 from .results import SimulationResult
 from .shedding import shed_decision
-from .streaming import PacketStream, check_destinations
+from .streaming import PacketStream, dest_column
 
 
 class _Packet:
@@ -179,7 +186,6 @@ class SpalSimulator:
         trace: Optional[Tracer] = None,
     ):
         self.config = config or SpalConfig()
-        self.config.validate()
         #: Wall-clock seconds per construction step that ran (minimize /
         #: partition / matchers).  Kept apart from :attr:`phase_seconds`,
         #: which splits ``run()`` alone; ``scripts/profile_sim.py`` prints
@@ -1080,16 +1086,6 @@ class SpalSimulator:
             )
         return (patterns, hops)
 
-    def _resolve_engine(self, engine: str) -> bool:
-        """True for the array engine, False for the scalar loop."""
-        if engine == "array":
-            return True
-        if engine == "scalar":
-            return False
-        raise SimulationError(
-            f"engine must be 'array' or 'scalar', got {engine!r}"
-        )
-
     # -- driving ----------------------------------------------------------------
 
     def run(
@@ -1163,12 +1159,9 @@ class SpalSimulator:
                 "SpalSimulator instances are single-use (caches, fabric and "
                 "queues carry state); build a fresh simulator per run"
             )
-        if update_policy not in ("flush", "selective", "rem"):
-            raise SimulationError(
-                "update_policy must be 'flush', 'selective' or 'rem', "
-                f"got {update_policy!r}"
-            )
-        use_array = self._resolve_engine(engine)
+        check(update_policy, one_of(UPDATE_POLICIES), "update_policy",
+              SimulationError)
+        check(engine, one_of(("array", "scalar")), "engine", SimulationError)
         if len(streams) != self.config.n_lcs:
             raise SimulationError(
                 f"need {self.config.n_lcs} streams, got {len(streams)}"
@@ -1184,18 +1177,16 @@ class SpalSimulator:
             )
         for speed in speeds:
             LinkSpec(speed).window  # raises on an unsupported speed
-        if not isinstance(warmup_packets, Integral) or warmup_packets < 0:
-            raise SimulationError(
-                "warmup_packets must be a non-negative integer, got "
-                f"{warmup_packets!r}"
-            )
+        check(warmup_packets, integer(0), "warmup_packets", SimulationError)
         if all(len(s) <= warmup_packets for s in streams):
             raise SimulationError("warmup_packets left no measured packets")
         # Materialized streams MUST hold addresses of the table's width;
         # a PacketStream's chunks are checked as the run reads them.
-        for lc, stream in enumerate(streams):
-            if not isinstance(stream, PacketStream):
-                check_destinations(np.asarray(stream), self.table.width, lc)
+        streams = [
+            s if isinstance(s, PacketStream)
+            else dest_column(s, self.table.width, lc)
+            for lc, s in enumerate(streams)
+        ]
         if updates is not None and len(updates) > 0 and not self.partitioned:
             raise SimulationError(
                 "updates=... requires partitioned=True (churn routes "
@@ -1284,7 +1275,7 @@ class SpalSimulator:
             )
         total = sum(len(s) for s in streams)
         failover_lat: Optional[List[int]] = None
-        if use_array:
+        if engine == "array":
             from .array_engine import ArrayEngine
 
             # The one array loop takes materialized arrays and chunked
@@ -1302,13 +1293,13 @@ class SpalSimulator:
             # regardless): materialize streams up front so chunked input
             # still runs — and runs bit-identically.
             streams = [
-                check_destinations(s.materialize(), self.table.width, lc)
+                s.materialize(self.table.width, lc)
                 if isinstance(s, PacketStream) else s
                 for lc, s in enumerate(streams)
             ]
             t0 = time.perf_counter()
             precomputed = [
-                self._precompute_chunk(lc, np.asarray(stream))
+                self._precompute_chunk(lc, stream)
                 for lc, stream in enumerate(streams)
             ]
             self.phase_seconds["precompute"] = time.perf_counter() - t0

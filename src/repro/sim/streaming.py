@@ -30,6 +30,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from ..core.config import is_int
 from ..errors import SimulationError
 
 #: Default stream chunk: big enough to amortize per-chunk NumPy overhead,
@@ -37,30 +38,35 @@ from ..errors import SimulationError
 DEFAULT_CHUNK = 65_536
 
 
-def _as_dest_array(chunk) -> np.ndarray:
-    """Destinations as ``uint64`` — except 128-bit (IPv6) addresses, which
-    stay as an object array of Python ints (uint64 would overflow)."""
-    arr = np.asarray(chunk)
-    if arr.dtype == object:
-        return arr
-    return np.ascontiguousarray(arr.astype(np.uint64, copy=False))
-
-
-def check_destinations(dests: np.ndarray, width: int, lc: int) -> np.ndarray:
-    """``dests`` (LC ``lc``'s), once every one is a ``width``-bit address:
-    ``0 <= d < 2**width``; otherwise :class:`SimulationError`."""
-    if len(dests) and (dests.min() < 0 or int(dests.max()) >> width):
+def dest_column(col, width: int, lc: int) -> np.ndarray:
+    """LC ``lc``'s destinations ``col`` as the engines read them:
+    contiguous ``uint64``, or above 64 bits an object array of ints.
+    ``col`` MUST hold ``width``-bit addresses in an integer dtype, or an
+    object column of ints above 64 bits (an empty one may have any dtype);
+    this is checked before the ``uint64`` cast, so a fractional or negative
+    one raises :class:`SimulationError` instead of being cut or wrapped."""
+    arr = np.asarray(col)
+    if not len(arr):
+        return np.empty(0, dtype=np.uint64)
+    kind = arr.dtype.kind
+    if not (kind in "iu" or (
+            kind == "O" and width > 64 and all(map(is_int, arr)))):
+        raise SimulationError(
+            f"stream for LC {lc} holds non-integer destinations "
+            f"(dtype {arr.dtype})"
+        )
+    if (kind != "u" and arr.min() < 0) or int(arr.max()) >> width:
         raise SimulationError(
             f"stream for LC {lc} holds a destination outside the "
             f"{width}-bit address space"
         )
-    return dests
+    return arr if kind == "O" else np.ascontiguousarray(arr, np.uint64)
 
 
 class PacketStream:
     """A per-LC destination source of known length, consumed in chunks.
 
-    ``factory()`` must return a fresh iterator of ``uint64``-coercible
+    ``factory()`` must return a fresh iterator of :func:`dest_column`
     arrays whose lengths sum to ``length``.  The factory (rather than a
     bare iterator) keeps streams reusable — simulators are single-use, but
     differential tests drive the same stream definition through several
@@ -93,7 +99,7 @@ class PacketStream:
         """Wrap a materialized array, re-chunked at ``chunk_size``
         (``None`` = one whole-trace chunk — the ∞ case differential tests
         use as the streaming-path baseline)."""
-        arr = _as_dest_array(dests)
+        arr = np.asarray(dests)
         if chunk_size is not None and chunk_size <= 0:
             raise SimulationError("chunk_size must be positive")
 
@@ -124,15 +130,16 @@ class PacketStream:
         def factory() -> Iterator[np.ndarray]:
             for lo in range(0, length, chunk_size):
                 n = min(chunk_size, length - lo)
-                yield _as_dest_array(make_chunk(lo, n))
+                yield make_chunk(lo, n)
 
         return cls(length, factory)
 
-    def materialize(self) -> np.ndarray:
-        """The whole stream as one array (the scalar engine's entry
-        point — it is the readable reference loop, not the scale path,
-        and schedules per-packet objects anyway)."""
-        parts = [_as_dest_array(c) for c in self.chunks()]
+    def materialize(self, width: int = 128, lc: int = 0) -> np.ndarray:
+        """The whole stream as one array, each chunk checked by
+        :func:`dest_column` (the scalar engine's entry point — it is the
+        readable reference loop, not the scale path, and schedules
+        per-packet objects anyway)."""
+        parts = [dest_column(c, width, lc) for c in self.chunks()]
         out = (
             np.concatenate(parts)
             if parts

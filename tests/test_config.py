@@ -1,8 +1,8 @@
-"""Unit tests for CacheConfig / SpalConfig validation and fabric wiring."""
+"""Unit tests for CacheConfig / SpalConfig field domains and fabric wiring."""
 
 import pytest
 
-from repro.errors import CacheConfigError, SimulationError
+from repro.errors import CacheConfigError, ReproError, SimulationError
 from repro.core import CacheConfig, SpalConfig
 
 
@@ -13,7 +13,6 @@ class TestCacheConfig:
         assert c.associativity == 4      # Sec. 3.2: degree 4 near-optimal
         assert c.mix == 0.5              # γ = 50%
         assert c.victim_blocks == 8      # Sec. 3.2: 8-block victim cache
-        c.validate()
 
     @pytest.mark.parametrize(
         "kw",
@@ -27,7 +26,7 @@ class TestCacheConfig:
     )
     def test_invalid(self, kw):
         with pytest.raises(CacheConfigError):
-            CacheConfig(**kw).validate()
+            CacheConfig(**kw)
 
 
 class TestSpalConfig:
@@ -35,19 +34,18 @@ class TestSpalConfig:
         c = SpalConfig()
         assert c.n_lcs == 16
         assert c.fe_lookup_cycles == 40  # Lulea-trie FE
-        c.validate()
 
     def test_invalid_lcs(self):
         with pytest.raises(SimulationError):
-            SpalConfig(n_lcs=0).validate()
+            SpalConfig(n_lcs=0)
 
     def test_invalid_fe_cycles(self):
         with pytest.raises(SimulationError):
-            SpalConfig(fe_lookup_cycles=0).validate()
+            SpalConfig(fe_lookup_cycles=0)
 
     def test_cache_validated_through(self):
         with pytest.raises(CacheConfigError):
-            SpalConfig(cache=CacheConfig(mix=2.0)).validate()
+            SpalConfig(cache=CacheConfig(mix=2.0))
 
     @pytest.mark.parametrize(
         "kind,expected",
@@ -65,11 +63,15 @@ class TestSpalConfig:
 
     def test_unknown_fabric(self):
         with pytest.raises(SimulationError):
-            SpalConfig(fabric="warp").make_fabric()
+            SpalConfig(fabric="warp")
 
     def test_fabric_latency_override(self):
-        fab = SpalConfig(fabric="crossbar", fabric_latency=7).make_fabric()
-        assert fab.latency_cycles() == 7
+        for latency in (0, 7):
+            fab = SpalConfig(
+                fabric="crossbar", fabric_latency=latency
+            ).make_fabric()
+            assert fab.name == "crossbar"
+            assert fab.latency_cycles() == latency
 
     def test_minimize_values_come_from_pass_sets(self):
         from repro.routing import minimize
@@ -78,10 +80,49 @@ class TestSpalConfig:
         # minimize_table name only.
         assert "full" in minimize.PASS_SETS and "light" in minimize.PASS_SETS
         for value in (None, "full"):
-            SpalConfig(minimize=value).validate()
+            assert SpalConfig(minimize=value).minimize == value
         for value in ("light", "ortc", ["full"]):
             with pytest.raises(SimulationError, match="None or 'full'"):
-                SpalConfig(minimize=value).validate()
+                SpalConfig(minimize=value)
+
+
+@pytest.mark.parametrize("make,raises", [
+    # Signs and names: today's rules, now checked at construction.
+    (lambda: SpalConfig(n_lcs=0), SimulationError),
+    (lambda: SpalConfig(fabric="bogus"), SimulationError),
+    (lambda: CacheConfig(policy="bogus"), CacheConfigError),
+    # Types: each of these used to construct and fail later, if at all.
+    (lambda: SpalConfig(n_lcs=2.5), SimulationError),
+    (lambda: SpalConfig(n_lcs=True), SimulationError),
+    (lambda: SpalConfig(n_lcs=2, fe_lookup_cycles=1.5), SimulationError),
+    (lambda: SpalConfig(n_lcs=2, sample_interval_cycles=2.5),
+     SimulationError),
+    (lambda: SpalConfig(cache=4096), SimulationError),
+    (lambda: CacheConfig(n_blocks=8.0), CacheConfigError),
+    (lambda: SpalConfig(early_recording="no"), SimulationError),
+    (lambda: SpalConfig(fe_queue_capacity=2.5), SimulationError),
+    # fabric_latency: an int >= 0, and a crossbar's only.
+    (lambda: SpalConfig(fabric="crossbar", fabric_latency=-3),
+     SimulationError),
+    (lambda: SpalConfig(fabric="crossbar", fabric_latency=2.5),
+     SimulationError),
+    (lambda: SpalConfig(fabric="bus", fabric_latency=7), SimulationError),
+], ids=["n_lcs_zero", "fabric_unknown", "cache_policy_unknown",
+        "n_lcs_fractional", "n_lcs_bool", "fe_cycles_fractional",
+        "sample_interval_fractional", "cache_not_config",
+        "cache_blocks_float", "early_recording_str",
+        "fe_queue_capacity_fractional", "fabric_latency_negative",
+        "fabric_latency_fractional", "fabric_latency_not_crossbar"])
+def test_rejected_config_raises_at_construction(make, raises):
+    """The construction-time twin of ``test_simulator.py``'s
+    ``test_rejected_call_leaves_simulator_runnable``: an out-of-domain
+    config never exists, so neither engine can diverge on it — the scalar
+    loop used to run a fractional cycle count that made the array engine
+    raise a bare ``TypeError`` mid-run, and a negative ``fabric_latency``
+    gave the array engine negative latencies."""
+    with pytest.raises(raises) as info:
+        make()
+    assert isinstance(info.value, ReproError)
 
 
 class TestKnobTable:
@@ -115,3 +156,16 @@ class TestKnobTable:
         assert sorted(knobs - set(rows)) == [], "knobs without a row"
         assert sorted(set(rows) - knobs) == [], "rows for deleted knobs"
         assert all(rows.values()), "a row names no consumer"
+
+    def test_every_field_declares_a_domain(self):
+        """Construction checks each field against its declared domain, so
+        a field without one would land unchecked."""
+        import dataclasses
+
+        from repro.core.config import Domain
+
+        for cls in (SpalConfig, CacheConfig):
+            for f in dataclasses.fields(cls):
+                assert isinstance(f.metadata.get("domain"), Domain), (
+                    f"{cls.__name__}.{f.name} declares no domain"
+                )

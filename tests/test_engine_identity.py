@@ -142,19 +142,25 @@ def scenarios(draw, intervals=(None, 1, 7, 64, 256)):
             policy=draw(st.sampled_from(["lru", "fifo", "random"])),
             index=draw(st.sampled_from(["mod", "xor"])),
         )
+    fabric = draw(st.sampled_from(
+        ["default", "ideal", "bus", "crossbar", "multistage"]
+    ))
     config = SpalConfig(
         n_lcs=n_lcs,
         cache=cache,
         replicas=draw(st.integers(1, n_lcs)),
         fe_lookup_cycles=draw(st.sampled_from([1, 5])),
+        fabric=fabric,
+        fabric_latency=(
+            draw(st.integers(0, 8)) if fabric == "crossbar" else None
+        ),
+        early_recording=draw(st.booleans()),
+        cache_remote_results=draw(st.booleans()),
     )
     if draw(st.booleans()):
         # Bounded queues: small caps so the shed paths actually fire.
-        config = SpalConfig(
-            n_lcs=config.n_lcs,
-            cache=config.cache,
-            replicas=config.replicas,
-            fe_lookup_cycles=config.fe_lookup_cycles,
+        config = dataclasses.replace(
+            config,
             fe_queue_capacity=draw(st.sampled_from([None, 1, 2, 4])),
             fabric_queue_capacity=draw(st.sampled_from([None, 2, 4, 8])),
             shed_policy=draw(st.sampled_from(["tail_drop", "red", "priority"])),

@@ -681,4 +681,4 @@ class TestSimulationReplay:
         from repro.errors import SimulationError
 
         with pytest.raises(SimulationError):
-            SpalConfig(minimize="fastest").validate()
+            SpalConfig(minimize="fastest")

@@ -121,7 +121,7 @@ class TestIndexFunction:
         with pytest.raises(CacheConfigError):
             LRCache(n_blocks=64, index="hash")
         with pytest.raises(CacheConfigError):
-            CacheConfig(index="hash").validate()
+            CacheConfig(index="hash")
 
     def test_xor_spreads_aligned_addresses(self):
         """Addresses sharing low bits (stride = n_sets) collide under mod

@@ -18,7 +18,8 @@ from repro.analysis import (
     utilization,
 )
 from repro.sim.engine import Resource
-from repro.sim.shedding import SHED_POLICIES, admit_floor, shed_decision
+from repro.core.config import SHED_POLICIES
+from repro.sim.shedding import admit_floor, shed_decision
 
 
 class TestMD1:

@@ -169,15 +169,23 @@ class TestSpalSimulator:
         {"warmup_packets": 200},
         {"warmup_packets": -5},
         {"warmup_packets": 1.5},
-        # Destinations outside the table's 32-bit address space.
+        # Destinations outside the table's 32-bit address space, and
+        # columns that are not integers; both engines refuse them before
+        # the run starts.
         {"bad_dest": 2**40 + 5},
         {"bad_dest": -1},
+        {"bad_dest": -1, "engine": "scalar"},
+        {"bad_stream": np.array([5.7, 1.2])},
+        {"bad_stream": np.array([5.7, 1.2]), "engine": "scalar"},
+        {"bad_stream": np.array([True, False])},
     ], ids=["update_policy", "engine_auto", "stream_count", "speed_count",
             "speed_unsupported", "speed_unsupported_per_lc", "speed_float",
             "speed_float_per_lc", "monitor_unsampled",
             "updates_unpartitioned", "fault_lc_range", "withdraw_absent",
             "withdraw_absent_minimized", "warmup_only", "warmup_negative",
-            "warmup_fractional", "dest_too_wide", "dest_negative"])
+            "warmup_fractional", "dest_too_wide", "dest_negative",
+            "dest_negative_scalar", "dest_fractional",
+            "dest_fractional_scalar", "dest_bool"])
     def test_rejected_call_leaves_simulator_runnable(self, table, bad):
         """Simulators are single-use, but a call rejected by the argument
         or schedule checks has not used one up: a correct second call runs
@@ -187,6 +195,7 @@ class TestSpalSimulator:
         n_streams = kwargs.pop("n_streams", 2)
         raises = kwargs.pop("raises", SimulationError)
         bad_dest = kwargs.pop("bad_dest", None)
+        bad_stream = kwargs.pop("bad_stream", None)
         config = SpalConfig(
             n_lcs=2, cache=CacheConfig(n_blocks=256),
             minimize=kwargs.pop("minimize", None),
@@ -197,6 +206,8 @@ class TestSpalSimulator:
         if bad_dest is not None:
             bad_streams[1] = bad_streams[1].astype(np.int64)
             bad_streams[1][5] = bad_dest
+        if bad_stream is not None:
+            bad_streams[1] = bad_stream
         sim = SpalSimulator(table, config, partitioned=partitioned)
         with pytest.raises(raises):
             sim.run(bad_streams, **kwargs)

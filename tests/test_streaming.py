@@ -492,15 +492,31 @@ def test_stream_overproduction_raises():
 
 
 @pytest.mark.parametrize("engine", ["array", "scalar"])
-@pytest.mark.parametrize("bad", [2**40 + 5, -1], ids=["too_wide", "negative"])
+@pytest.mark.parametrize("bad", [2**40 + 5, -1, 2.5],
+                         ids=["too_wide", "negative", "fractional"])
 def test_streamed_destination_outside_width_raises(engine, bad):
     """A chunk's destinations are checked as the run reads them: the
-    bad one sits in the second chunk, and the array engine checks it
-    before its uint64 cast could wrap a negative one."""
-    chunks = [np.arange(4, dtype=np.int64), np.array([7, bad], dtype=np.int64)]
+    bad one sits in the second chunk, and both engines check its type and
+    range before the uint64 cast could truncate or wrap it."""
+    chunks = [np.arange(4, dtype=np.int64), np.array([7, bad])]
     s = PacketStream(6, lambda: iter(chunks))
     sim = SpalSimulator(_PROP_TABLE, config=SpalConfig(n_lcs=1))
-    with pytest.raises(SimulationError, match="outside the 32-bit"):
+    with pytest.raises(SimulationError,
+                       match="outside the 32-bit|non-integer"):
+        sim.run([s], engine=engine)
+
+
+@pytest.mark.parametrize("engine", ["array", "scalar"])
+@pytest.mark.parametrize("width", [32, 64])
+@pytest.mark.parametrize("dests", [[5, -1, 7], [5.7, 1.2]],
+                         ids=["negative", "fractional"])
+def test_from_array_stream_checked_at_every_width(engine, width, dests):
+    """A wrapped array keeps its dtype until a run reads it: at 64 bits
+    a -1 once became 2**64 - 1, and at any width 5.7 once ran as 5."""
+    table = random_small_table(40, seed=3, max_length=20, width=width)
+    s = PacketStream.from_array(np.array(dests))
+    sim = SpalSimulator(table, config=SpalConfig(n_lcs=1))
+    with pytest.raises(SimulationError, match="outside the|non-integer"):
         sim.run([s], engine=engine)
 
 
@@ -530,6 +546,46 @@ def test_from_array_preserves_ipv6_object_dtype():
     out = s.materialize()
     assert out.dtype == object
     assert out[0] == (0x2001 << 112)
+    # An object column is a 128-bit table's format only.
+    with pytest.raises(SimulationError, match="non-integer"):
+        s.materialize(width=64)
+
+
+_V6_TABLE = random_small_table(40, seed=17, max_length=48, width=128)
+
+
+@pytest.mark.parametrize("bad", [-1, 1 << 128, 2.5, True],
+                         ids=["negative", "too_wide", "fractional", "bool"])
+def test_ipv6_object_column_checked_on_both_engines(bad):
+    """A 128-bit object column runs identically materialized and
+    streamed, on both engines; one bad element is refused by both —
+    before the run when materialized, where it is read when streamed."""
+    rng = np.random.default_rng(5)
+    good = np.array(
+        [(0x2001 << 112) | int(x) for x in rng.integers(0, 1 << 40, 60)]
+        + [(1 << 128) - 1],
+        dtype=object,
+    )
+    config = SpalConfig(n_lcs=1, cache=CacheConfig(n_blocks=16))
+    digests = [
+        _run(_V6_TABLE, config, [stream], {}, engine=engine)[0]
+        for engine in ("array", "scalar")
+        for stream in (good, PacketStream.from_array(good, chunk_size=7))
+    ]
+    assert all(d == digests[0] for d in digests)
+    bad_col = good.copy()
+    bad_col[30] = bad
+    for engine in ("array", "scalar"):
+        sim = SpalSimulator(_V6_TABLE, config=config)
+        with pytest.raises(SimulationError,
+                           match="outside the 128-bit|non-integer"):
+            sim.run([bad_col], engine=engine)
+        assert sim.run([good], engine=engine).packets == len(good)
+        sim = SpalSimulator(_V6_TABLE, config=config)
+        with pytest.raises(SimulationError,
+                           match="outside the 128-bit|non-integer"):
+            sim.run([PacketStream.from_array(bad_col, chunk_size=7)],
+                    engine=engine)
 
 
 def test_random_stream_consumption_order_independent():
