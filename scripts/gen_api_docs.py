@@ -98,13 +98,15 @@ and the paper's access-count metrics are unaffected.
 The same machinery backs `pattern_of_batch` /
 `PartitionPlan.home_lc_batch` (vectorized LR1 home-LC detection) and the
 `SpalSimulator` fast path, which precomputes each stream's control-bit
-patterns and next hops before the first event fires and checks
-`verify=True` runs against the oracle in one batched pass.  The home LC
-is read from the pattern at miss time (`PartitionPlan.home_of_pattern`,
-the rule `home_lc` also uses), because it depends on which replicas are
-live.  Patterns are batched at every width (uint64 columns up to 64
-bits, Python-int columns above); next hops are batched up to 64 bits and
-looked up at the FE above that.
+patterns in batches (uint64 columns up to 64 bits, Python-int columns
+above) and, under `verify=True`, checks each batch's holders against
+the oracle in one pass up to 64 bits.  The home LC is read from the
+pattern at miss time (`PartitionPlan.home_of_pattern`, the rule
+`home_lc` also uses), because it depends on which replicas are live,
+and an FE looks up the next hop of each miss it serves.
+`HashReferenceMatcher.lookup` compiles the same interval map its kernel
+uses once its probes since the last route change reach about three per
+route, and bisects it from then on.
 There is no switch: the per-address methods are the oracles the batch
 paths are tested against.
 """

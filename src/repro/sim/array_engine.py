@@ -112,9 +112,9 @@ _FAB_BUS = 1
 _FAB_METHOD = 2
 
 #: Most arrivals one merged window holds, over all feeds together, and
-#: most arrivals one ``(pattern, hop)`` precompute block covers for one
-#: feed.  Window columns and precomputed prefixes, not the chunk size or
-#: the LC count, then bound the per-arrival state a run holds at once.
+#: most arrivals one pattern precompute block covers for one feed.
+#: Window columns and precomputed prefixes, not the chunk size or the LC
+#: count, then bound the per-arrival state a run holds at once.
 _WINDOW_CAP = 8192
 
 #: A feed's precomputed patterns right after a pull: none yet.
@@ -154,13 +154,12 @@ def _ids_under(e_key, e_addr, value: int, span: int, kshift: int) -> List[int]:
 class _Feed:
     """One LC's chunk iterator + resumable arrival clock, with at most one
     buffered (not-yet-windowed) segment: destinations, arrival cycles and
-    the global pid of its first arrival, plus ``(pat, hop)`` -- control-bit
-    pattern and FE result -- for a precomputed prefix of it (``hop`` None
-    when hops are not precomputed).  A stream's chunks pass
+    the global pid of its first arrival, plus the control-bit patterns
+    (``pat``) of a precomputed prefix of it.  A stream's chunks pass
     :func:`dest_column` as they are read; ``run()`` checked an array."""
 
     __slots__ = ("lc", "it", "clock", "expect", "got", "done",
-                 "t", "g0", "dest", "pat", "hop")
+                 "t", "g0", "dest", "pat")
 
     def __init__(self, lc: int, stream, speed: int, width: int):
         self.lc = lc
@@ -176,7 +175,6 @@ class _Feed:
         self.g0 = 0
         self.dest: Optional[np.ndarray] = None
         self.pat: Optional[np.ndarray] = None
-        self.hop: Optional[np.ndarray] = None
 
 
 class _CountSeq(_SequenceABC):
@@ -255,12 +253,13 @@ class ArrayEngine:
           dynamic events scheduled mid-stream draw the same sequence
           numbers as in the scalar loop's up-front scheduling.
 
-        Each feed keeps ``(pattern, hop)`` for a precomputed prefix of its
-        buffer and extends it by one block of at most ``_WINDOW_CAP`` of
-        its arrivals when a window cut reaches past it.  Neither value
-        depends on the failure state, so a block computed after a fault
+        Each feed keeps the patterns of a precomputed prefix of its buffer
+        and extends it by one block of at most ``_WINDOW_CAP`` of its
+        arrivals when a window cut reaches past it.  A pattern does not
+        depend on the failure state, so a block computed after a fault
         event equals a whole-trace pass at run start; the home LC is read
-        from the pattern through the live plan when a packet misses.
+        from the pattern through the live plan when a packet misses, and
+        an FE looks up the hop of each lookup it serves.
 
         ``sim.completed`` / ``sim.dropped_packets`` become count-only
         views (:class:`_CountSeq`) because per-packet state no longer
@@ -353,6 +352,10 @@ class ArrayEngine:
         # -- flat resources ----------------------------------------------
         port_free = [0] * n_lcs
         port_busy = [0] * n_lcs
+        # Plain hits completed inline by the untraced walk, per LC: each
+        # is also a busy port cycle, a cache hit and a completion, added
+        # in where those are read (the sampler and the writeback).
+        plain = [0] * n_lcs
         fe_free = [0] * n_lcs
         fe_busy = [0] * n_lcs
         fe_lookups = [0] * n_lcs
@@ -498,8 +501,8 @@ class ArrayEngine:
             f.dest = dests
             f.pat = _NO_PATTERNS
 
-        def precompute(lc: int, dests: np.ndarray):
-            # (patterns, hops) for one block of a feed's buffer.
+        def precompute(lc: int, dests: np.ndarray) -> np.ndarray:
+            # Patterns for one block of a feed's buffer.
             nonlocal precompute_s
             tp = time.perf_counter()
             out = sim._precompute_chunk(lc, dests)
@@ -522,7 +525,6 @@ class ArrayEngine:
         p_at: List[int] = []
         p_meas: List[bool] = []
         p_pat: List[int] = []
-        p_hop: List[Optional[int]] = []
         p_ct: List[int] = []
         p_eid: List[int] = []
         p_att: List[int] = []
@@ -531,8 +533,7 @@ class ArrayEngine:
         p_served: List[Optional[int]] = []
         p_ref: List[int] = []
         slot_cols = (p_gpid, p_dest, p_idx, p_set, p_lc, p_at, p_meas, p_pat,
-                     p_hop, p_ct, p_eid, p_att, p_drop, p_sent, p_served,
-                     p_ref)
+                     p_ct, p_eid, p_att, p_drop, p_sent, p_served, p_ref)
         free_slots: List[int] = []
 
         completed_n = 0
@@ -574,7 +575,6 @@ class ArrayEngine:
             parts_d = []
             parts_lc = []
             parts_pat = []
-            parts_o = []
             for f in live:
                 n = len(f.t)
                 cut = int(np.searchsorted(f.t, bt, side="right"))
@@ -591,29 +591,20 @@ class ArrayEngine:
                     # The cut reaches past the precomputed prefix: extend
                     # it by one block of the feed's next ``cap`` arrivals
                     # (a cut never exceeds ``cap``).
-                    pats, hops = precompute(f.lc, f.dest[pre:pre + cap])
-                    if pre:
-                        pats = np.concatenate((f.pat, pats))
-                        if hops is not None:
-                            hops = np.concatenate((f.hop, hops))
-                    f.pat = pats
-                    f.hop = hops
+                    pats = precompute(f.lc, f.dest[pre:pre + cap])
+                    f.pat = np.concatenate((f.pat, pats)) if pre else pats
                 parts_t.append(f.t[:cut])
                 parts_p.append(np.arange(f.g0, f.g0 + cut, dtype=np.int64))
                 parts_d.append(f.dest[:cut])
                 parts_lc.append(np.full(cut, f.lc, dtype=np.int64))
                 parts_pat.append(f.pat[:cut])
-                if f.hop is not None:
-                    parts_o.append(f.hop[:cut])
                 if cut == n:
-                    f.t = f.dest = f.pat = f.hop = None
+                    f.t = f.dest = f.pat = None
                 else:
                     f.t = f.t[cut:]
                     f.g0 += cut
                     f.dest = f.dest[cut:]
                     f.pat = f.pat[cut:]
-                    if f.hop is not None:
-                        f.hop = f.hop[cut:]
             # Parts come in feed (LC) order, each with ascending pids, so
             # the concatenation is pid-ordered and a stable sort by cycle
             # is the global (cycle, pid) order.
@@ -649,14 +640,13 @@ class ArrayEngine:
                 ),
                 wi,
                 np.concatenate(parts_pat)[order],
-                np.concatenate(parts_o)[order] if parts_o else None,
                 wp,
             )
 
         # The current arrival window: lists for what the hit path reads
         # (cycle, key, LC, destination, flat set index, measured flag),
         # then arrays for what only an admitted packet needs (set index,
-        # pattern, hop -- None under churn -- and global pid).
+        # pattern and global pid).
         win = None
 
         def admit(i: int) -> int:
@@ -664,8 +654,7 @@ class ArrayEngine:
             # an arrival that leaves the hit path -- a port wait, a waiting
             # hit, a miss, a no-cache dispatch or an ingress drop -- takes
             # one; a plain hit completes from the window columns alone.
-            (w_t, _, w_lc, w_dest, w_set, w_meas, w_idx, w_pat, w_hop,
-             w_gpid) = win
+            (w_t, _, w_lc, w_dest, w_set, w_meas, w_idx, w_pat, w_gpid) = win
             if free_slots:
                 p = free_slots.pop()
             else:
@@ -679,7 +668,6 @@ class ArrayEngine:
             p_at[p] = w_t[i]
             p_meas[p] = w_meas[i]
             p_pat[p] = w_pat.item(i)
-            p_hop[p] = w_hop.item(i) if w_hop is not None else None
             p_ct[p] = -1
             p_eid[p] = -1
             p_att[p] = 0
@@ -1313,17 +1301,15 @@ class ArrayEngine:
                 if origin < 0 and p_lc[p] == lc:
                     drop(p, "crash", now)
                 return
-            hop = p_hop[p]
-            if hop is None:
-                hop = matchers[lc].lookup(p_dest[p])
-                if oracle is not None:
-                    expected = oracle.lookup(p_dest[p])
-                    if hop != expected:
-                        raise SimulationError(
-                            f"partition invariant violated at LC {lc}: "
-                            f"lookup({p_dest[p]:#x}) = {hop}, "
-                            f"whole table says {expected}"
-                        )
+            hop = matchers[lc].lookup(p_dest[p])
+            if oracle is not None:
+                expected = oracle.lookup(p_dest[p])
+                if hop != expected:
+                    raise SimulationError(
+                        f"partition invariant violated at LC {lc}: "
+                        f"lookup({p_dest[p]:#x}) = {hop}, "
+                        f"whole table says {expected}"
+                    )
             if home_eid >= 0:
                 release(fill(home_eid, hop), lc, hop, now)
             if origin >= 0:
@@ -1545,8 +1531,10 @@ class ArrayEngine:
 
             def smp_read(at_cycle: int) -> Dict[str, object]:
                 nonlocal lat_seen
+                n_plain = sum(plain)
                 if has_cache:
-                    smp_hits = sum(st_hits) + sum(st_whits) + sum(st_vhits)
+                    smp_hits = (n_plain + sum(st_hits) + sum(st_whits)
+                                + sum(st_vhits))
                     smp_lookups = smp_hits + sum(st_misses)
                 else:
                     smp_hits = smp_lookups = 0
@@ -1563,7 +1551,7 @@ class ArrayEngine:
                     new_lat.extend(lat_cur[skip:])
                 lat_seen += len(new_lat)
                 return {
-                    "completed": completed_n,
+                    "completed": completed_n + n_plain,
                     "dropped": dropped_n,
                     "shed": drops_dict["shed"],
                     "hits": smp_hits,
@@ -1601,7 +1589,7 @@ class ArrayEngine:
                         feeding = False
                     else:
                         (arr_t, arr_key, arr_lc, arr_dest, arr_set,
-                         arr_meas, _, _, _, _) = win
+                         arr_meas, _, _, _) = win
                         ai = 0
                         n_arr = len(arr_t)
                     continue
@@ -1654,7 +1642,7 @@ class ArrayEngine:
                                     a0 = ai
                                     break
                                 (arr_t, arr_key, arr_lc, arr_dest, arr_set,
-                                 arr_meas, _, _, _, _) = win
+                                 arr_meas, _, _, _) = win
                                 ai = a0 = 0
                                 n_arr = len(arr_t)
                                 j = bisect_left(arr_key, hk, 0, n_arr)
@@ -1683,13 +1671,13 @@ class ArrayEngine:
                                             continue
                                         # A plain hit needs no slot: only a
                                         # trace would read the completion
-                                        # cycle or hop.
+                                        # cycle or hop.  One count stands
+                                        # for its port cycle, its hit and
+                                        # its completion.
                                         port_free[lc] = t + 1
-                                        port_busy[lc] += 1
                                         stamp[lc] = tick = stamp[lc] + 1
                                         e_last[eid] = tick
-                                        st_hits[lc] += 1
-                                        completed_n += 1
+                                        plain[lc] += 1
                                         if arr_meas[i]:
                                             lat_cur.append(1)
                                         continue
@@ -1785,10 +1773,8 @@ class ArrayEngine:
         if has_cache:
             for i, cache in enumerate(sim.caches):
                 s = cache.stats
-                s.lookups = (
-                    st_hits[i] + st_whits[i] + st_vhits[i] + st_misses[i]
-                )
-                s.hits = st_hits[i]
+                s.hits = plain[i] + st_hits[i]
+                s.lookups = s.hits + st_whits[i] + st_vhits[i] + st_misses[i]
                 s.waiting_hits = st_whits[i]
                 s.victim_hits = st_vhits[i]
                 s.misses = st_misses[i]
@@ -1828,7 +1814,7 @@ class ArrayEngine:
                 )
         for i in range(n_lcs):
             sim.cache_ports[i].free_at = port_free[i]
-            sim.cache_ports[i].busy_cycles = port_busy[i]
+            sim.cache_ports[i].busy_cycles = port_busy[i] + plain[i]
             sim.fes[i].free_at = fe_free[i]
             sim.fes[i].busy_cycles = fe_busy[i]
         fabric.messages += fab_msgs
@@ -1839,7 +1825,7 @@ class ArrayEngine:
         sim._fail_at = fail_at
         sim._down_cycles = down_cycles
         sim.queue.adopt_flat_run(seq, horizon, processed)
-        sim.completed = _CountSeq(completed_n)
+        sim.completed = _CountSeq(completed_n + sum(plain))
         sim.dropped_packets = _CountSeq(dropped_n)
 
         if lat_cur:

@@ -103,7 +103,6 @@ class _Packet:
         "entry",
         "measured",
         "pattern",
-        "hop",
         "attempt",
         "dropped",
         "sent_at",
@@ -120,7 +119,6 @@ class _Packet:
         self.entry = None        # reserved LR-cache entry at the arrival LC
         self.measured = True     # False during the warmup window
         self.pattern = pattern   # dest's control-bit pattern (0 unpartitioned)
-        self.hop = None          # precomputed FE result (None = look up at FE)
         self.attempt = 0         # remote-request attempt (bumped per retry)
         self.dropped = None      # drop reason, or None while in flight
         self.sent_at = -1        # cycle the current remote request departed
@@ -630,17 +628,15 @@ class SpalSimulator:
             if origin is None and pkt.arrival_lc == lc:
                 self._drop(pkt, "crash")
             return
-        hop = pkt.hop
-        if hop is None:
-            hop = self._matchers[lc].lookup(pkt.dest)
-            if self._oracle is not None:
-                expected = self._oracle.lookup(pkt.dest)
-                if hop != expected:
-                    raise SimulationError(
-                        f"partition invariant violated at LC {lc}: "
-                        f"lookup({pkt.dest:#x}) = {hop}, "
-                        f"whole table says {expected}"
-                    )
+        hop = self._matchers[lc].lookup(pkt.dest)
+        if self._oracle is not None:
+            expected = self._oracle.lookup(pkt.dest)
+            if hop != expected:
+                raise SimulationError(
+                    f"partition invariant violated at LC {lc}: "
+                    f"lookup({pkt.dest:#x}) = {hop}, "
+                    f"whole table says {expected}"
+                )
         # Under failover, home_entry may be a stale reservation swept from
         # this card's failure window (empty waiting list) — filling it is
         # then a harmless no-op — so the home-side and arrival-side fills
@@ -1025,30 +1021,34 @@ class SpalSimulator:
         self.invalidation_messages += msgs
         self._m_inval_msgs.value += msgs
 
-    def _precompute_chunk(self, lc: int, dests: np.ndarray) -> tuple:
-        """(patterns, hops) int64 arrays for one chunk of LC ``lc``'s
-        destinations, resolved ahead of the event loop (patterns are 0
-        unpartitioned; ``hops`` is None under live churn and above the
-        kernels' 64 bits, where the FE resolves each hop scalar).
+    def _precompute_chunk(self, lc: int, dests: np.ndarray) -> np.ndarray:
+        """Control-bit patterns (int64; 0 unpartitioned) of one chunk of
+        LC ``lc``'s destinations, resolved ahead of the event loop.
 
         The home LC, which also depends on which replicas are live, is read
         from the pattern (:meth:`PartitionPlan.home_of_pattern`) when a
-        packet misses.  Both values are pure per element and blind to
-        failures, so any chunking, at any point of the run, yields
-        identical values.  Churn-free, the forwarding tables are immutable
-        during :meth:`run`: one :func:`pattern_of_batch` plus one
-        :meth:`lookup_batch` per primary holder replace scalar lookups in
-        the handlers, and ``verify=True`` checks the chunk against the
-        oracle in one pass.  Matcher access counters are restored
-        afterwards so precomputation stays side-effect free.
+        packet misses, and an FE resolves its hop when it serves one.  A
+        pattern is pure per element and blind to failures, so any
+        chunking, at any point of the run, yields identical values.
+
+        Under ``verify=True``, churn-free and up to the kernels' 64 bits,
+        the chunk is also checked in one pass: each pattern's primary
+        holder must answer its destinations with the oracle's
+        whole-table LPM (the FE check covers only the destinations an FE
+        serves).  Matcher access counters are restored afterwards, so the
+        check stays side-effect free.
         """
         plan = self.plan
         if plan is None:
             patterns = np.zeros(len(dests), dtype=np.int64)
         else:
             patterns = pattern_of_batch(dests, plan.bits, self.table.width)
-        if self._updates_armed or self.table.width > MAX_KERNEL_WIDTH:
-            return (patterns, None)
+        if (
+            self._oracle is None
+            or self._updates_armed
+            or self.table.width > MAX_KERNEL_WIDTH
+        ):
+            return patterns
         if plan is None:
             holders = np.full(len(dests), lc, dtype=np.int64)
         else:
@@ -1069,22 +1069,21 @@ class SpalSimulator:
         ):
             mask = holders == h
             hops[mask] = self._matchers[int(h)].lookup_batch(dests[mask])
-        if self._oracle is not None:
-            expected = self._oracle.lookup_batch(dests)
-            bad = np.flatnonzero(hops != expected)
-            if bad.size:
-                i = int(bad[0])
-                raise SimulationError(
-                    f"partition invariant violated at LC "
-                    f"{int(holders[i])}: lookup({int(dests[i]):#x}) = "
-                    f"{int(hops[i])}, whole table says "
-                    f"{int(expected[i])}"
-                )
+        expected = self._oracle.lookup_batch(dests)
+        bad = np.flatnonzero(hops != expected)
+        if bad.size:
+            i = int(bad[0])
+            raise SimulationError(
+                f"partition invariant violated at LC "
+                f"{int(holders[i])}: lookup({int(dests[i]):#x}) = "
+                f"{int(hops[i])}, whole table says "
+                f"{int(expected[i])}"
+            )
         for c, lookups, accesses, max_accesses in counters:
             c.lookups, c.accesses, c.max_accesses = (
                 lookups, accesses, max_accesses
             )
-        return (patterns, hops)
+        return patterns
 
     # -- driving ----------------------------------------------------------------
 
@@ -1137,8 +1136,8 @@ class SpalSimulator:
         chunked :class:`~repro.sim.streaming.PacketStream`\\ s alike) or
         ``"scalar"`` (per-packet Python objects over :class:`EventQueue` —
         the readable reference loop; streams are materialized first).  Both
-        precompute every arrival's control-bit pattern (and, churn-free up
-        to 64 bits, its FE result) in batches.  The two engines are
+        precompute every arrival's control-bit pattern in batches, and
+        each FE resolves the hop of a lookup it serves.  The two engines are
         bit-identical; the differential suite in
         ``tests/test_engine_identity.py`` enforces it.  The array engine
         recycles per-packet state, so after it ``self.completed`` /
@@ -1310,12 +1309,9 @@ class SpalSimulator:
                 times = arrival_times(
                     len(stream), speed_gbps=speeds[lc], seed=1000 + lc
                 )
-                # Plain lists: list[i] yields a Python int with no
+                # A plain list: list[i] yields a Python int with no
                 # per-element conversion.
-                patterns = precomputed[lc][0].tolist()
-                hops = precomputed[lc][1]
-                if hops is not None:
-                    hops = hops.tolist()
+                patterns = precomputed[lc].tolist()
                 for i, (t, dest) in enumerate(zip(times, stream)):
                     pkt = _Packet(int(dest), lc, int(t), patterns[i])
                     pkt.measured = i >= warmup_packets
@@ -1324,8 +1320,6 @@ class SpalSimulator:
                         # pid assignment cannot perturb the timeline.
                         pkt.pid = next_pid
                         next_pid += 1
-                    if hops is not None:
-                        pkt.hop = hops[i]
                     self.queue.schedule(int(t), self._arrive, pkt, lc)
             self.phase_seconds["schedule"] = time.perf_counter() - t0
             t0 = time.perf_counter()

@@ -44,12 +44,17 @@ def dest_column(col, width: int, lc: int) -> np.ndarray:
     ``col`` MUST hold ``width``-bit addresses in an integer dtype, or an
     object column of ints above 64 bits (an empty one may have any dtype);
     this is checked before the ``uint64`` cast, so a fractional or negative
-    one raises :class:`SimulationError` instead of being cut or wrapped."""
+    one raises :class:`SimulationError` instead of being cut or wrapped.
+    A plain sequence of ints is read exactly at every width (NumPy alone
+    reads one at or above 2**63 beside smaller ones as float64)."""
     arr = np.asarray(col)
     if not len(arr):
         return np.empty(0, dtype=np.uint64)
     kind = arr.dtype.kind
-    if not (kind in "iu" or (
+    if (kind in "fO" and not isinstance(col, np.ndarray)
+            and all(map(is_int, col))):
+        arr = np.array(col, dtype=object)
+    elif not (kind in "iu" or (
             kind == "O" and width > 64 and all(map(is_int, arr)))):
         raise SimulationError(
             f"stream for LC {lc} holds non-integer destinations "
@@ -60,7 +65,9 @@ def dest_column(col, width: int, lc: int) -> np.ndarray:
             f"stream for LC {lc} holds a destination outside the "
             f"{width}-bit address space"
         )
-    return arr if kind == "O" else np.ascontiguousarray(arr, np.uint64)
+    if width > 64 and arr.dtype.kind == "O":
+        return arr
+    return np.ascontiguousarray(arr, np.uint64)
 
 
 class PacketStream:

@@ -272,11 +272,11 @@ class TestSimulatorFastPath:
         )
 
     def test_bit_identical_fast_path_on_off(self, table, streams):
-        # Without updates the hops are precomputed through lookup_batch and
-        # verify=True checks them against the matchers; with a flush-policy
-        # announcement the hops are looked up per packet.  The array
-        # engine's precompute blocks and the scalar loop's one
-        # whole-stream pass must agree.
+        # Every FE resolves the hop it serves; without updates verify=True
+        # also checks each precompute block through lookup_batch against
+        # the oracle, and with a flush-policy announcement it checks the
+        # FE lookups only.  The array engine's precompute blocks and the
+        # scalar loop's one whole-stream pass must agree.
         for flush in (False, True):
             fast = self._run(table, streams, flush=flush, verify=True)
             slow = self._run(
@@ -284,6 +284,42 @@ class TestSimulatorFastPath:
             )
             assert fast.flushes == slow.flushes == int(flush)
             assert _result_fingerprint(fast) == _result_fingerprint(slow)
+
+    @pytest.mark.parametrize("engine", ["array", "scalar"])
+    @pytest.mark.parametrize("served", [False, True],
+                             ids=["never_served", "served"])
+    def test_verify_catches_planted_route(self, table, engine, served):
+        """``verify=True`` checks a hop wherever one could be wrong.  A
+        host route with a wrong hop is planted in one LC's matcher: in
+        the primary holder's when its destination never reaches an FE
+        (it arrives at a failed LC), caught by the block check; in the
+        other replica's when that replica's FE serves it, caught by the
+        FE check, since the block check reads primary holders only."""
+        from repro.core import FaultSchedule
+        from repro.errors import SimulationError
+
+        plan = partition_table(table, 2, replicas=2)
+        rng = np.random.default_rng(8)
+        for dest in rng.integers(0, 1 << 32, size=64).tolist():
+            primary = plan.lc_of_pattern[
+                pattern_of(dest, plan.bits, table.width)
+            ]
+            if plan.home_lc(dest) != primary:
+                break
+        else:
+            raise AssertionError("no destination homed off its primary")
+        matchers = [HashReferenceMatcher(t) for t in plan.tables]
+        planted = primary if not served else 1 - primary
+        matchers[planted].insert(Prefix(dest, 32, 32), 999)
+        sim = SpalSimulator(
+            table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=128)),
+            verify=True, plan=plan, matchers=matchers,
+        )
+        streams = [np.array([dest, dest], dtype=np.uint64),
+                   np.array([1, 2], dtype=np.uint64)]
+        faults = None if served else FaultSchedule().fail_lc(0, 0)
+        with pytest.raises(SimulationError, match="partition invariant"):
+            sim.run(streams, faults=faults, engine=engine)
 
     def test_injected_plan_matches_fresh(self, table, streams):
         # No updates: churn swaps in matchers over copied tables, which would

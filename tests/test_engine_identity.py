@@ -113,6 +113,10 @@ def assert_engines_identical(table, config, run_kwargs=None,
     assert len(sim_s.dropped_packets) == len(sim_a.dropped_packets)
     assert (sim_s.queue.now, sim_s.queue.processed) == \
         (sim_a.queue.now, sim_a.queue.processed)
+    # Cache-port occupancy, which no result field carries: the array
+    # engine counts a plain hit's port cycle only in its writeback.
+    ports = lambda sim: [(p.free_at, p.busy_cycles) for p in sim.cache_ports]
+    assert ports(sim_s) == ports(sim_a)
     # Resident cache state (the arrays were written back into the caches).
     for ca, cb in zip(sim_s.caches, sim_a.caches):
         if ca is None:

@@ -149,7 +149,7 @@ class TestDeterminism:
         assert a.lc_availability == b.lc_availability
 
     def test_fault_run_identical_with_fast_path_off(self, table):
-        # The array engine's precompute blocks against the scalar loop's
+        # The array engine's pattern blocks against the scalar loop's
         # whole-stream pass, across a fail/recover that changes the plan.
         cfg = small_config()
         streams = locality_streams(4)

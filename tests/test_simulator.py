@@ -220,6 +220,24 @@ class TestSpalSimulator:
         with pytest.raises(SimulationError, match="single-use"):
             sim.run([s.copy() for s in streams])
 
+    @pytest.mark.parametrize("engine", ["array", "scalar"])
+    def test_accepted_call_runs(self, engine):
+        """The accepted twin of the rejected calls above: destinations
+        given as a plain list of ints run exactly at every width, also
+        64-bit ones at or above 2**63, which NumPy alone would read as
+        float64 beside smaller ones."""
+        table = random_small_table(40, width=64)
+        config = SpalConfig(n_lcs=1, cache=CacheConfig(n_blocks=16))
+        dests = [2**63 + 5, 7, 2**64 - 1, 2**63 + 5]
+        got = SpalSimulator(table, config, verify=True).run(
+            [dests], engine=engine
+        )
+        want = SpalSimulator(table, config).run(
+            [np.array(dests, dtype=np.uint64)], engine=engine
+        )
+        assert got.packets == len(dests)
+        assert got.summary() == want.summary()
+
     def test_flush_mid_run(self, table):
         sim = SpalSimulator(
             table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=512))

@@ -268,7 +268,7 @@ def _run_peak(streams, n_blocks: int = 256) -> int:
 
 def test_streamed_peak_memory_does_not_track_chunk_size(monkeypatch):
     """A window holds at most ``_WINDOW_CAP`` arrivals, and a feed
-    precomputes patterns and hops one block of at most the cap at a time,
+    precomputes patterns one block of at most the cap at a time,
     so a chunk 8x the cap barely moves the peak: the chunk adds only its
     arrival cycles, not per-arrival window state.  Under tracemalloc every
     allocation in the engine loop pays for a line-number lookup, so the
@@ -290,10 +290,10 @@ def test_streamed_peak_memory_does_not_track_lc_count(monkeypatch):
     """The cap bounds the whole merged window, not each LC's share of it,
     so spreading the same arrivals over 8 LCs instead of 2 barely moves
     the peak: an extra LC adds its buffered chunk and its precomputed
-    patterns and hops (8 bytes an arrival each), not ~200-byte window
-    arrivals.  Chunks are one cap long, as the default 65,536-packet
-    chunk is longer than the real cap; eight destinations keep every LC's
-    cache warm, so the in-flight population stays small."""
+    patterns (8 bytes an arrival), not ~200-byte window arrivals.  Chunks
+    are one cap long, as the default 65,536-packet chunk is longer than
+    the real cap; eight destinations keep every LC's cache warm, so the
+    in-flight population stays small."""
     cap = 256
     monkeypatch.setattr(array_engine, "_WINDOW_CAP", cap)
     total = 48 * cap
