@@ -7,13 +7,13 @@ holds and ``__post_init__`` checks, so no out-of-domain config exists.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
-from numbers import Integral, Real
-from typing import (
-    TYPE_CHECKING, Callable, List, NamedTuple, Optional, Sequence,
-)
+from dataclasses import asdict, dataclass, fields
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from ..errors import CacheConfigError, SimulationError
+from .domain import (
+    BOOL, Domain, check, integer, is_int, knob, one_of, optional, real,
+)
 from .fabric import (
     CrossbarFabric,
     Fabric,
@@ -53,53 +53,6 @@ _FABRICS = {
     "crossbar": CrossbarFabric,
     "multistage": MultistageFabric,
 }
-
-
-class Domain(NamedTuple):
-    """A set of legal values, and the phrase that names it in errors."""
-
-    accepts: Callable[[object], bool]
-    text: str
-
-
-def is_int(v: object) -> bool:
-    return isinstance(v, Integral) and not isinstance(v, bool)
-
-
-def integer(low: int) -> Domain:
-    """The ints ``>= low`` (``bool`` excluded: ``True`` is not a count)."""
-    return Domain(lambda v: is_int(v) and v >= low, f"an int >= {low}")
-
-
-def real(low: float, high: float) -> Domain:
-    """The reals in ``[low, high]`` (``bool`` and NaN excluded)."""
-    return Domain(lambda v: isinstance(v, Real) and not isinstance(v, bool)
-                  and low <= v <= high, f"a real in [{low}, {high}]")
-
-
-def one_of(names) -> Domain:
-    """Exactly one of the strings ``names``."""
-    names = tuple(names)
-    return Domain(lambda v: isinstance(v, str) and v in names,
-                  " or ".join(map(repr, names)))
-
-
-def optional(d: Domain) -> Domain:
-    return Domain(lambda v: v is None or d.accepts(v), f"None or {d.text}")
-
-
-BOOL = Domain(lambda v: isinstance(v, bool), "a bool")
-
-
-def check(value: object, domain: Domain, name: str, error: type) -> None:
-    """Raise ``error`` unless ``value`` lies in ``domain``."""
-    if not domain.accepts(value):
-        raise error(f"{name} must be {domain.text}, got {value!r}")
-
-
-def knob(domain: Domain, **kwargs):
-    """A dataclass field whose values MUST lie in ``domain``."""
-    return field(metadata={"domain": domain}, **kwargs)
 
 
 def _check_fields(config, error: type) -> None:

@@ -15,6 +15,7 @@ import math
 from abc import ABC, abstractmethod
 
 from ..errors import SimulationError
+from .domain import check, integer
 
 
 class Fabric(ABC):
@@ -23,8 +24,7 @@ class Fabric(ABC):
     name: str = "?"
 
     def __init__(self, n_lcs: int):
-        if n_lcs <= 0:
-            raise SimulationError(f"fabric needs at least one LC, got {n_lcs}")
+        check(n_lcs, integer(1), "n_lcs", SimulationError)
         self.n_lcs = n_lcs
         # Per-LC port availability for serialization (one message per cycle
         # per direction, matching the FIL queues of Fig. 2).
@@ -163,8 +163,7 @@ class CrossbarFabric(Fabric):
 
     def __init__(self, n_lcs: int, transit_cycles: int = 2):
         super().__init__(n_lcs)
-        if transit_cycles < 0:
-            raise SimulationError("transit_cycles must be non-negative")
+        check(transit_cycles, integer(0), "transit_cycles", SimulationError)
         self.transit_cycles = transit_cycles
 
     def latency_cycles(self) -> int:
@@ -182,10 +181,8 @@ class MultistageFabric(Fabric):
 
     def __init__(self, n_lcs: int, radix: int = 4, hop_cycles: int = 1):
         super().__init__(n_lcs)
-        if radix < 2:
-            raise SimulationError(f"radix must be >= 2, got {radix}")
-        if hop_cycles <= 0:
-            raise SimulationError("hop_cycles must be positive")
+        check(radix, integer(2), "radix", SimulationError)
+        check(hop_cycles, integer(1), "hop_cycles", SimulationError)
         self.radix = radix
         self.hop_cycles = hop_cycles
         self.stages = max(1, math.ceil(math.log(max(n_lcs, 2), radix)))

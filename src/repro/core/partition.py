@@ -37,6 +37,7 @@ from ..errors import PartitionError, UnreachablePatternError
 from ..routing.arraytable import ArrayRoutingTable, _take, table_columns
 from ..routing.prefix import Prefix
 from ..routing.table import NextHop, RoutingTable
+from .domain import check, integer, optional
 
 
 def _candidate_list(
@@ -331,7 +332,6 @@ class PartitionPlan:
     n_lcs: int
     lc_of_pattern: List[int]
     tables: List[RoutingTable]
-    source_version: int = 0
     #: Replica LCs per pattern (parallel to ``lc_of_pattern``; entry 0 is
     #: the primary).  Populated when ``partition_table(replicas > 1)``.
     replicas_of_pattern: Optional[List[List[int]]] = None
@@ -442,36 +442,6 @@ class PartitionPlan:
             self.failed_lcs.discard(lc)
             self.epoch += 1
 
-    def copy_for_faults(self) -> "PartitionPlan":
-        """An independent view of this plan for a fault-injected run.
-
-        Shares the (read-only) forwarding tables and pattern maps but owns
-        its ``failed_lcs`` set and epoch, so a simulator applying a
-        :class:`~repro.core.faults.FaultSchedule` never mutates a plan that
-        other runs (or a memoizing caller) also hold.
-        """
-        return PartitionPlan(
-            bits=self.bits,
-            n_lcs=self.n_lcs,
-            lc_of_pattern=self.lc_of_pattern,
-            tables=self.tables,
-            source_version=self.source_version,
-            replicas_of_pattern=self.replicas_of_pattern,
-            failed_lcs=set(self.failed_lcs),
-            epoch=self.epoch,
-        )
-
-    def copy_for_updates(self) -> "PartitionPlan":
-        """An independent view for a run that applies routing updates.
-
-        Unlike :meth:`copy_for_faults` this also deep-copies the per-LC
-        forwarding tables, because a churn run *mutates* them — a shared
-        (possibly memoized) plan must never see another run's updates.
-        """
-        plan = self.copy_for_faults()
-        plan.tables = [t.copy() for t in self.tables]
-        return plan
-
     def partition_sizes(self) -> List[int]:
         return [len(t) for t in self.tables]
 
@@ -538,18 +508,18 @@ def partition_table(
     it holds that the route is compatible with, then by source order,
     each route once.
     """
-    if n_lcs <= 0:
-        raise PartitionError(f"need at least one LC, got {n_lcs}")
-    if not 1 <= replicas <= n_lcs:
+    check(n_lcs, integer(1), "n_lcs", PartitionError)
+    check(replicas, integer(1), "replicas", PartitionError)
+    check(pattern_oversubscription, optional(integer(1)),
+          "pattern_oversubscription", PartitionError)
+    if replicas > n_lcs:
         raise PartitionError(
-            f"replicas must be in [1, n_lcs]; got {replicas} for {n_lcs} LCs"
+            f"replicas must be at most n_lcs; got {replicas} for {n_lcs} LCs"
         )
-    eta = max(n_lcs - 1, 0).bit_length()  # ⌈log2 ψ⌉
+    eta = (n_lcs - 1).bit_length()  # ⌈log2 ψ⌉
     power_of_two = n_lcs & (n_lcs - 1) == 0
     if not power_of_two:
         oversub = 4 if pattern_oversubscription is None else pattern_oversubscription
-        if oversub < 1:
-            raise PartitionError("pattern_oversubscription must be >= 1")
         while (1 << eta) < oversub * n_lcs:
             eta += 1
     bit_list: Optional[List[int]] = None
@@ -619,7 +589,6 @@ def partition_table(
         n_lcs=n_lcs,
         lc_of_pattern=lc_of_pattern,
         tables=tables,
-        source_version=table.version,
         replicas_of_pattern=replicas_of_pattern,
     )
 

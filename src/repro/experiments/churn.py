@@ -33,7 +33,6 @@ from ..routing.churn import generate_churn
 from ..sim.spal_sim import SpalSimulator
 from .common import (
     ExperimentResult,
-    _plan_and_matchers,
     default_packets_per_lc,
     get_rt2,
     scale_cache,
@@ -68,10 +67,7 @@ def run_churn(
     for rate in rates:
         for policy in policies:
             config = SpalConfig(n_lcs=n_lcs, cache=CacheConfig(n_blocks=beta))
-            plan, matchers = _plan_and_matchers("rt2", n_lcs)
-            sim = SpalSimulator(
-                table, config, verify=True, plan=plan, matchers=matchers
-            )
+            sim = SpalSimulator(table, config, verify=True)
             streams = streams_for_trace(trace, n_lcs, n)
             kwargs = {}
             if rate > 0:

@@ -24,14 +24,12 @@ import numpy as np
 
 from ..core.config import CacheConfig, SpalConfig
 from ..core.faults import FaultSchedule
-from ..core.partition import PartitionPlan, partition_table
 from ..routing.synthetic import make_rt1, make_rt2
 from ..routing.table import RoutingTable
 from ..sim.results import SimulationResult
 from ..sim.spal_sim import SpalSimulator
 from ..traffic.profiles import trace_spec
 from ..traffic.synthetic import FlowPopulation, generate_stream
-from ..tries.reference import HashReferenceMatcher
 
 #: Default FE matching time (Lulea trie, paper Sec. 5.1).
 LULEA_FE_CYCLES = 40
@@ -96,28 +94,6 @@ def streams_for_trace(
     return [generate_stream(pop, packets_per_lc, lc) for lc in range(n_lcs)]
 
 
-@lru_cache(maxsize=None)
-def _plan_and_matchers(table_id: str, n_lcs: int) -> tuple:
-    """Memoized (plan, matchers) pair for one (table, ψ) combination.
-
-    Partitioning and matcher construction dominate simulator setup, and
-    figure sweeps build many single-use simulators over the same handful
-    of (table, ψ) points — each process (including every pool worker, via
-    its process-level cache) pays the cost once.  Only the default
-    partitioning knobs are cached; :func:`run_spal` partitions afresh
-    when a config overrides them.
-    """
-    table = get_rt1() if table_id == "rt1" else get_rt2()
-    plan = partition_table(table, n_lcs)
-    matchers = tuple(HashReferenceMatcher(t) for t in plan.tables)
-    return plan, matchers
-
-
-def plan_for(table_id: str, n_lcs: int) -> PartitionPlan:
-    """The cached default partition plan for one (table, ψ) point."""
-    return _plan_and_matchers(table_id, n_lcs)[0]
-
-
 def run_spal(
     trace: str,
     n_lcs: int,
@@ -145,11 +121,10 @@ def run_spal(
     thin sweeps over this function.  ``cache_blocks`` is the paper-nominal
     β; it is shrunk via :func:`scale_cache` at reduced scale unless
     ``scale_beta=False``.  ``faults`` forwards a
-    :class:`~repro.core.faults.FaultSchedule` to the run (memoized plans
-    are safe: the simulator mutates a private copy under LC faults).
-    ``minimize`` arms the pre-partition FIB-minimisation stage
-    (``"full"``; see :mod:`repro.routing.minimize`); it bypasses the memoized plan cache
-    since the plan must be rebuilt from the minimised table."""
+    :class:`~repro.core.faults.FaultSchedule` to the run.  ``minimize``
+    arms the pre-partition FIB-minimisation stage (``"full"``; see
+    :mod:`repro.routing.minimize`).  Each call builds its own simulator,
+    which partitions the table and builds its matchers afresh."""
     table = get_rt1() if table_id == "rt1" else get_rt2()
     n = packets_per_lc if packets_per_lc is not None else default_packets_per_lc()
     if scale_beta:
@@ -177,19 +152,7 @@ def run_spal(
         replicas=replicas,
         minimize=minimize,
     )
-    if (
-        partitioned
-        and config.partition_bits is None
-        and config.pattern_oversubscription is None
-        and config.replicas == 1
-        and config.minimize is None
-    ):
-        plan, matchers = _plan_and_matchers(table_id, n_lcs)
-        sim = SpalSimulator(
-            table, config, partitioned=True, plan=plan, matchers=matchers
-        )
-    else:
-        sim = SpalSimulator(table, config, partitioned=partitioned)
+    sim = SpalSimulator(table, config, partitioned=partitioned)
     streams = streams_for_trace(trace, n_lcs, n, table_id)
     # Exclude the stone-cold-start transient (10% of each LC's stream) from
     # latency statistics; see SpalSimulator.run.

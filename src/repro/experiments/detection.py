@@ -47,7 +47,6 @@ from .common import (
     ExperimentResult,
     default_packets_per_lc,
     get_rt2,
-    plan_for,
     streams_for_trace,
 )
 
@@ -166,7 +165,6 @@ def run_detection(
     )
     n = packets_per_lc if packets_per_lc is not None else default_packets_per_lc()
     table = get_rt2()
-    plan = plan_for("rt2", n_lcs)
     streams = streams_for_trace(trace, n_lcs, n)
 
     def make_config(**overrides) -> SpalConfig:
@@ -178,9 +176,7 @@ def run_detection(
         )
 
     # -- clean anchor run: horizon, SLO and sampling interval ---------------
-    base = SpalSimulator(
-        table, make_config(), partitioned=True, plan=plan
-    ).run(
+    base = SpalSimulator(table, make_config()).run(
         streams, speed_gbps=40, warmup_packets=n // 10,
         name="detection-base",
     )
@@ -207,9 +203,7 @@ def run_detection(
         ),
         sample_interval_cycles=interval,
     )
-    run = SpalSimulator(
-        table, sampled_config, partitioned=True, plan=plan
-    ).run(
+    run = SpalSimulator(table, sampled_config).run(
         streams,
         speed_gbps=40,
         warmup_packets=n // 10,

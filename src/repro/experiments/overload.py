@@ -43,7 +43,6 @@ from .common import (
     ExperimentResult,
     default_packets_per_lc,
     get_rt2,
-    plan_for,
 )
 
 #: Queue bounds for every cell — small enough that the 40 Gbps cells
@@ -94,7 +93,6 @@ def run_overload(
     )
     n = packets_per_lc if packets_per_lc is not None else default_packets_per_lc()
     table = get_rt2()
-    plan = plan_for("rt2", n_lcs)
 
     spec = trace_spec(trace).scaled(16 * n)
     crowd_before = FlowPopulation(spec, table)
@@ -115,7 +113,7 @@ def run_overload(
             fabric_queue_capacity=FABRIC_QUEUE_CAPACITY if policy else None,
             shed_policy=policy or "tail_drop",
         )
-        return SpalSimulator(table, config, partitioned=True, plan=plan)
+        return SpalSimulator(table, config)
 
     rows: List[Dict[str, object]] = []
     for load in (10, 40):

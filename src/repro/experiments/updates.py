@@ -25,7 +25,6 @@ from ..routing.churn import generate_churn
 from ..sim.spal_sim import SpalSimulator
 from .common import (
     ExperimentResult,
-    _plan_and_matchers,
     default_packets_per_lc,
     get_rt2,
     scale_cache,
@@ -53,8 +52,7 @@ def _churn_run(
     the churn window; rate 0 runs the plain churn-free simulator.
     """
     config = SpalConfig(n_lcs=n_lcs, cache=CacheConfig(n_blocks=beta))
-    plan, matchers = _plan_and_matchers("rt2", n_lcs)
-    sim = SpalSimulator(table, config, plan=plan, matchers=matchers)
+    sim = SpalSimulator(table, config)
     streams = streams_for_trace(trace, n_lcs, n)
     horizon = n * 10
     kwargs = {}

@@ -34,6 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+from ..core.domain import check, integer
 from ..errors import ObservabilityError
 
 #: Sentinel boundary used by the engines when sampling is off: one
@@ -249,10 +250,8 @@ class TimeSeriesSampler:
     """
 
     def __init__(self, interval: int, n_lcs: int, monitor=None):
-        if interval <= 0:
-            raise ObservabilityError(
-                f"sample interval must be positive, got {interval}"
-            )
+        check(interval, integer(1), "interval", ObservabilityError)
+        check(n_lcs, integer(1), "n_lcs", ObservabilityError)
         self.interval = interval
         self.n_lcs = n_lcs
         self.monitor = monitor

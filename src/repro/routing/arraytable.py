@@ -24,9 +24,6 @@ insertion order, and keeps them columnar through mutation:
 
 This is exactly dict order: an update keeps a route's position, a
 re-added route goes last, and ``version`` rises by one per mutation.
-Only direct ``_routes`` access still *inflates* to the classic
-``Dict[Prefix, NextHop]``: it builds the dict, drops the columns, and the
-instance behaves exactly like a plain :class:`RoutingTable` from then on.
 
 Widths above 64 bits (IPv6) store values as a Python ``list`` of ints since
 128-bit values exceed numpy integer dtypes; lengths and hops stay numpy.
@@ -121,9 +118,9 @@ class ArrayRoutingTable(RoutingTable):
             self._validate(values, lengths, width)
         # Base rows: positions never move; hops are rewritten in place
         # (after a private copy, ``_own_hops``) and removals tombstone.
-        self._a_values: Optional[ValueColumn] = values
-        self._a_lengths: Optional[np.ndarray] = lengths
-        self._a_hops: Optional[np.ndarray] = hops
+        self._a_values: ValueColumn = values
+        self._a_lengths: np.ndarray = lengths
+        self._a_hops: np.ndarray = hops
         self._own_hops = False
         self._alive: Optional[np.ndarray] = None  # None: every row alive
         self._n_dead = 0
@@ -135,7 +132,6 @@ class ArrayRoutingTable(RoutingTable):
         self._scans = 0
         self._index: Optional[Dict[int, int]] = None
         self._view_cols: Optional[Columns] = None
-        self._dict: Optional[Dict[Prefix, NextHop]] = None
         self.version = n
 
     @staticmethod
@@ -182,27 +178,6 @@ class ArrayRoutingTable(RoutingTable):
                     raise TableError("duplicate route in from_arrays columns")
                 seen.add(key)
 
-    # -- lazy dict ---------------------------------------------------------
-
-    @property
-    def _routes(self) -> Dict[Prefix, NextHop]:
-        if self._dict is None:
-            self._routes = dict(self._iter_routes())
-        return self._dict
-
-    @_routes.setter
-    def _routes(self, value: Dict[Prefix, NextHop]) -> None:
-        # Columns are dropped: the dict is authoritative from here on.
-        self._dict = value
-        self._a_values = self._a_lengths = self._a_hops = None
-        self._alive = self._keys = self._index = self._view_cols = None
-        self._overlay = {}
-
-    @property
-    def inflated(self) -> bool:
-        """True once the dict representation has been materialised."""
-        return self._dict is not None
-
     # -- columns -----------------------------------------------------------
 
     def _view(self) -> Columns:
@@ -247,8 +222,6 @@ class ArrayRoutingTable(RoutingTable):
         (cached until the next mutation) afterwards.  Treat the result as
         read-only.
         """
-        if self._dict is not None:
-            return _columns_from_dict(self._dict, self.width)
         return self._view()
 
     def _base_row(self, key: int) -> Optional[int]:
@@ -279,8 +252,6 @@ class ArrayRoutingTable(RoutingTable):
     # -- mutation ----------------------------------------------------------
 
     def update(self, prefix: Prefix, next_hop: NextHop) -> None:
-        if self._dict is not None:
-            return super().update(prefix, next_hop)
         self._check_width(prefix)
         key = (prefix.value << KEY_SHIFT) | prefix.length
         row = None if key in self._overlay else self._live_row(key)
@@ -295,8 +266,6 @@ class ArrayRoutingTable(RoutingTable):
         self.version += 1
 
     def remove(self, prefix: Prefix) -> NextHop:
-        if self._dict is not None:
-            return super().remove(prefix)
         self._check_width(prefix)
         key = (prefix.value << KEY_SHIFT) | prefix.length
         next_hop = self._overlay.pop(key, None)
@@ -316,8 +285,6 @@ class ArrayRoutingTable(RoutingTable):
     # -- queries -----------------------------------------------------------
 
     def get(self, prefix: Prefix) -> Optional[NextHop]:
-        if self._dict is not None:
-            return self._dict.get(prefix)
         if prefix.width != self.width:
             return None
         key = (prefix.value << KEY_SHIFT) | prefix.length
@@ -329,7 +296,7 @@ class ArrayRoutingTable(RoutingTable):
         return hop
 
     def lookup(self, address: int) -> NextHop:
-        if self._dict is not None or self.width > 64:
+        if self.width > 64:
             return super().lookup(address)
         values, lengths, hops = self._view()
         if len(values) == 0:
@@ -349,11 +316,6 @@ class ArrayRoutingTable(RoutingTable):
         return int(hops[best])
 
     def routes(self) -> Iterator[Tuple[Prefix, NextHop]]:
-        if self._dict is not None:
-            return iter(self._dict.items())
-        return self._iter_routes()
-
-    def _iter_routes(self) -> Iterator[Tuple[Prefix, NextHop]]:
         values, lengths, hops = self._view()
         vlist = (
             values.tolist() if isinstance(values, np.ndarray)
@@ -363,25 +325,17 @@ class ArrayRoutingTable(RoutingTable):
         return zip(prefixes, hops.tolist())
 
     def prefixes(self) -> List[Prefix]:
-        if self._dict is not None:
-            return list(self._dict)
-        return [p for p, _ in self._iter_routes()]
+        return [p for p, _ in self.routes()]
 
     def next_hops(self) -> List[NextHop]:
-        if self._dict is not None:
-            return super().next_hops()
         hops = self._view()[2]
         _, first = np.unique(hops, return_index=True)
         return [int(hops[i]) for i in np.sort(first)]
 
     def has_default_route(self) -> bool:
-        if self._dict is not None:
-            return super().has_default_route()
         return bool((self._view()[1] == 0).any())
 
     def length_histogram(self) -> Dict[int, int]:
-        if self._dict is not None:
-            return super().length_histogram()
         lengths = self._view()[1]
         uniq, first, counts = np.unique(
             lengths, return_index=True, return_counts=True
@@ -391,52 +345,37 @@ class ArrayRoutingTable(RoutingTable):
         return {int(uniq[i]): int(counts[i]) for i in order}
 
     def copy(self) -> "RoutingTable":
-        if self._dict is not None:
-            return super().copy()
         return ArrayRoutingTable(*self._view(), self.width, validate=False)
 
     # -- dunder ------------------------------------------------------------
 
     def __len__(self) -> int:
-        if self._dict is not None:
-            return len(self._dict)
         return len(self._a_hops) - self._n_dead + len(self._overlay)
 
     def __contains__(self, prefix: Prefix) -> bool:
-        if self._dict is not None:
-            return prefix in self._dict
         if prefix.width != self.width:
             return False
         key = (prefix.value << KEY_SHIFT) | prefix.length
         return key in self._overlay or self._live_row(key) is not None
 
     def __iter__(self) -> Iterator[Prefix]:
-        if self._dict is not None:
-            return iter(self._dict)
-        return (p for p, _ in self._iter_routes())
+        return (p for p, _ in self.routes())
 
     def __repr__(self) -> str:
-        state = "inflated" if self._dict is not None else "columnar"
-        return (
-            f"ArrayRoutingTable({len(self)} routes, width={self.width}, "
-            f"{state})"
-        )
-
-
-def _columns_from_dict(routes: Dict[Prefix, NextHop], width: int) -> Columns:
-    n = len(routes)
-    lengths = np.fromiter((p.length for p in routes), dtype=np.int64, count=n)
-    hops = np.fromiter(routes.values(), dtype=np.int64, count=n)
-    if width <= 64:
-        values = np.fromiter(
-            (p.value for p in routes), dtype=np.uint64, count=n
-        )
-        return values, lengths, hops
-    return [p.value for p in routes], lengths, hops
+        return f"ArrayRoutingTable({len(self)} routes, width={self.width})"
 
 
 def table_columns(table: RoutingTable) -> Columns:
     """(values, lengths, hops) columns for any table, array-backed or not."""
     if isinstance(table, ArrayRoutingTable):
         return table.as_arrays()
-    return _columns_from_dict(table._routes, table.width)
+    routes = table._routes
+    n = len(routes)
+    lengths = np.fromiter((p.length for p in routes), dtype=np.int64, count=n)
+    hops = np.fromiter(routes.values(), dtype=np.int64, count=n)
+    if table.width <= 64:
+        values = np.fromiter(
+            (p.value for p in routes), dtype=np.uint64, count=n
+        )
+        return values, lengths, hops
+    return [p.value for p in routes], lengths, hops

@@ -296,7 +296,6 @@ class ArrayEngine:
         fe_cycles = config.fe_lookup_cycles
         early_recording = config.early_recording
         cache_remote = config.cache_remote_results
-        partitioned = sim.partitioned
         timeout = sim._timeout
         faults = sim._faults
         frand = sim._fault_rng.random if sim._fault_rng is not None else None
@@ -1426,7 +1425,7 @@ class ArrayEngine:
             if kind == "fail":
                 if failed[lc]:
                     return
-                if partitioned and plan is not None:
+                if plan is not None:
                     for i in range(n_lcs):
                         if i != lc and has_cache and not failed[i]:
                             inval_remote(
@@ -1450,7 +1449,7 @@ class ArrayEngine:
             else:
                 if not failed[lc]:
                     return
-                if partitioned and plan is not None:
+                if plan is not None:
                     plan.restore_lc(lc)
                 if has_cache:
                     flush_cache(lc)

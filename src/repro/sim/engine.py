@@ -10,7 +10,7 @@ algorithm before micro-optimizing.
 from __future__ import annotations
 
 import heapq
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List, Tuple
 
 from ..errors import SimulationError
 from ..obs.timeseries import NO_SAMPLE
@@ -63,13 +63,8 @@ class EventQueue:
         self.now = now
         self.processed += processed
 
-    def run(
-        self,
-        until: Optional[int] = None,
-        max_events: Optional[int] = None,
-        sampler=None,
-    ) -> int:
-        """Drain the queue (optionally bounded); returns the final time.
+    def run(self, sampler=None) -> int:
+        """Drain the queue; returns the final time.
 
         ``sampler`` (a :class:`~repro.obs.timeseries.TimeSeriesSampler`)
         closes a telemetry window before the first event at-or-past its
@@ -82,17 +77,12 @@ class EventQueue:
         heap = self._heap
         boundary = sampler.next_boundary if sampler is not None else NO_SAMPLE
         while heap:
-            time, _, handler, args = heap[0]
-            if until is not None and time > until:
-                break
+            time, _, handler, args = heapq.heappop(heap)
             if time >= boundary:
                 boundary = sampler.advance(time)
-            heapq.heappop(heap)
             self.now = time
             handler(*args)
             self.processed += 1
-            if max_events is not None and self.processed >= max_events:
-                break
         return self.now
 
     def __len__(self) -> int:

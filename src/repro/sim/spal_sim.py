@@ -152,12 +152,6 @@ class SpalSimulator:
         When True, every FE result is checked against a whole-table oracle
         (a dynamic assertion of the partition-preserving-LPM invariant);
         costs one extra hash lookup per FE request.
-    plan, matchers:
-        Pre-built partition plan and per-LC matchers to reuse instead of
-        partitioning ``table`` afresh (the expensive part of construction).
-        Both must have been built from this exact ``table``/``config``;
-        matchers only read their tables during a run, so one (plan,
-        matchers) pair can serve many single-use simulators.
     registry:
         A :class:`repro.obs.MetricsRegistry` to bind this run's instruments
         into (one is created per simulator when omitted).  Instruments are
@@ -178,8 +172,6 @@ class SpalSimulator:
         config: Optional[SpalConfig] = None,
         partitioned: bool = True,
         verify: bool = False,
-        plan: Optional[PartitionPlan] = None,
-        matchers: Optional[Sequence[HashReferenceMatcher]] = None,
         registry: Optional[MetricsRegistry] = None,
         trace: Optional[Tracer] = None,
     ):
@@ -196,12 +188,6 @@ class SpalSimulator:
         self._minimize_state = None
         self.minimize_stats = None
         if self.config.minimize is not None:
-            if plan is not None or matchers is not None:
-                raise SimulationError(
-                    "plan/matchers injection is incompatible with "
-                    "config.minimize (the plan must be built from the "
-                    "minimised table)"
-                )
             from ..routing.minimize import minimize_table
 
             t0 = time.perf_counter()
@@ -210,56 +196,26 @@ class SpalSimulator:
             table = self._minimize_state.table
             self.minimize_stats = self._minimize_state.stats
         self.table = table
-        self.partitioned = partitioned
-        #: Injected matchers may be shared (memoized across runs), so live
-        #: churn rebuilds them over private table copies; the simulator's
-        #: own matchers are patched in place.
-        self._matchers_injected = matchers is not None
-        if not partitioned and (plan is not None or matchers is not None):
-            raise SimulationError(
-                "plan/matchers injection requires partitioned=True"
-            )
+        # The plan and its tables are this simulator's own (partition_table
+        # copies the columns), so faults and churn mutate them in place.
+        self.plan: Optional[PartitionPlan] = None
+        t0 = time.perf_counter()
         if partitioned:
-            if plan is not None:
-                if plan.n_lcs != self.config.n_lcs:
-                    raise SimulationError(
-                        f"injected plan has {plan.n_lcs} LCs, "
-                        f"config wants {self.config.n_lcs}"
-                    )
-                if plan.source_version != table.version:
-                    raise SimulationError(
-                        "injected plan was built from a different table "
-                        f"version ({plan.source_version} != {table.version})"
-                    )
-                self.plan: Optional[PartitionPlan] = plan
-            else:
-                t0 = time.perf_counter()
-                self.plan = partition_table(
-                    table,
-                    self.config.n_lcs,
-                    bits=self.config.partition_bits,
-                    pattern_oversubscription=self.config.pattern_oversubscription,
-                    replicas=self.config.replicas,
-                )
-                self.construct_seconds["partition"] = time.perf_counter() - t0
-            if matchers is not None:
-                if len(matchers) != self.config.n_lcs:
-                    raise SimulationError(
-                        f"need {self.config.n_lcs} matchers, got {len(matchers)}"
-                    )
-                self._matchers = list(matchers)
-            else:
-                t0 = time.perf_counter()
-                self._matchers = [
-                    HashReferenceMatcher(t) for t in self.plan.tables
-                ]
-                self.construct_seconds["matchers"] = time.perf_counter() - t0
-        else:
-            self.plan = None
+            self.plan = partition_table(
+                table,
+                self.config.n_lcs,
+                bits=self.config.partition_bits,
+                pattern_oversubscription=self.config.pattern_oversubscription,
+                replicas=self.config.replicas,
+            )
+            self.construct_seconds["partition"] = time.perf_counter() - t0
             t0 = time.perf_counter()
-            shared = HashReferenceMatcher(table)
-            self.construct_seconds["matchers"] = time.perf_counter() - t0
-            self._matchers = [shared] * self.config.n_lcs
+            self._matchers = [
+                HashReferenceMatcher(t) for t in self.plan.tables
+            ]
+        else:
+            self._matchers = [HashReferenceMatcher(table)] * self.config.n_lcs
+        self.construct_seconds["matchers"] = time.perf_counter() - t0
         n = self.config.n_lcs
         # -- observability: pre-bound instruments + normalized tracer -----
         # A disabled tracer is normalized to None here, so every
@@ -885,7 +841,7 @@ class SpalSimulator:
         if kind == "fail":
             if self._failed[lc]:
                 return
-            if self.partitioned and self.plan is not None:
+            if self.plan is not None:
                 # Stale-entry correctness: REM results other LCs fetched
                 # from the dying card are untrustworthy from here on (it
                 # may miss updates while down).  Evaluated with the
@@ -912,7 +868,7 @@ class SpalSimulator:
         else:
             if not self._failed[lc]:
                 return
-            if self.partitioned and self.plan is not None:
+            if self.plan is not None:
                 self.plan.restore_lc(lc)
             cache = self.caches[lc]
             if cache is not None:
@@ -1186,7 +1142,7 @@ class SpalSimulator:
             else dest_column(s, self.table.width, lc)
             for lc, s in enumerate(streams)
         ]
-        if updates is not None and len(updates) > 0 and not self.partitioned:
+        if updates is not None and len(updates) > 0 and self.plan is None:
             raise SimulationError(
                 "updates=... requires partitioned=True (churn routes "
                 "each update to its home LCs via the partition plan)"
@@ -1216,11 +1172,6 @@ class SpalSimulator:
         self._ran = True
         if faults is not None and not faults.empty:
             self._faults = faults
-            if faults.has_lc_events and self.partitioned and self.plan is not None:
-                # The plan mutates during the run (fail_lc/restore_lc), so
-                # work on a private copy: injected/memoized plans are shared
-                # across simulators and must come back untouched.
-                self.plan = self.plan.copy_for_faults()
             if faults.has_lc_events or faults.has_drops:
                 self._timeout = self.config.default_rem_timeout()
             self._fault_rng = np.random.default_rng(faults.seed)
@@ -1233,16 +1184,6 @@ class SpalSimulator:
         if updates is not None and len(updates) > 0:
             self._updates_armed = True
             self._update_policy = update_policy
-            # The run mutates forwarding state: work on private copies so
-            # injected/memoized plans and matchers come back untouched.
-            # Tables are deep-copied; matchers the caller injected are
-            # rebuilt over the copies, while the simulator's own matchers
-            # and oracle are private already and patch in place.
-            self.plan = self.plan.copy_for_updates()
-            if self._matchers_injected:
-                self._matchers = [
-                    HashReferenceMatcher(t) for t in self.plan.tables
-                ]
             self._churn_invalidated = [set() for _ in range(self.config.n_lcs)]
             self._m_updates = self.obs.counter("sim.updates.applied")
             self._m_update_cycles = self.obs.counter(

@@ -166,8 +166,6 @@ class TestColumnarMatchesDict:
             _assert_same(col, ref, pool, addresses)
         for kept, routes in frozen:
             assert list(kept.routes()) == routes
-            assert not kept.inflated
-        assert not col.inflated
 
     def test_add_goes_through_the_columns(self):
         table = RoutingTable.from_arrays([0x0A000000], [8], [1], 32)
@@ -175,7 +173,6 @@ class TestColumnarMatchesDict:
         with pytest.raises(TableError):
             table.add(Prefix.from_string("10.0.0.0/8"), 3)
         assert [h for _, h in table.routes()] == [1, 2]
-        assert not table.inflated
 
     def test_copy_shares_columns_until_a_write(self):
         table = RoutingTable.from_arrays(
@@ -188,13 +185,3 @@ class TestColumnarMatchesDict:
         assert table.get(Prefix.from_string("10.0.0.0/8")) == 1
         assert clone.get(Prefix.from_string("10.0.0.0/8")) == 9
 
-    def test_direct_routes_access_inflates(self):
-        table = RoutingTable.from_arrays([0x0A000000], [8], [1], 32)
-        table.update(Prefix.from_string("11.0.0.0/8"), 2)
-        table.remove(Prefix.from_string("10.0.0.0/8"))
-        assert not table.inflated
-        assert table._routes == {Prefix.from_string("11.0.0.0/8"): 2}
-        assert table.inflated
-        table.update(Prefix.from_string("12.0.0.0/8"), 3)
-        assert len(table) == 2
-        assert table.as_arrays()[2].tolist() == [2, 3]

@@ -298,7 +298,12 @@ class TestSimulatorFastPath:
         from repro.core import FaultSchedule
         from repro.errors import SimulationError
 
-        plan = partition_table(table, 2, replicas=2)
+        sim = SpalSimulator(
+            table,
+            SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=128), replicas=2),
+            verify=True,
+        )
+        plan = sim.plan
         rng = np.random.default_rng(8)
         for dest in rng.integers(0, 1 << 32, size=64).tolist():
             primary = plan.lc_of_pattern[
@@ -308,52 +313,13 @@ class TestSimulatorFastPath:
                 break
         else:
             raise AssertionError("no destination homed off its primary")
-        matchers = [HashReferenceMatcher(t) for t in plan.tables]
         planted = primary if not served else 1 - primary
-        matchers[planted].insert(Prefix(dest, 32, 32), 999)
-        sim = SpalSimulator(
-            table, SpalConfig(n_lcs=2, cache=CacheConfig(n_blocks=128)),
-            verify=True, plan=plan, matchers=matchers,
-        )
+        sim._matchers[planted].insert(Prefix(dest, 32, 32), 999)
         streams = [np.array([dest, dest], dtype=np.uint64),
                    np.array([1, 2], dtype=np.uint64)]
         faults = None if served else FaultSchedule().fail_lc(0, 0)
         with pytest.raises(SimulationError, match="partition invariant"):
             sim.run(streams, faults=faults, engine=engine)
-
-    def test_injected_plan_matches_fresh(self, table, streams):
-        # No updates: churn swaps in matchers over copied tables, which would
-        # leave the injected ones unused.
-        plan = partition_table(table, 2)
-        matchers = [HashReferenceMatcher(t) for t in plan.tables]
-        injected = self._run(table, streams, plan=plan, matchers=matchers)
-        fresh = self._run(table, streams)
-        assert _result_fingerprint(injected) == _result_fingerprint(fresh)
-
-    def test_injected_plan_wrong_psi_rejected(self, table):
-        from repro.errors import SimulationError
-
-        plan = partition_table(table, 4)
-        with pytest.raises(SimulationError, match="LCs"):
-            SpalSimulator(table, SpalConfig(n_lcs=2), plan=plan)
-
-    def test_injected_plan_stale_version_rejected(self):
-        from repro.errors import SimulationError
-
-        table = random_small_table(100, seed=52)
-        plan = partition_table(table, 2)
-        table.update(Prefix(0x0A000000, 8, 32), 13)
-        with pytest.raises(SimulationError, match="version"):
-            SpalSimulator(table, SpalConfig(n_lcs=2), plan=plan)
-
-    def test_injection_requires_partitioned(self, table):
-        from repro.errors import SimulationError
-
-        plan = partition_table(table, 2)
-        with pytest.raises(SimulationError, match="partitioned"):
-            SpalSimulator(
-                table, SpalConfig(n_lcs=2), partitioned=False, plan=plan
-            )
 
 
 class TestCachePortSaturation:

@@ -663,17 +663,39 @@ class TestSimulatorChurn:
         with pytest.raises(SimulationError):
             sim4.run(streams, updates=sched, update_policy="sometimes")
 
-    def test_injected_plan_and_matchers_untouched(self, table):
-        from repro.core.partition import partition_table
+    @pytest.mark.parametrize("engine", ["array", "scalar"])
+    def test_run_leaves_caller_table_and_next_simulator_untouched(
+        self, table, engine
+    ):
+        """LC faults and churn mutate only the simulator's own plan and
+        matchers: the caller's table keeps its version and columns, and a
+        second simulator over it starts from the same partition and
+        replays the run exactly."""
+        from repro.core import FaultSchedule
 
-        plan = partition_table(table, 4)
-        sizes = plan.partition_sizes()
-        matchers = [HashReferenceMatcher(t) for t in plan.tables]
-        probe = 0x0A000001
-        before = [m.lookup(probe) for m in matchers]
-        config = SpalConfig(n_lcs=4, cache=CacheConfig(n_blocks=256))
-        sim = SpalSimulator(table, config, plan=plan, matchers=matchers)
-        sched = generate_churn(table, 200_000, 150_000, seed=19)
-        sim.run(streams_for(table, 4, 800), speed_gbps=10, updates=sched)
-        assert plan.partition_sizes() == sizes
-        assert [m.lookup(probe) for m in matchers] == before
+        source = RoutingTable.from_arrays(*table_columns(table), table.width)
+        version = source.version
+        columns = [np.array(c, copy=True) for c in source.as_arrays()]
+        config = SpalConfig(
+            n_lcs=4, cache=CacheConfig(n_blocks=256), replicas=2
+        )
+        sched = generate_churn(source, 200_000, 150_000, seed=19)
+        faults = FaultSchedule().fail_lc(2_000, 1).recover_lc(9_000, 1)
+        streams = streams_for(source, 4, 800)
+
+        def run(sim):
+            return sim.run(streams, speed_gbps=10, engine=engine,
+                           updates=sched, faults=faults)
+
+        first = SpalSimulator(source, config)
+        sizes = first.plan.partition_sizes()
+        r1 = run(first)
+        assert r1.update_events_applied > 0 and r1.fault_events == 2
+        assert first.plan.partition_sizes() != sizes
+        assert source.version == version
+        for got, want in zip(source.as_arrays(), columns):
+            assert np.array_equal(np.asarray(got), want)
+        second = SpalSimulator(source, config)
+        assert second.plan.failed_lcs == set()
+        assert second.plan.partition_sizes() == sizes
+        assert result_digest(run(second)) == result_digest(r1)

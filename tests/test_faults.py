@@ -256,24 +256,6 @@ class TestFailover:
                 table, cfg, streams, faults=FaultSchedule().fail_lc(10, 5)
             )
 
-    def test_memoized_plan_not_mutated(self, table):
-        cfg = small_config(replicas=2)
-        plan = partition_table(
-            table, 4, replicas=2
-        )
-        from repro.tries.reference import HashReferenceMatcher
-
-        matchers = [HashReferenceMatcher(t) for t in plan.tables]
-        sim = SpalSimulator(table, cfg, plan=plan, matchers=matchers)
-        faults = FaultSchedule().fail_lc(200, 1)
-        sim.run(locality_streams(4, n=200), faults=faults, name="t")
-        # The injected plan must come back untouched (the simulator works
-        # on a private copy under LC faults).
-        assert plan.failed_lcs == set()
-        assert sim.plan is not plan
-        assert sim.plan.failed_lcs == {1}
-
-
 class TestPlanEpoch:
     def test_epoch_bumps_on_state_change_only(self, table):
         plan = partition_table(table, 4, replicas=2)
@@ -306,19 +288,6 @@ class TestPlanEpoch:
         plan.home_lc_batch(addrs)
         assert plan._live_cache is not cached
         assert plan._live_cache[0] == plan.epoch
-
-    def test_copy_for_faults_isolated(self, table):
-        plan = partition_table(table, 4, replicas=2)
-        copy = plan.copy_for_faults()
-        copy.fail_lc(3)
-        assert plan.failed_lcs == set()
-        assert copy.failed_lcs == {3}
-        assert copy.epoch == plan.epoch + 1
-        # Tables are shared (they are immutable during simulation).
-        assert copy.tables is plan.tables or list(copy.tables) == list(
-            plan.tables
-        )
-
 
 class TestRouterFacade:
     def make_router(self, table, replicas=2):

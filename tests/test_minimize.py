@@ -664,18 +664,6 @@ class TestSimulationReplay:
         assert snap["sim.minimize.ratio"] >= 1.0
         assert sim.minimize_stats is not None
 
-    def test_plan_injection_rejected_with_minimize(self):
-        from repro.core import SpalConfig, partition_table
-        from repro.errors import SimulationError
-        from repro.sim import SpalSimulator
-
-        table = random_small_table(120, seed=4, max_length=16)
-        plan = partition_table(table, 2)
-        with pytest.raises(SimulationError):
-            SpalSimulator(
-                table, SpalConfig(n_lcs=2, minimize="full"), plan=plan
-            )
-
     def test_bad_minimize_mode_rejected(self):
         from repro.core import SpalConfig
         from repro.errors import SimulationError

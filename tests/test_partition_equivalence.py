@@ -101,7 +101,6 @@ def _partition_reference(
         n_lcs=n_lcs,
         lc_of_pattern=lc_of_pattern,
         tables=tables,
-        source_version=table.version,
         replicas_of_pattern=replicas_of_pattern,
     )
 
@@ -221,7 +220,6 @@ class TestColumnarMatchesReference:
         assert got.bits == want.bits
         assert got.lc_of_pattern == want.lc_of_pattern
         assert got.replicas_of_pattern == want.replicas_of_pattern
-        assert got.source_version == want.source_version
         for mine, ref in zip(got.tables, want.tables):
             assert type(mine) is ArrayRoutingTable
             assert list(mine.routes()) == list(ref.routes())
@@ -247,12 +245,11 @@ def _no_prefix_objects():
 def _assert_columnar(tables: Sequence[RoutingTable]) -> None:
     for t in tables:
         assert type(t) is ArrayRoutingTable
-        assert not t.inflated
 
 
 class TestLcTablesStayColumnar:
     """Per-LC tables are column slices of the source from partition to the
-    end of a churned run: no Prefix objects, no dicts, no inflation."""
+    end of a churned run: no Prefix objects and no dicts."""
 
     @given(tables(), st.integers(1, 9))
     @settings(max_examples=40, deadline=None)
@@ -288,6 +285,6 @@ class TestLcTablesStayColumnar:
             update_policy="selective",
         )
         assert sim.update_events_applied > 0
-        assert sim.plan.tables is not built
+        # Churn patches the simulator's own tables in place.
+        assert sim.plan.tables is built
         _assert_columnar(built)
-        _assert_columnar(sim.plan.tables)

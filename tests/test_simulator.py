@@ -6,10 +6,19 @@ import pytest
 from repro.errors import (
     ChurnScheduleError,
     FaultScheduleError,
+    ObservabilityError,
+    PartitionError,
     SimulationError,
 )
-from repro.core import CacheConfig, FaultSchedule, SpalConfig
-from repro.obs import HealthMonitor
+from repro.core import (
+    CacheConfig,
+    CrossbarFabric,
+    FaultSchedule,
+    SharedBusFabric,
+    SpalConfig,
+    partition_table,
+)
+from repro.obs import HealthMonitor, TimeSeriesSampler
 from repro.routing import ChurnSchedule, Prefix, random_small_table
 from repro.sim import (
     ConventionalSimulator,
@@ -50,16 +59,6 @@ class TestEventQueue:
         with pytest.raises(SimulationError):
             q.run()
 
-    def test_run_until(self):
-        q = EventQueue()
-        out = []
-        for t in (1, 5, 9):
-            q.schedule(t, out.append, t)
-        q.run(until=5)
-        assert out == [1, 5]
-        q.run()
-        assert out == [1, 5, 9]
-
     def test_handler_scheduling_more_events(self):
         q = EventQueue()
         out = []
@@ -72,6 +71,24 @@ class TestEventQueue:
         q.schedule(0, chain, 0)
         q.run()
         assert out == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("build, error", [
+    (lambda t: CrossbarFabric(4, "2"), SimulationError),
+    (lambda t: SharedBusFabric("4"), SimulationError),
+    (lambda t: partition_table(t, "2"), PartitionError),
+    (lambda t: partition_table(t, 2, replicas="1"), PartitionError),
+    (lambda t: partition_table(t, 2.0), PartitionError),
+    (lambda t: TimeSeriesSampler("8", 2), ObservabilityError),
+    (lambda t: TimeSeriesSampler(8.5, 2), ObservabilityError),
+], ids=["crossbar_transit", "bus_n_lcs", "partition_n_lcs",
+        "partition_replicas", "partition_float_n_lcs", "sampler_str",
+        "sampler_float"])
+def test_constructor_domain(table, build, error):
+    """Public constructors that take a config value check it against the
+    config field's domain and raise their own module's error type."""
+    with pytest.raises(error, match="must be an int"):
+        build(table)
 
 
 class TestResource:
@@ -414,18 +431,6 @@ class TestResultSummary:
 
 
 class TestEngineLimits:
-    def test_max_events_stops_early(self):
-        from repro.sim import EventQueue
-
-        q = EventQueue()
-        out = []
-        for t in range(10):
-            q.schedule(t, out.append, t)
-        q.run(max_events=4)
-        assert len(out) == 4
-        q.run()
-        assert len(out) == 10
-
     def test_latency_timeline(self):
         import numpy as np
         from repro.sim.results import SimulationResult
