@@ -33,7 +33,8 @@ from ..routing.prefix import Prefix
 from ..routing.table import NextHop, RoutingTable
 from ..tries.base import LongestPrefixMatcher, UpdateResult
 from ..tries.lulea import LuleaTrie
-from .config import UPDATE_POLICIES, SpalConfig, check, one_of
+from .config import UPDATE_POLICIES, SpalConfig
+from .domain import check, one_of
 from .lr_cache import LOC, REM, LRCache
 from .partition import PartitionPlan, apply_route_update, partition_table
 

@@ -30,7 +30,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..core.config import is_int
+from ..core.domain import is_int
 from ..errors import SimulationError
 
 #: Default stream chunk: big enough to amortize per-chunk NumPy overhead,

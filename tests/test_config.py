@@ -162,7 +162,7 @@ class TestKnobTable:
         a field without one would land unchecked."""
         import dataclasses
 
-        from repro.core.config import Domain
+        from repro.core.domain import Domain
 
         for cls in (SpalConfig, CacheConfig):
             for f in dataclasses.fields(cls):
